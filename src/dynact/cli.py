@@ -11,20 +11,6 @@ from .errors import DynactError
 from .pipeline import STAGES, run
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("DYNACT_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DynactError(f"DYNACT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DynactError(f"DYNACT_THREADS must be >= 1, got {n}")
-    # all numerics run sequentially with a fixed accumulation order, so any
-    # permitted thread count produces identical bytes
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dynact", description="Dynamic CT simulation and motion-compensated reconstruction")
     p.add_argument("stage", choices=STAGES, help="pipeline stage to run")
@@ -37,7 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_threads_env()
         cfg = load_config(args.config)
         if args.out is not None:
             cfg.output_dir = args.out

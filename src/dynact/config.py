@@ -1,15 +1,21 @@
 """Pipeline configuration: versioned JSON schema with exhaustive validation.
 
 The config owns every knob of the pipeline; stages never hard-code
-geometry. ``load_config`` -> dataclasses -> ``dump_config`` round-trips
-all fields exactly.
+geometry. The dataclasses (``PipelineConfig`` and the specs it holds) are
+the schema: ``config_from_dict`` and ``config_to_dict`` walk their fields
+and type hints, so each field is declared once. Every field is required
+except those in ``_OPTIONAL``; unknown keys are ignored.
+``load_config`` -> dataclasses -> ``dump_config`` round-trips all fields
+exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,13 +45,13 @@ class PriorConfig:
 class SolverConfig:
     grid_nx: int = 257
     grid_ny: int = 257
-    cfl_safety: float = 0.9
     num_snapshots: int = 133
 
 
 @dataclass
 class BoundaryConfig:
-    spec: BoundarySpec = field(default_factory=BoundarySpec)
+    # the JSON holds the spec's fields flat in the boundary section
+    spec: BoundarySpec = field(default_factory=BoundarySpec, metadata={"flat": True})
     num_sample_times: int = 661
 
 
@@ -65,187 +71,80 @@ class PipelineConfig:
     image: ImageSpec = field(default_factory=ImageSpec)
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"config: missing key {where}.{key}")
-    return d[key]
+def _finite(v) -> bool:
+    # NaN fails the comparison, and so does an int too large for a float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _number(d: dict, key: str, where: str) -> float:
-    v = _require(d, key, where)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-        raise ConfigError(f"config: {where}.{key} must be a finite number, got {v!r}")
-    return float(v)
+# Leaf types of the schema: (description, check, conversion from JSON).
+_LEAVES = {
+    float: ("a finite number", _finite, float),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    bool: ("a boolean", lambda v: isinstance(v, bool), bool),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    tuple[float, float]: (
+        "a pair of finite numbers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)),
+        lambda v: (float(v[0]), float(v[1])),
+    ),
+}
+
+# Leaves that may be absent from the JSON; every other field is required.
+_OPTIONAL = {(Ellipse, "label"), (BoundarySpec, "time_constant_noise")}
 
 
-def _integer(d: dict, key: str, where: str) -> int:
-    v = _require(d, key, where)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"config: {where}.{key} must be an integer, got {v!r}")
+def _read(tp, v, where: str):
+    """Convert the JSON value found at ``where`` to the schema type ``tp``."""
+    if is_dataclass(tp):
+        if not isinstance(v, dict):
+            raise ConfigError(f"config: {where} must be an object, got {v!r}")
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for f in fields(tp):
+            key = f"{where}.{f.name}" if where else f.name
+            if f.metadata.get("flat"):
+                kwargs[f.name] = _read(hints[f.name], v, where)
+            elif f.name in v:
+                kwargs[f.name] = _read(hints[f.name], v[f.name], key)
+            elif (tp, f.name) not in _OPTIONAL:
+                raise ConfigError(f"config: missing key {key}")
+        return tp(**kwargs)
+    if get_origin(tp) is list:
+        if not isinstance(v, list):
+            raise ConfigError(f"config: {where} must be a list, got {v!r}")
+        return [_read(get_args(tp)[0], e, f"{where}[{k}]") for k, e in enumerate(v)]
+    what, ok, convert = _LEAVES[tp]
+    if not ok(v):
+        raise ConfigError(f"config: {where} must be {what}, got {v!r}")
+    return convert(v)
+
+
+def _write(v):
+    """The JSON form of a schema value; the inverse of ``_read``."""
+    if is_dataclass(v):
+        out = {}
+        for f in fields(v):
+            sub = _write(getattr(v, f.name))
+            out.update(sub if f.metadata.get("flat") else {f.name: sub})
+        return out
+    if isinstance(v, (list, tuple)):
+        return [_write(e) for e in v]
     return v
-
-
-def _pair(d: dict, key: str, where: str) -> tuple[float, float]:
-    v = _require(d, key, where)
-    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v)):
-        raise ConfigError(f"config: {where}.{key} must be a pair of numbers")
-    return (float(v[0]), float(v[1]))
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    version = _integer(raw, "version", "")
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"config: unsupported version {version} (expected {CONFIG_VERSION})")
-
-    ph_raw = _require(raw, "phantom", "")
-    ellipses = []
-    for k, e in enumerate(_require(ph_raw, "ellipses", "phantom")):
-        where = f"phantom.ellipses[{k}]"
-        ellipses.append(
-            Ellipse(
-                center=_pair(e, "center", where),
-                semi_axes=_pair(e, "semi_axes", where),
-                rotation=_number(e, "rotation", where),
-                density=_number(e, "density", where),
-                label=str(e.get("label", "")),
-            )
-        )
-    phantom = PhantomSpec(ellipses=ellipses)
-
-    mo = _require(raw, "motion", "")
-    motion = AffineMotion(
-        amplitude=_number(mo, "amplitude", "motion"),
-        frequency=_number(mo, "frequency", "motion"),
-        offset=_number(mo, "offset", "motion"),
-        drift_coeff=_number(mo, "drift_coeff", "motion"),
-    )
-
-    sc = _require(raw, "scan", "")
-    scan = ScanGeometry(
-        num_angles=_integer(sc, "num_angles", "scan"),
-        angle_start=_number(sc, "angle_start", "scan"),
-        angle_end=_number(sc, "angle_end", "scan"),
-        num_detectors=_integer(sc, "num_detectors", "scan"),
-        detector_min=_number(sc, "detector_min", "scan"),
-        detector_max=_number(sc, "detector_max", "scan"),
-        time_offset=_number(sc, "time_offset", "scan"),
-        time_scale=_number(sc, "time_scale", "scan"),
-    )
-
-    ma = _require(raw, "material", "")
-    material = MaterialConfig(
-        lame_lambda=_number(ma, "lame_lambda", "material"),
-        lame_mu=_number(ma, "lame_mu", "material"),
-    )
-
-    pr = _require(raw, "prior", "")
-    prior = PriorConfig(
-        spine_density=_number(pr, "spine_density", "prior"),
-        soft_tissue_density=_number(pr, "soft_tissue_density", "prior"),
-    )
-
-    so = _require(raw, "solver", "")
-    solver = SolverConfig(
-        grid_nx=_integer(so, "grid_nx", "solver"),
-        grid_ny=_integer(so, "grid_ny", "solver"),
-        cfl_safety=_number(so, "cfl_safety", "solver"),
-        num_snapshots=_integer(so, "num_snapshots", "solver"),
-    )
-
-    bo = _require(raw, "boundary", "")
-    mode = _require(bo, "mode", "boundary")
-    boundary = BoundaryConfig(
-        spec=BoundarySpec(
-            mode=str(mode),
-            noise_std=_number(bo, "noise_std", "boundary"),
-            num_nodes=_integer(bo, "num_nodes", "boundary"),
-            rng_seed=_integer(bo, "rng_seed", "boundary"),
-            time_constant_noise=bool(bo.get("time_constant_noise", False)),
-        ),
-        num_sample_times=_integer(bo, "num_sample_times", "boundary"),
-    )
-
-    fi = _require(raw, "filter", "")
-    filt = FilterSpec(gamma=_number(fi, "gamma", "filter"), dft_size=_integer(fi, "dft_size", "filter"))
-
-    im = _require(raw, "image", "")
-    image = ImageSpec(nx=_integer(im, "nx", "image"), ny=_integer(im, "ny", "image"))
-
-    cfg = PipelineConfig(
-        version=version,
-        seed=_integer(raw, "seed", ""),
-        output_dir=str(_require(raw, "output_dir", "")),
-        phantom=phantom,
-        motion=motion,
-        scan=scan,
-        material=material,
-        prior=prior,
-        solver=solver,
-        boundary=boundary,
-        filter=filt,
-        image=image,
-    )
+    # the version decides the layout, so it is checked before the walk
+    if raw.get("version") != CONFIG_VERSION:
+        raise ConfigError(f"config: unsupported version {raw.get('version')!r} (expected {CONFIG_VERSION})")
+    cfg = _read(PipelineConfig, raw, "")
     validate_config(cfg)
     return cfg
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "version": cfg.version,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "phantom": {
-            "ellipses": [
-                {
-                    "center": list(e.center),
-                    "semi_axes": list(e.semi_axes),
-                    "rotation": e.rotation,
-                    "density": e.density,
-                    "label": e.label,
-                }
-                for e in cfg.phantom.ellipses
-            ]
-        },
-        "motion": {
-            "amplitude": cfg.motion.amplitude,
-            "frequency": cfg.motion.frequency,
-            "offset": cfg.motion.offset,
-            "drift_coeff": cfg.motion.drift_coeff,
-        },
-        "scan": {
-            "num_angles": cfg.scan.num_angles,
-            "angle_start": cfg.scan.angle_start,
-            "angle_end": cfg.scan.angle_end,
-            "num_detectors": cfg.scan.num_detectors,
-            "detector_min": cfg.scan.detector_min,
-            "detector_max": cfg.scan.detector_max,
-            "time_offset": cfg.scan.time_offset,
-            "time_scale": cfg.scan.time_scale,
-        },
-        "material": {"lame_lambda": cfg.material.lame_lambda, "lame_mu": cfg.material.lame_mu},
-        "prior": {
-            "spine_density": cfg.prior.spine_density,
-            "soft_tissue_density": cfg.prior.soft_tissue_density,
-        },
-        "solver": {
-            "grid_nx": cfg.solver.grid_nx,
-            "grid_ny": cfg.solver.grid_ny,
-            "cfl_safety": cfg.solver.cfl_safety,
-            "num_snapshots": cfg.solver.num_snapshots,
-        },
-        "boundary": {
-            "mode": cfg.boundary.spec.mode,
-            "noise_std": cfg.boundary.spec.noise_std,
-            "num_nodes": cfg.boundary.spec.num_nodes,
-            "rng_seed": cfg.boundary.spec.rng_seed,
-            "time_constant_noise": cfg.boundary.spec.time_constant_noise,
-            "num_sample_times": cfg.boundary.num_sample_times,
-        },
-        "filter": {"gamma": cfg.filter.gamma, "dft_size": cfg.filter.dft_size},
-        "image": {"nx": cfg.image.nx, "ny": cfg.image.ny},
-    }
+    return _write(cfg)
 
 
 def validate_config(cfg: PipelineConfig) -> None:
@@ -265,8 +164,6 @@ def validate_config(cfg: PipelineConfig) -> None:
         problems.append("seed must be >= 0")
     if cfg.solver.grid_nx < 9 or cfg.solver.grid_ny < 9:
         problems.append("solver grid must be at least 9x9")
-    if not (0.0 < cfg.solver.cfl_safety <= 1.0):
-        problems.append("solver.cfl_safety must be in (0, 1]")
     if cfg.solver.num_snapshots < 2:
         problems.append("solver.num_snapshots must be >= 2")
     if cfg.boundary.num_sample_times < 2:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .elastic import DisplacementHistory
 from .errors import MismatchError, MissingInputError
-from .grid import Grid2D
 from .projection import ScanGeometry, Sinogram
 from .reconstruct import Image, ImageSpec
 
@@ -111,27 +110,10 @@ def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     off += ny * 8
     kind = np.frombuffer(payload, dtype=np.uint8, count=nx * ny, offset=off).reshape(nx, ny).copy()
     off += nx * ny
-    times = np.empty(k)
-    out = np.empty((k, nx, ny, 2))
-    for i in range(k):
-        times[i] = np.frombuffer(payload, dtype=_F8, count=1, offset=off)[0]
-        off += 8
-        out[i, :, :, 0] = np.frombuffer(payload, dtype=_F8, count=nx * ny, offset=off).reshape(nx, ny)
-        off += nx * ny * 8
-        out[i, :, :, 1] = np.frombuffer(payload, dtype=_F8, count=nx * ny, offset=off).reshape(nx, ny)
-        off += nx * ny * 8
-    return x, y, kind, times, out
-
-
-def write_boundary_field(path: str, grid: Grid2D, times: np.ndarray, boundary_values: np.ndarray) -> None:
-    """Export boundary data in the field container, zero off the boundary."""
-    k = len(times)
-    nx, ny = grid.shape
-    fields = np.zeros((k, nx, ny, 2))
-    b_ij = grid.boundary_ij
-    fields[:, b_ij[:, 0], b_ij[:, 1], :] = boundary_values
-    hist = DisplacementHistory(times=np.asarray(times, dtype=float), fields=fields, grid=grid, dt=0.0, num_steps=0)
-    write_field(path, hist)
+    # one record per snapshot: its time, then the x and y components
+    record = np.dtype([("t", _F8), ("u", _F8, (2, nx, ny))])
+    snapshots = np.frombuffer(payload, dtype=record, count=k, offset=off)
+    return x, y, kind, snapshots["t"].copy(), np.moveaxis(snapshots["u"], 1, -1).copy()
 
 
 def write_image(path: str, img: Image) -> None:

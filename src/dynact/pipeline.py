@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from . import formats
-from .boundary import BoundaryData, BoundarySpec, perturb, sample_boundary, sparsify
+from .boundary import BoundaryData, perturb, sample_boundary, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation
 from .domain import EllipseDomain
@@ -64,13 +65,7 @@ def boundary_data_for_mode(cfg: PipelineConfig, grid: Grid2D, mode: str) -> Boun
     bd = sample_boundary(cfg.motion, grid, times)
     if mode == "exact":
         return bd
-    spec = BoundarySpec(
-        mode=mode,
-        noise_std=cfg.boundary.spec.noise_std,
-        num_nodes=cfg.boundary.spec.num_nodes,
-        rng_seed=cfg.boundary.spec.rng_seed,
-        time_constant_noise=cfg.boundary.spec.time_constant_noise,
-    )
+    spec = replace(cfg.boundary.spec, mode=mode)
     if mode == "noisy":
         return perturb(bd, spec)
     if mode == "sparse":

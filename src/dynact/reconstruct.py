@@ -19,7 +19,7 @@ theoretical constant is kept exactly and the default dft_size is 4096.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,10 +86,20 @@ class Image:
             raise ConfigError(f"image shape {self.values.shape} != spec ({self.spec.nx}, {self.spec.ny})")
 
 
-def _filter_multiplier(filter_spec: FilterSpec, detector_spacing: float) -> np.ndarray:
+def filter_sinogram(sino: Sinogram, filter_spec: FilterSpec) -> np.ndarray:
+    """Filter every row on the zero-padded DFT of size ``dft_size``.
+
+    The multiplier is real and even, so the filtered rows are real and the
+    half-spectrum transforms ``rfft``/``irfft`` give them exactly.
+    """
+    geo = sino.geometry
+    filter_spec.validate(geo.num_detectors)
     n = filter_spec.dft_size
-    sigma = 2.0 * np.pi * np.fft.fftfreq(n, d=detector_spacing)
-    return np.abs(sigma) * np.exp(-0.5 * (filter_spec.gamma * sigma) ** 2)
+    spacing = (geo.detector_max - geo.detector_min) / (geo.num_detectors - 1)
+    sigma = 2.0 * np.pi * np.fft.rfftfreq(n, d=spacing)
+    multiplier = sigma * np.exp(-0.5 * (filter_spec.gamma * sigma) ** 2)  # sigma >= 0 here
+    out = np.fft.irfft(np.fft.rfft(sino.values, n=n, axis=1) * multiplier, n=n, axis=1)
+    return out[:, : geo.num_detectors]
 
 
 def filter_projection(row: np.ndarray, geometry: ScanGeometry, filter_spec: FilterSpec) -> np.ndarray:
@@ -97,29 +107,8 @@ def filter_projection(row: np.ndarray, geometry: ScanGeometry, filter_spec: Filt
     row = np.asarray(row, dtype=float)
     if row.shape != (geometry.num_detectors,):
         raise ConfigError("row length must equal num_detectors")
-    filter_spec.validate(geometry.num_detectors)
-    spacing = (geometry.detector_max - geometry.detector_min) / (geometry.num_detectors - 1)
-    padded = np.zeros(filter_spec.dft_size)
-    padded[: len(row)] = row
-    spec = np.fft.fft(padded) * _filter_multiplier(filter_spec, spacing)
-    out = np.fft.ifft(spec)
-    resid = float(np.max(np.abs(out.imag)))
-    assert resid < 1e-10, f"imaginary residue {resid} in filtered projection"
-    return out.real[: geometry.num_detectors]
-
-
-def filter_sinogram(sino: Sinogram, filter_spec: FilterSpec) -> np.ndarray:
-    """Filter every row; identical math to filter_projection, batched."""
-    geo = sino.geometry
-    filter_spec.validate(geo.num_detectors)
-    spacing = (geo.detector_max - geo.detector_min) / (geo.num_detectors - 1)
-    padded = np.zeros((geo.num_angles, filter_spec.dft_size))
-    padded[:, : geo.num_detectors] = sino.values
-    spec = np.fft.fft(padded, axis=1) * _filter_multiplier(filter_spec, spacing)[None, :]
-    out = np.fft.ifft(spec, axis=1)
-    resid = float(np.max(np.abs(out.imag)))
-    assert resid < 1e-10, f"imaginary residue {resid} in filtered sinogram"
-    return out.real[:, : geo.num_detectors]
+    one_view = replace(geometry, num_angles=1)
+    return filter_sinogram(Sinogram(one_view, row[None, :]), filter_spec)[0]
 
 
 def _angle_weights(angles: np.ndarray) -> np.ndarray:

@@ -295,5 +295,5 @@ def test_explicit_divergence_raises():
     bd = boundary_data_for_mode(cfg, g, "exact")
     times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
     with pytest.raises(InstabilityError, match="diverged") as exc_info:
-        solve(g, params, None, bd, cfg.scan.t_end, times, safety=cfg.solver.cfl_safety)
+        solve(g, params, None, bd, cfg.scan.t_end, times)
     assert exc_info.value.step is not None and exc_info.value.node is not None

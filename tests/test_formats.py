@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from dynact import formats
-from dynact.boundary import sample_boundary
 from dynact.elastic import DisplacementHistory
 from dynact.errors import MismatchError, MissingInputError
-from dynact.motion import AffineMotion, identity_motion
+from dynact.motion import identity_motion
 from dynact.phantom import Ellipse, PhantomSpec
 from dynact.projection import ScanGeometry, simulate_scan
 from dynact.reconstruct import Image, ImageSpec
@@ -73,18 +72,6 @@ class TestFieldFormat:
         assert np.array_equal(kind, g.kind)
         assert np.array_equal(t_back, times)
         assert np.array_equal(f_back, fields)
-
-    def test_boundary_restricted_export(self, tmp_path, ellipse_grid_65):
-        g = ellipse_grid_65
-        bd = sample_boundary(AffineMotion(), g, np.array([0.0, 10.0]))
-        p = str(tmp_path / "b.field")
-        formats.write_boundary_field(p, g, bd.times, bd.values)
-        x, y, kind, times, fields = formats.read_field(p)
-        b = g.boundary_ij
-        assert np.array_equal(fields[:, b[:, 0], b[:, 1], :], bd.values)
-        mask = np.ones(g.shape, dtype=bool)
-        mask[b[:, 0], b[:, 1]] = False
-        assert np.all(fields[:, mask, :] == 0.0)
 
 
 class TestImageFormat:

@@ -185,15 +185,6 @@ class TestCli:
         dump_config(cfg, cfg_path)
         assert cli_main(["reconstruct", "--config", cfg_path]) == 3
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        cfg = tiny_config(str(tmp_path / "out"))
-        cfg_path = str(tmp_path / "cfg.json")
-        dump_config(cfg, cfg_path)
-        monkeypatch.setenv("DYNACT_THREADS", "zero")
-        assert cli_main(["simulate", "--config", cfg_path]) == 1
-        monkeypatch.setenv("DYNACT_THREADS", "4")
-        assert cli_main(["simulate", "--config", cfg_path]) == 0
-
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "ignored"))
         cfg_path = str(tmp_path / "cfg.json")

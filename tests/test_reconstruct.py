@@ -97,7 +97,14 @@ class TestFilterProjection:
         sino = simulate_scan(spec, identity_motion(), GEO_SMALL)
         fs = small_filter()
         batched = filter_sinogram(sino, fs)
+        # reference: the full complex DFT of each zero-padded row
+        spacing = (GEO_SMALL.detector_max - GEO_SMALL.detector_min) / (GEO_SMALL.num_detectors - 1)
+        sigma = 2.0 * np.pi * np.fft.fftfreq(fs.dft_size, d=spacing)
+        multiplier = np.abs(sigma) * np.exp(-0.5 * (fs.gamma * sigma) ** 2)
         for n in (0, 17, 59):
+            reference = np.fft.ifft(np.fft.fft(sino.values[n], n=fs.dft_size) * multiplier)
+            assert np.abs(reference.imag).max() < 1e-10
+            np.testing.assert_allclose(batched[n], reference.real[: GEO_SMALL.num_detectors], rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 batched[n], filter_projection(sino.values[n], GEO_SMALL, fs), rtol=0, atol=1e-12
             )
