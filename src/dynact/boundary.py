@@ -28,7 +28,7 @@ class BoundarySpec:
 
     def validate(self):
         if self.mode not in ("exact", "noisy", "sparse"):
-            raise ConfigError(f"unknown boundary mode {self.mode!r}")
+            raise ConfigError(f"mode must be exact, noisy or sparse, got {self.mode!r}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.num_nodes < 3:

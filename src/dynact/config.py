@@ -108,7 +108,10 @@ def _read(tp, v, where: str):
                 kwargs[f.name] = _read(hints[f.name], v[f.name], key)
             elif (tp, f.name) not in _OPTIONAL:
                 raise ConfigError(f"config: missing key {key}")
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"config: {where}: {exc}") from exc
     if get_origin(tp) is list:
         if not isinstance(v, list):
             raise ConfigError(f"config: {where} must be a list, got {v!r}")
@@ -171,7 +174,7 @@ def validate_config(cfg: PipelineConfig) -> None:
     try:
         cfg.boundary.spec.validate()
     except ConfigError as exc:
-        problems.append(str(exc))
+        problems.append(f"boundary.{exc}")
     if cfg.material.lame_mu <= 0:
         problems.append("material.lame_mu must be positive")
     if cfg.material.lame_lambda + 2 * cfg.material.lame_mu <= 0:
@@ -181,7 +184,7 @@ def validate_config(cfg: PipelineConfig) -> None:
     try:
         cfg.filter.validate(cfg.scan.num_detectors)
     except ConfigError as exc:
-        problems.append(str(exc))
+        problems.append(f"filter.{exc}")
     if cfg.image.nx < 2 or cfg.image.ny < 2:
         problems.append("image dimensions must be >= 2")
     if not problems:

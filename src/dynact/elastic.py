@@ -1,8 +1,8 @@
 """Navier-Cauchy solvers on a classified grid.
 
-Both solvers share one discrete operator, ``NavierOperator``:
-the nine-node interior stencil (k = 1 component; k = 2 by exchanging
-x/y and u1/u2)
+Both solvers share one discrete operator, ``NavierOperator``: the
+nine-node interior stencil (k = 1 component; k = 2 by exchanging x/y
+and u1/u2)
 
     (L u)_1 = 2(lam+2mu)/DX2 * [wxp*u1_E + wxm*u1_W - 2*u1]
             + 2mu/DY2        * [wyp*u1_N + wym*u1_S - 2*u1]
@@ -10,18 +10,27 @@ x/y and u1/u2)
 
 with DX2 = hxr^2 + hxl^2, wxp = 1 - (hxr-hxl)/(hxr+hxl), wxm the + variant,
 and local spacings taken from the actual (snapped) node positions.
-Dirichlet values are imposed at boundary nodes and ghost values are
-extrapolated through the midpoint auxiliary node (``grid.fill_ghost``).
+
+The operator acts on z = [x; psi1; psi2]: x holds the n interior
+unknowns, component 1 then component 2, interior nodes in lattice
+order, and psi1, psi2 the Dirichlet values at the boundary nodes
+(``grid.boundary_ij`` order). It is assembled once as an ELL pair of
+column indices into z and weights, (2n, K), so L u is one
+gather-multiply-sum. Ghosts are not unknowns: ``grid.fill_ghost`` sets
+a ghost to (1-f) u(node0) + f/2 (u(node1) + u(node2)), f its factor for
+that component, so a stencil weight w on a ghost becomes w(1-f) on the
+interior node0 and w f/2 on each of the boundary nodes node1, node2.
+K = 9 + 2 x the most ghosts one row reaches (11 on the thorax grids).
 
 Two solvers:
 
 * ``solve`` integrates the time-dependent equation rho u_tt = L u + v
-  explicitly,
+  explicitly on interior vectors,
 
       u(n+1) = 2 u(n) - u(n-1) + dt^2/rho * (L u(n) + v(n)),
 
-  dt from the CFL bound. The first step folds the mirror rule
-  u(-1) = u(1) - 2*dt*theta1 into the n=0 update.
+  dt from the CFL bound. The first step is the same update with the
+  mirror rule u(-1) = u(1) - 2*dt*theta1 folded in.
 * ``solve_quasi_static`` drops the inertia term and solves the
   equilibrium L u(t_k) = -v(t_k) at each output time. The density
   cancels. For the breathing motion the inertia term is about
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError
-from .grid import Grid2D, NodeKind
+from .grid import Grid2D, NodeKind, fill_ghost
 
 # explicit scheme: a snapshot with max|u| above this multiple of the
 # largest boundary or initial displacement so far counts as diverged
@@ -123,125 +132,110 @@ def cfl_dt(params: MaterialParams, grid: Grid2D, safety: float = 0.9) -> float:
 
 
 class NavierOperator:
-    """The snapped-grid stencil L at the interior nodes, with its closure.
-
-    Fields are handled as flat per-component arrays over the whole
-    lattice (index i * ny + j).
-    """
+    """L at the interior nodes with the ghost closure folded in: row r of
+    L u is sum_j vals[r, j] * z[cols[r, j]] (see the module docstring).
+    Unused slots hold weight 0 on the row's own column."""
 
     def __init__(self, grid: Grid2D, lame_lambda: float, lame_mu: float):
         self.grid = grid
         nx, ny = grid.shape
-        self.nx, self.ny = nx, ny
-
         ii, jj = np.nonzero(grid.kind == int(NodeKind.INTERIOR))
         self.int_ij = (ii, jj)
+        self.boundary_ij = grid.boundary_ij
+        n, nb = len(ii), len(self.boundary_ij)
         flat = ii * ny + jj
-        self.idx = flat
-        self.idx_e = flat + ny
-        self.idx_w = flat - ny
-        self.idx_n = flat + 1
-        self.idx_s = flat - 1
-        self.idx_ne = flat + ny + 1
-        self.idx_nw = flat - ny + 1
-        self.idx_se = flat + ny - 1
-        self.idx_sw = flat - ny - 1
 
         px = grid.pos[..., 0].ravel()
         py = grid.pos[..., 1].ravel()
-        hxr = px[self.idx_e] - px[flat]
-        hxl = px[flat] - px[self.idx_w]
-        hyu = py[self.idx_n] - py[flat]
-        hyd = py[flat] - py[self.idx_s]
+        hxr = px[flat + ny] - px[flat]
+        hxl = px[flat] - px[flat - ny]
+        hyu = py[flat + 1] - py[flat]
+        hyd = py[flat] - py[flat - 1]
         if np.any(hxr <= 0) or np.any(hxl <= 0) or np.any(hyu <= 0) or np.any(hyd <= 0):
             raise ConfigError("non-positive stencil spacing at an interior node")
 
+        # rows of component 1, then of component 2: the moduli along x and
+        # y exchange between the two
         lam, mu = lame_lambda, lame_mu
+        mx = np.repeat([lam + 2 * mu, mu], n)
+        my = np.repeat([mu, lam + 2 * mu], n)
+        hxr, hxl, hyu, hyd = (np.tile(h, 2) for h in (hxr, hxl, hyu, hyd))
         dx2 = hxr * hxr + hxl * hxl
         dy2 = hyu * hyu + hyd * hyd
-        wxp = 1.0 - (hxr - hxl) / (hxr + hxl)
-        wxm = 1.0 + (hxr - hxl) / (hxr + hxl)
-        wyp = 1.0 - (hyu - hyd) / (hyu + hyd)
-        wym = 1.0 + (hyu - hyd) / (hyu + hyd)
+        sx = (hxr - hxl) / (hxr + hxl)
+        sy = (hyu - hyd) / (hyu + hyd)
+        cx = (lam + mu) / ((hxr + hxl) * (hyu + hyd))
+        # (lattice offset, component shift, weight): the shift is 1 where
+        # the entry reads the other component
+        stencil = [
+            (0, 0, -4.0 * (my / dy2 + mx / dx2)),
+            (ny, 0, 2.0 * mx / dx2 * (1.0 - sx)),
+            (-ny, 0, 2.0 * mx / dx2 * (1.0 + sx)),
+            (1, 0, 2.0 * my / dy2 * (1.0 - sy)),
+            (-1, 0, 2.0 * my / dy2 * (1.0 + sy)),
+            (ny + 1, 1, cx),
+            (-ny + 1, 1, -cx),
+            (ny - 1, 1, -cx),
+            (-ny - 1, 1, cx),
+        ]
 
-        self.c1 = -4.0 * (mu / dy2 + (lam + 2 * mu) / dx2)
-        self.ce1 = 2.0 * (lam + 2 * mu) / dx2 * wxp
-        self.cw1 = 2.0 * (lam + 2 * mu) / dx2 * wxm
-        self.cn1 = 2.0 * mu / dy2 * wyp
-        self.cs1 = 2.0 * mu / dy2 * wym
-        self.c2 = -4.0 * (mu / dx2 + (lam + 2 * mu) / dy2)
-        self.ce2 = 2.0 * mu / dx2 * wxp
-        self.cw2 = 2.0 * mu / dx2 * wxm
-        self.cn2 = 2.0 * (lam + 2 * mu) / dy2 * wyp
-        self.cs2 = 2.0 * (lam + 2 * mu) / dy2 * wym
-        self.cx = (lam + mu) / ((hxr + hxl) * (hyu + hyd))
-
-        b_ij = grid.boundary_ij
-        self.bnd_flat = b_ij[:, 0] * ny + b_ij[:, 1]
-
+        # column of each lattice node's component: interior x, then boundary psi
+        col = np.full((2, nx * ny), -1)
+        col[:, flat] = np.arange(2 * n).reshape(2, n)
+        col[:, self.boundary_ij[:, 0] * ny + self.boundary_ij[:, 1]] = 2 * n + np.arange(2 * nb).reshape(2, nb)
         gt = grid.ghosts
-        self.g_flat = gt.ghost[:, 0] * ny + gt.ghost[:, 1] if len(gt) else np.empty(0, dtype=int)
-        self.g_n0 = gt.node0[:, 0] * ny + gt.node0[:, 1] if len(gt) else np.empty(0, dtype=int)
-        self.g_n1 = gt.node1[:, 0] * ny + gt.node1[:, 1] if len(gt) else np.empty(0, dtype=int)
-        self.g_n2 = gt.node2[:, 0] * ny + gt.node2[:, 1] if len(gt) else np.empty(0, dtype=int)
-        self.g_fac = gt.factor
+        ghost_of = np.full(nx * ny, -1)
+        ghost_of[gt.ghost[:, 0] * ny + gt.ghost[:, 1]] = np.arange(len(gt))
+        node0, node1, node2 = (t[:, 0] * ny + t[:, 1] for t in (gt.node0, gt.node1, gt.node2))
+        reach = sum((ghost_of[flat + off] >= 0).astype(int) for off, _, _ in stencil)
 
-    def fill_ghosts_flat(self, u1: np.ndarray, u2: np.ndarray) -> None:
-        if len(self.g_flat) == 0:
-            return
-        for comp, u in enumerate((u1, u2)):
-            h0 = u[self.g_n0]
-            h_aux = 0.5 * (u[self.g_n1] + u[self.g_n2])
-            u[self.g_flat] = h0 + (h_aux - h0) * self.g_fac[:, comp]
+        # a ghost value is (1-f) u(node0) + f/2 (u(node1) + u(node2)), so an
+        # entry on a ghost goes to node0 in place and to node1 and node2 in
+        # two extra slots
+        width = len(stencil) + 2 * int(reach.max(initial=0))
+        comp = np.repeat([0, 1], n)
+        self.cols = np.repeat(np.arange(2 * n)[:, None], width, axis=1)
+        self.vals = np.zeros((2 * n, width))
+        extra = np.full(2 * n, len(stencil))
+        for s, (off, shift, w) in enumerate(stencil):
+            node = np.tile(flat + off, 2)
+            c = (comp + shift) % 2
+            self.cols[:, s] = col[c, node]
+            self.vals[:, s] = w
+            r = np.nonzero(ghost_of[node] >= 0)[0]  # the rows whose entry s is a ghost
+            g, c, w = ghost_of[node[r]], c[r], w[r]
+            f = gt.factor[g, c]
+            self.cols[r, s] = col[c, node0[g]]
+            self.vals[r, s] = (1.0 - f) * w
+            for aux in (node1, node2):
+                self.cols[r, extra[r]] = col[c, aux[g]]
+                self.vals[r, extra[r]] = 0.5 * f * w
+                extra[r] += 1
 
-    def apply(self, u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """L u at the interior nodes, for flat fields with ghosts filled.
+    def apply(self, x: np.ndarray, psi) -> np.ndarray:
+        """L u for interior values x (2n) and boundary values psi ((B, 2) or
+        a scalar). einsum runs its own loop, not BLAS, so the result does not
+        depend on the thread count. Callers check finiteness."""
+        nb = len(self.boundary_ij)
+        z = np.concatenate([x, np.broadcast_to(np.transpose(psi), (2, nb)).ravel()])
+        return np.einsum("ij,ij->i", self.vals, z[self.cols])
 
-        Overflow to inf is tolerated here; callers check finiteness.
-        """
-        l1 = (
-            self.c1 * u1[self.idx]
-            + self.ce1 * u1[self.idx_e]
-            + self.cw1 * u1[self.idx_w]
-            + self.cn1 * u1[self.idx_n]
-            + self.cs1 * u1[self.idx_s]
-            + self.cx
-            * (u2[self.idx_ne] - u2[self.idx_nw] - u2[self.idx_se] + u2[self.idx_sw])
-        )
-        l2 = (
-            self.c2 * u2[self.idx]
-            + self.ce2 * u2[self.idx_e]
-            + self.cw2 * u2[self.idx_w]
-            + self.cn2 * u2[self.idx_n]
-            + self.cs2 * u2[self.idx_s]
-            + self.cx
-            * (u1[self.idx_ne] - u1[self.idx_nw] - u1[self.idx_se] + u1[self.idx_sw])
-        )
-        return l1, l2
+    def interior(self, field: np.ndarray) -> np.ndarray:
+        """The interior vector x of an (nx, ny, 2) field."""
+        return np.asarray(field, dtype=float)[self.int_ij].T.ravel()
 
-    def assemble(self, n1: np.ndarray, n2: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat fields from interior values and boundary values, ghosts filled."""
-        o1 = np.zeros(self.nx * self.ny)
-        o2 = np.zeros(self.nx * self.ny)
-        o1[self.idx] = n1
-        o2[self.idx] = n2
-        o1[self.bnd_flat] = psi[:, 0]
-        o2[self.bnd_flat] = psi[:, 1]
-        self.fill_ghosts_flat(o1, o2)
-        return o1, o2
-
-    def to_field(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        return np.stack([u1.reshape(self.nx, self.ny), u2.reshape(self.nx, self.ny)], axis=-1)
-
-    def interior_forcing(self, forcing, t: float):
-        if forcing is None:
-            return None
-        vr = np.asarray(forcing(t), dtype=float).reshape(-1, 2)
-        return vr[self.idx, 0], vr[self.idx, 1]
+    def field(self, x: np.ndarray, psi) -> np.ndarray:
+        """The (nx, ny, 2) field of interior values x and boundary values
+        psi, ghosts filled; zero elsewhere."""
+        u = np.zeros(self.grid.shape + (2,))
+        u[self.int_ij] = x.reshape(2, -1).T
+        u[self.boundary_ij[:, 0], self.boundary_ij[:, 1]] = psi
+        return fill_ghost(self.grid, u)
 
 
 class ElasticModel:
-    """Explicit stepping context for one (grid, material, dt) triple."""
+    """Explicit stepping context for one (grid, material, dt) triple; the
+    levels are interior vectors x."""
 
     def __init__(self, grid: Grid2D, params: MaterialParams, dt: float):
         params.validate()
@@ -252,60 +246,37 @@ class ElasticModel:
         self.params = params
         self.dt = float(dt)
         self.op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
-        rho = np.asarray(params.rho0, dtype=float).ravel()[self.op.idx]
-        self.g = dt * dt / rho
+        rho = np.asarray(params.rho0, dtype=float)[self.op.int_ij]
+        self.g = dt * dt / np.tile(rho, 2)
 
-    def _interior_rhs(self, u1, u2, v_int):
-        """Full n-level part of the update (everything except -u(n-1))."""
-        l1, l2 = self.op.apply(u1, u2)
-        if v_int is not None:
-            l1 = l1 + v_int[0]
-            l2 = l2 + v_int[1]
-        idx = self.op.idx
-        return 2.0 * u1[idx] + self.g * l1, 2.0 * u2[idx] + self.g * l2
+    def step(self, x_prev: np.ndarray, x_cur: np.ndarray, psi_cur: np.ndarray, t_cur: float, step_no: int) -> np.ndarray:
+        """u(n+1) = 2 u(n) - u(n-1) + dt^2/rho (L u(n) + v(n)) at the interior.
 
-    def _check_finite(self, r1, r2, step_no: int):
-        bad1 = ~np.isfinite(r1)
-        bad2 = ~np.isfinite(r2)
-        if bad1.any() or bad2.any():
-            k = int(np.argmax(bad1 | bad2))
-            node = (int(self.op.int_ij[0][k]), int(self.op.int_ij[1][k]))
-            raise InstabilityError(
-                f"non-finite displacement at node {node}, step {step_no}; "
-                "time step likely violates the CFL condition",
-                step=step_no,
-                node=node,
-            )
-
-    def step(self, u_prev: np.ndarray, u_cur: np.ndarray, psi_next: np.ndarray, t_cur: float, step_no: int) -> np.ndarray:
-        """Advance one level. u_* are (nx, ny, 2) with current ghosts filled."""
-        idx = self.op.idx
-        u1 = u_cur[..., 0].ravel()
-        u2 = u_cur[..., 1].ravel()
-        with np.errstate(over="ignore", invalid="ignore"):
-            r1, r2 = self._interior_rhs(u1, u2, self.op.interior_forcing(self.params.forcing, t_cur))
-            n1 = r1 - u_prev[..., 0].ravel()[idx]
-            n2 = r2 - u_prev[..., 1].ravel()[idx]
-        self._check_finite(n1, n2, step_no)
-        return self.op.to_field(*self.op.assemble(n1, n2, psi_next))
-
-    def first_step(self, initial: InitialData, psi1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levels (u^0, u^1): mirror rule folded into the n=0 update.
-
-        u^1 = dt*theta1 + (2*u^0 + dt^2/rho * (L u^0 + v^0))/2,
-        which equals theta0 + dt*theta1 + half the update increment.
+        ``psi_cur`` is the boundary at level n; raises InstabilityError on a
+        non-finite value.
         """
-        u0 = np.array(initial.theta0, dtype=float)
-        th1 = np.asarray(initial.theta1, dtype=float).reshape(-1, 2)
-        u01 = u0[..., 0].ravel()
-        u02 = u0[..., 1].ravel()
-        self.op.fill_ghosts_flat(u01, u02)
-        r1, r2 = self._interior_rhs(u01, u02, self.op.interior_forcing(self.params.forcing, 0.0))
-        idx = self.op.idx
-        n1 = self.dt * th1[idx, 0] + 0.5 * r1
-        n2 = self.dt * th1[idx, 1] + 0.5 * r2
-        self._check_finite(n1, n2, 1)
-        return self.op.to_field(u01, u02), self.op.to_field(*self.op.assemble(n1, n2, psi1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lu = self.op.apply(x_cur, psi_cur)
+            if self.params.forcing is not None:
+                lu += self.op.interior(self.params.forcing(t_cur))
+            x_next = 2.0 * x_cur + self.g * lu - x_prev
+        bad = ~np.isfinite(x_next)
+        if bad.any():
+            k = int(np.argmax(bad)) % len(self.op.int_ij[0])
+            node = (int(self.op.int_ij[0][k]), int(self.op.int_ij[1][k]))
+            msg = f"non-finite displacement at node {node}, step {step_no}; time step likely violates the CFL condition"
+            raise InstabilityError(msg, step=step_no, node=node)
+        return x_next
+
+    def first_step(self, initial: InitialData, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interior levels (u^0, u^1) from the initial data.
+
+        The mirror rule u^-1 = u^1 - 2 dt theta1 in the n=0 update gives
+        u^1 = step(u^-1 = -2 dt theta1, u^0) / 2.
+        """
+        x0 = self.op.interior(initial.theta0)
+        x_mirror = -2.0 * self.dt * self.op.interior(initial.theta1)
+        return x0, 0.5 * self.step(x_mirror, x0, psi0, 0.0, 1)
 
 
 def _boundary_evaluator(boundary, grid: Grid2D):
@@ -365,31 +336,26 @@ def solve(
     snap_times = snap_steps * dt
     fields = np.zeros((len(req), grid.nx, grid.ny, 2))
 
-    # level 0: initial data with prescribed boundary and filled ghosts
-    init0 = np.array(initial.theta0, dtype=float)
-    b_ij = grid.boundary_ij
-    psi0, psi1 = psi(0.0), psi(dt)
-    init0[b_ij[:, 0], b_ij[:, 1]] = psi0
+    psi_prev, psi_cur = psi(0.0), psi(dt)
     guarded = params.forcing is None and not np.any(initial.theta1)
-    bound = max(float(np.abs(initial.theta0).max(initial=0.0)), float(np.abs(psi0).max(initial=0.0)))
-    u_prev, u_cur = model.first_step(InitialData(init0, initial.theta1), psi1)
-    bound = max(bound, float(np.abs(psi1).max(initial=0.0)))
+    bound = max(float(np.abs(a).max(initial=0.0)) for a in (initial.theta0, psi_prev, psi_cur))
+    x_prev, x_cur = model.first_step(initial, psi_prev)
 
-    def capture(step_no: int, u: np.ndarray) -> None:
+    def capture(step_no: int, x: np.ndarray, p: np.ndarray) -> None:
         ks = np.nonzero(snap_steps == step_no)[0]
-        if len(ks) and guarded:
-            _check_bounded(u, bound, step_no)
-        for k in ks:
-            fields[k] = u
+        if len(ks):
+            u = model.op.field(x, p)
+            if guarded:
+                _check_bounded(u, bound, step_no)
+            fields[ks] = u
 
-    capture(0, u_prev)
-    capture(1, u_cur)
+    capture(0, x_prev, psi_prev)
+    capture(1, x_cur, psi_cur)
     for n in range(1, num_steps):
-        psi_next = psi((n + 1) * dt)
-        bound = max(bound, float(np.abs(psi_next).max(initial=0.0)))
-        u_next = model.step(u_prev, u_cur, psi_next, n * dt, n + 1)
-        u_prev, u_cur = u_cur, u_next
-        capture(n + 1, u_cur)
+        x_prev, x_cur = x_cur, model.step(x_prev, x_cur, psi_cur, n * dt, n + 1)
+        psi_cur = psi((n + 1) * dt)
+        bound = max(bound, float(np.abs(psi_cur).max(initial=0.0)))
+        capture(n + 1, x_cur, psi_cur)
 
     return DisplacementHistory(times=snap_times, fields=fields, grid=grid, dt=dt, num_steps=num_steps)
 
@@ -529,33 +495,26 @@ def solve_quasi_static(grid: Grid2D, params: MaterialParams, boundary, t_end: fl
     precond = _PeriodicNavierInverse(op, params.lame_lambda, params.lame_mu)
     psi = _boundary_evaluator(boundary, grid)
     times = np.clip(np.asarray(output_times, dtype=float), 0.0, t_end)
-    n = len(op.idx)
-    zero_boundary = np.zeros((len(op.bnd_flat), 2))
+    zero = np.zeros(len(op.cols))
 
     def apply_a(x):
-        l1, l2 = op.apply(*op.assemble(x[:n], x[n:], zero_boundary))
-        return np.concatenate([l1, l2])
+        return op.apply(x, 0.0)
 
     fields = np.zeros((len(times), grid.nx, grid.ny, 2))
-    basis = np.empty((RESTART + 1, 2 * n))
-    x_prev = np.zeros(2 * n)
-    x_prev2 = np.zeros(2 * n)
+    basis = np.empty((RESTART + 1, len(zero)))
+    x_prev = x_prev2 = zero
     for k, t in enumerate(times):
         p = psi(t)
-        v = op.interior_forcing(params.forcing, t)
-        v_flat = np.zeros(2 * n) if v is None else np.concatenate(v)
-
-        def residual(x):
-            l1, l2 = op.apply(*op.assemble(x[:n], x[n:], p))
-            return -v_flat - np.concatenate([l1, l2])
-
-        rhs_norm = _norm(residual(np.zeros(2 * n)))
+        rhs = -op.apply(zero, p)
+        if params.forcing is not None:
+            rhs -= op.interior(params.forcing(t))
+        rhs_norm = _norm(rhs)
         if rhs_norm == 0.0:
-            x = np.zeros(2 * n)
+            x = zero
         else:
             x = 2.0 * x_prev - x_prev2
-            _gmres(apply_a, residual, precond, x, RELATIVE_TOLERANCE * rhs_norm, basis)
-        fields[k] = op.to_field(*op.assemble(x[:n], x[n:], p))
+            _gmres(apply_a, lambda x: rhs - apply_a(x), precond, x, RELATIVE_TOLERANCE * rhs_norm, basis)
+        fields[k] = op.field(x, p)
         x_prev2, x_prev = x_prev, x
 
     return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))

@@ -38,7 +38,7 @@ class FilterSpec:
 
     def validate(self, num_detectors: int):
         if not self.gamma > 0:
-            raise ConfigError("filter gamma must be positive")
+            raise ConfigError("gamma must be positive")
         n = self.dft_size
         if n < 2 * num_detectors:
             raise ConfigError(f"dft_size {n} must be >= 2 * num_detectors {2 * num_detectors}")

@@ -9,13 +9,15 @@ formula (see the assertion message).
 
 import math
 import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dynact.config import default_config
+from dynact.config import default_config, dump_config
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.domain import EllipseDomain, RectangleDomain
 from dynact.elastic import MaterialParams, cfl_dt
@@ -23,7 +25,7 @@ from dynact.grid import fill_ghost, make_grid
 from dynact.metrics import masked_rmse
 from dynact.motion import eval_ft, identity_motion
 from dynact.phantom import Ellipse, PhantomSpec, rasterize_f0
-from dynact.pipeline import run, solve_motion
+from dynact.pipeline import solve_motion
 from dynact.projection import ScanGeometry, radon_numeric_oracle, simulate_scan
 from dynact.reconstruct import FilterSpec, Image, ImageSpec, reconstruct, static_fbp
 
@@ -320,22 +322,30 @@ def test_criterion_09_robustness(acc):
 
 
 @pytest.mark.slow
-def test_criterion_10_determinism(tmp_path, monkeypatch):
-    def run_once(out_dir: str, threads: str) -> dict[str, bytes]:
-        monkeypatch.setenv("DYNACT_THREADS", threads)
-        cfg = tiny_config(out_dir)
-        run("all", cfg)
+def test_criterion_10_determinism(tmp_path):
+    # the CLI in fresh interpreters whose BLAS thread count differs; the
+    # count is read when numpy is imported, so it cannot vary in-process
+    cfg_path = str(tmp_path / "tiny.json")
+    dump_config(tiny_config("out"), cfg_path)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    max_threads = str(os.cpu_count() or 8)
+
+    def run_once(threads: str) -> dict[str, bytes]:
+        out_dir = str(tmp_path / f"threads_{threads}")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        cmd = [sys.executable, "-m", "dynact.cli", "all", "--config", cfg_path, "--out", out_dir]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
         data = {}
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as f:
                 data[name] = f.read()
         return data
 
-    a = run_once(str(tmp_path / "t1"), "1")
-    b = run_once(str(tmp_path / "tmax"), str(os.cpu_count() or 8))
+    a = run_once("1")
+    b = run_once(max_threads)
     same_names = set(a) == set(b)
     same_bytes = same_names and all(a[k] == b[k] for k in a)
-    _report(10, "full-pipeline determinism (threads 1 vs max)", same_bytes,
+    _report(10, f"full-pipeline determinism (OPENBLAS_NUM_THREADS 1 vs {max_threads})", same_bytes,
             f"{len(a)} artifacts compared")
     assert same_names
     assert same_bytes

@@ -145,6 +145,24 @@ def test_bad_boundary_mode_rejected():
         config_from_dict(raw)
 
 
+# a value a component spec rejects: the message names where it sits
+BAD_VALUES = [
+    (("phantom", "ellipses", 2, "semi_axes"), [0.0, 0.3],
+     "config: phantom.ellipses[2]: ellipse semi_axes must be positive, got (0.0, 0.3)"),
+    (("scan", "num_angles"), 0, "config: scan: num_angles must be >= 1"),
+    (("boundary", "noise_std"), -1.0, "boundary.noise_std must be >= 0"),
+    (("filter", "gamma"), 0.0, "filter.gamma must be positive"),
+]
+
+
+@pytest.mark.parametrize("path, value, expected", BAD_VALUES, ids=[_dotted(c[0]) for c in BAD_VALUES])
+def test_spec_error_names_its_location(path, value, expected):
+    raw = config_to_dict(default_config())
+    _container(raw, path)[path[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(expected)):
+        config_from_dict(raw)
+
+
 def test_invalid_json_file(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
