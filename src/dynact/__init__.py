@@ -24,7 +24,7 @@ from .errors import (
 )
 from .grid import Grid2D, NodeKind, fill_ghost, make_grid
 from .metrics import MetricsReport, evaluate
-from .motion import AffineMotion, GenericAffineMotion, eval_ft, identity_motion
+from .motion import AffineMotion, eval_ft, identity_motion
 from .phantom import Ellipse, PhantomSpec, check_support_in_unit_disk, eval_f0, rasterize_f0
 from .projection import (
     ScanGeometry,

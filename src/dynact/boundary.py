@@ -3,7 +3,10 @@
 Boundary displacements psi(t, x) = phi(t, x) - x are sampled at a finite
 list of observation times (by default one per scan view) for the snapped
 boundary nodes of a grid; the solver interpolates linearly in time
-between samples.
+between samples. The clamped time interpolation (`lerp_in_time`) and
+the periodic arc-length interpolation along the boundary
+(`arclength_weights`) live here once; the field provider in
+`deformation` uses both.
 """
 
 from __future__ import annotations
@@ -59,15 +62,19 @@ class BoundaryData:
         return self.values.shape[1]
 
     def at_time(self, t: float) -> np.ndarray:
-        """Linear interpolation in time, clamped outside the sample range."""
-        times = self.times
-        if t <= times[0]:
-            return self.values[0]
-        if t >= times[-1]:
-            return self.values[-1]
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        return lerp_in_time(self.times, self.values, t)
+
+
+def lerp_in_time(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """Linear interpolation of values[k], sampled at ascending times[k], at
+    time t; clamped to the first and last sample outside their range."""
+    if t <= times[0]:
+        return values[0]
+    if t >= times[-1]:
+        return values[-1]
+    k = int(np.searchsorted(times, t, side="right")) - 1
+    w = (t - times[k]) / (times[k + 1] - times[k])
+    return (1.0 - w) * values[k] + w * values[k + 1]
 
 
 def sample_boundary(motion, grid: Grid2D, times) -> BoundaryData:
@@ -97,11 +104,32 @@ def perturb(bd: BoundaryData, spec: BoundarySpec) -> BoundaryData:
     return BoundaryData(times=bd.times.copy(), values=bd.values + spec.noise_std * noise)
 
 
-def _boundary_arclengths(grid: Grid2D) -> np.ndarray:
+def boundary_arclengths(grid: Grid2D) -> np.ndarray:
+    """Arc length of each boundary node (grid.boundary_ij order) on the
+    grid's elliptic domain."""
     domain = grid.domain
     if not isinstance(domain, EllipseDomain):
         raise ConfigError("boundary arc-length ordering requires an elliptic domain")
     return domain.arclength_of_angle(domain.param_angle(grid.boundary_positions()))
+
+
+def arclength_weights(
+    s_knots: np.ndarray, s: np.ndarray, perimeter: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Periodic linear interpolation in arc length.
+
+    Knots at arc lengths s_knots (in any order) on a closed curve of the
+    given perimeter; returns knot indices lo, hi and weights w such that
+    the value at s is (1 - w) * v[lo] + w * v[hi]. Queries before the
+    first or after the last knot interpolate across the wrap.
+    """
+    order = np.argsort(s_knots, kind="stable")
+    s_sorted = s_knots[order]
+    s_ext = np.concatenate([s_sorted, [s_sorted[0] + perimeter]])
+    q = np.where(s < s_sorted[0], s + perimeter, s)
+    seg = np.clip(np.searchsorted(s_ext, q, side="right") - 1, 0, len(s_sorted) - 1)
+    w = (q - s_ext[seg]) / (s_ext[seg + 1] - s_ext[seg])
+    return order[seg], order[(seg + 1) % len(order)], w
 
 
 def sparsify(bd: BoundaryData, spec: BoundarySpec, grid: Grid2D) -> BoundaryData:
@@ -121,7 +149,7 @@ def sparsify(bd: BoundaryData, spec: BoundarySpec, grid: Grid2D) -> BoundaryData
     if spec.num_nodes == n_b:
         return BoundaryData(times=bd.times.copy(), values=bd.values.copy())
 
-    s = _boundary_arclengths(grid)
+    s = boundary_arclengths(grid)
     if len(s) != n_b:
         raise ConfigError("boundary data does not match the grid boundary nodes")
     perimeter = grid.domain.perimeter()
@@ -139,14 +167,8 @@ def sparsify(bd: BoundaryData, spec: BoundarySpec, grid: Grid2D) -> BoundaryData
         raise ConfigError("fewer than 3 distinct retained boundary nodes")
     retained = order[retained_sorted]
 
-    s_ret = s_sorted[retained_sorted]
+    lo, hi, w = arclength_weights(s_sorted[retained_sorted], s, perimeter)
     vals_ret = bd.values[:, retained, :]  # (K, R, 2)
-    # periodic linear interpolation in arc-length for all nodes
-    s_ext = np.concatenate([s_ret, [s_ret[0] + perimeter]])
-    vals_ext = np.concatenate([vals_ret, vals_ret[:, :1, :]], axis=1)
-    q = np.where(s < s_ret[0], s + perimeter, s)
-    seg = np.clip(np.searchsorted(s_ext, q, side="right") - 1, 0, len(s_ret) - 1)
-    w = (q - s_ext[seg]) / (s_ext[seg + 1] - s_ext[seg])
-    new_vals = (1.0 - w)[None, :, None] * vals_ext[:, seg, :] + w[None, :, None] * vals_ext[:, seg + 1, :]
+    new_vals = (1.0 - w)[None, :, None] * vals_ret[:, lo, :] + w[None, :, None] * vals_ret[:, hi, :]
     new_vals[:, retained, :] = bd.values[:, retained, :]
     return BoundaryData(times=bd.times.copy(), values=new_vals)

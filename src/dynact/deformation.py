@@ -5,14 +5,16 @@ analytic provider wraps a motion model directly; the field provider
 interpolates a solved displacement history (bilinear in space on the
 nominal lattice, linear in time between snapshots) and extends it
 outside the solver domain by the value at the closest boundary point,
-so it is total and continuous on the whole image extent.
+interpolated in arc length between boundary nodes exactly as sparse
+boundary data is (`boundary.arclength_weights`), so it is total and
+continuous on the whole image extent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import EllipseDomain
+from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
 from .elastic import DisplacementHistory
 from .errors import ConfigError
 from .grid import NodeKind
@@ -56,9 +58,7 @@ class FieldDeformation:
 
     def __init__(self, history: DisplacementHistory):
         grid = history.grid
-        domain = grid.domain
-        if not isinstance(domain, EllipseDomain):
-            raise ConfigError("field deformation requires an elliptic solver domain")
+        s_b = boundary_arclengths(grid)  # requires an elliptic solver domain
         self.grid = grid
         self.times = np.asarray(history.times, dtype=float)
         if np.any(np.diff(self.times) <= 0):
@@ -68,48 +68,25 @@ class FieldDeformation:
 
         kind = grid.kind
         outside = (kind == int(NodeKind.EXTERIOR)) | (kind == int(NodeKind.GHOST))
-        out_ij = np.argwhere(outside)
-        X, Y = np.meshgrid(self.xc, self.yc, indexing="ij")
-        out_pts = np.stack([X[out_ij[:, 0], out_ij[:, 1]], Y[out_ij[:, 0], out_ij[:, 1]]], axis=-1)
-
-        b_ij = grid.boundary_ij
-        b_pos = grid.boundary_positions()
-        s_b = domain.arclength_of_angle(domain.param_angle(b_pos))
-        order = np.argsort(s_b, kind="stable")
-        s_sorted = s_b[order]
-        perimeter = domain.perimeter()
-
-        if len(out_ij):
-            closest = domain.closest_boundary_points(out_pts)
-            s_out = domain.arclength_of_angle(domain.param_angle(closest))
-            s_ext = np.concatenate([s_sorted, [s_sorted[0] + perimeter]])
-            q = np.where(s_out < s_sorted[0], s_out + perimeter, s_out)
-            seg = np.clip(np.searchsorted(s_ext, q, side="right") - 1, 0, len(s_sorted) - 1)
-            w = (q - s_ext[seg]) / (s_ext[seg + 1] - s_ext[seg])
-
         filled = np.array(history.fields, dtype=float)
-        for k in range(len(self.times)):
-            if len(out_ij) == 0:
-                break
-            bvals = filled[k][b_ij[:, 0], b_ij[:, 1]][order]  # (B, 2) sorted by arc-length
-            bvals_ext = np.concatenate([bvals, bvals[:1]], axis=0)
-            ext = (1.0 - w)[:, None] * bvals_ext[seg] + w[:, None] * bvals_ext[seg + 1]
-            filled[k][out_ij[:, 0], out_ij[:, 1]] = ext
+        if outside.any():
+            # outside nodes keep their nominal lattice positions
+            domain = grid.domain
+            closest = domain.closest_boundary_points(grid.pos[outside])
+            s_out = domain.arclength_of_angle(domain.param_angle(closest))
+            lo, hi, w = arclength_weights(s_b, s_out, domain.perimeter())
+            w_lo, w_hi = (1.0 - w)[:, None], w[:, None]
+            b_i, b_j = grid.boundary_ij.T
+            for u in filled:
+                ub = u[b_i, b_j]
+                u[outside] = w_lo * ub[lo] + w_hi * ub[hi]
         self.fields = filled
 
     def displacement(self, t: float, points: np.ndarray) -> np.ndarray:
         """Interpolated displacement u(t, x); t clamped to the snapshot range."""
-        times = self.times
-        pts = np.asarray(points, dtype=float)
-        if t <= times[0]:
-            return _bilinear(self.xc, self.yc, self.fields[0], pts)
-        if t >= times[-1]:
-            return _bilinear(self.xc, self.yc, self.fields[-1], pts)
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        w = (t - times[k]) / (times[k + 1] - times[k])
         # blending the small lattice arrays first halves the gather cost
-        blended = (1.0 - w) * self.fields[k] + w * self.fields[k + 1]
-        return _bilinear(self.xc, self.yc, blended, pts)
+        blended = lerp_in_time(self.times, self.fields, t)
+        return _bilinear(self.xc, self.yc, blended, np.asarray(points, dtype=float))
 
     def eval(self, t: float, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) + self.displacement(t, points)

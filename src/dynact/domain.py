@@ -158,19 +158,3 @@ class RectangleDomain:
                 valid = (t > 0.0) & (t <= 1.0 + 1e-12)
                 tau = np.where(valid & (t < tau), t, tau)
         return p_in + tau[..., None] * d
-
-    def closest_boundary_points(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        cx = np.clip(p[..., 0], self.x0, self.x1)
-        cy = np.clip(p[..., 1], self.y0, self.y1)
-        # for interior queries push to the nearest edge
-        d = np.stack(
-            [cx - self.x0, self.x1 - cx, cy - self.y0, self.y1 - cy], axis=-1
-        )
-        interior = self.inside(np.stack([cx, cy], axis=-1))
-        nearest = np.argmin(d, axis=-1)
-        out_x = np.where(nearest == 0, self.x0, np.where(nearest == 1, self.x1, cx))
-        out_y = np.where(nearest == 2, self.y0, np.where(nearest == 3, self.y1, cy))
-        return np.stack(
-            [np.where(interior, out_x, cx), np.where(interior, out_y, cy)], axis=-1
-        )

@@ -56,17 +56,15 @@ def write_sinogram(path: str, sino: Sinogram) -> None:
         f.write(np.ascontiguousarray(sino.values, dtype=_F8).tobytes())
 
 
-def read_sinogram(path: str, time_offset: float = 0.0, time_scale: float | None = None) -> Sinogram:
+def read_sinogram(path: str, *, time_offset: float, time_scale: float) -> Sinogram:
     """Load a sinogram; the time map is not part of the file and must be
-    supplied (defaults to one breathing period over the views)."""
+    supplied."""
     fields, payload = _read_header(path, "DYNACT-SINO v1", 6)
     num_angles, num_detectors = int(fields[0]), int(fields[1])
     angle_start, angle_end, det_min, det_max = (float(v) for v in fields[2:])
     expected = num_angles * num_detectors * 8
     if len(payload) != expected:
         raise MismatchError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    if time_scale is None:
-        time_scale = (2.0 * np.pi / 0.04) / num_angles
     geometry = ScanGeometry(
         num_angles=num_angles,
         angle_start=angle_start,
@@ -137,10 +135,10 @@ def read_image(path: str) -> Image:
     return Image(ImageSpec(nx=nx, ny=ny), values)
 
 
-def write_pgm(path: str, img: Image, window: tuple[float, float] | None = None) -> None:
+def write_pgm(path: str, img: Image) -> None:
     """16-bit PGM with the min/max window recorded in the comment line."""
     vals = img.values
-    lo, hi = window if window is not None else (float(vals.min()), float(vals.max()))
+    lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
         hi = lo + 1.0
     scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)

@@ -22,6 +22,11 @@ import numpy as np
 
 from .errors import GridError
 
+# a crossing within this fraction of a spacing relocates the interior node
+_MERGE_FRAC = 0.5
+# an exterior stencil node this close to the boundary becomes a boundary node
+_BOUNDARY_TOL = 1e-12
+
 
 class NodeKind(IntEnum):
     EXTERIOR = 0
@@ -93,13 +98,7 @@ class Grid2D:
         return float(dx.min()), float(dy.min())
 
 
-def make_grid(
-    x_coords: np.ndarray,
-    y_coords: np.ndarray,
-    domain,
-    merge_frac: float = 0.5,
-    boundary_tol: float = 1e-12,
-) -> Grid2D:
+def make_grid(x_coords: np.ndarray, y_coords: np.ndarray, domain) -> Grid2D:
     """Classify lattice nodes against the domain and build ghost triples.
 
     Raises GridError when the lattice cannot resolve the domain (interior
@@ -118,32 +117,20 @@ def make_grid(
 
     # collect boundary crossings on lattice edges between inside/outside pairs
     crossings = []  # (inside_ij, outside_ij, point, dist_inside, edge_h)
-    for axis in range(2):
-        if axis == 0:
-            a_in = inside[:-1, :] & ~inside[1:, :]
-            b_in = ~inside[:-1, :] & inside[1:, :]
-            lo = np.argwhere(a_in | b_in)
-            for i, j in lo:
-                ij0, ij1 = (i, j), (i + 1, j)
-                h = x[i + 1] - x[i]
-                p_in, p_out = (ij0, ij1) if inside[ij0] else (ij1, ij0)
-                c = domain.crossing_on_segment(pos[p_in], pos[p_out])
-                crossings.append((p_in, p_out, c, abs(c[axis] - pos[p_in][axis]), h))
-        else:
-            a_in = inside[:, :-1] & ~inside[:, 1:]
-            b_in = ~inside[:, :-1] & inside[:, 1:]
-            lo = np.argwhere(a_in | b_in)
-            for i, j in lo:
-                ij0, ij1 = (i, j), (i, j + 1)
-                h = y[j + 1] - y[j]
-                p_in, p_out = (ij0, ij1) if inside[ij0] else (ij1, ij0)
-                c = domain.crossing_on_segment(pos[p_in], pos[p_out])
-                crossings.append((p_in, p_out, c, abs(c[axis] - pos[p_in][axis]), h))
+    for axis, coords in enumerate((x, y)):
+        # a boolean diff marks lattice edges whose endpoints differ
+        for i, j in np.argwhere(np.diff(inside, axis=axis)):
+            ij0 = (i, j)
+            ij1 = (i + 1, j) if axis == 0 else (i, j + 1)
+            h = coords[ij1[axis]] - coords[ij0[axis]]
+            p_in, p_out = (ij0, ij1) if inside[ij0] else (ij1, ij0)
+            c = domain.crossing_on_segment(pos[p_in], pos[p_out])
+            crossings.append((p_in, p_out, c, abs(c[axis] - pos[p_in][axis]), h))
 
     # pass 1: relocate interior endpoints whose crossing is nearer to them
     best_inner: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
     for p_in, p_out, c, d_in, h in crossings:
-        if d_in < merge_frac * h:
+        if d_in < _MERGE_FRAC * h:
             cur = best_inner.get(p_in)
             if cur is None or d_in < cur[0]:
                 best_inner[p_in] = (d_in, c)
@@ -180,7 +167,7 @@ def make_grid(
     ghost_candidates = np.argwhere(needed & (kind == int(NodeKind.EXTERIOR)))
     ghost_list = []
     for i, j in ghost_candidates:
-        if domain.on_boundary(pos[i, j], tol=boundary_tol):
+        if domain.on_boundary(pos[i, j], tol=_BOUNDARY_TOL):
             kind[i, j] = int(NodeKind.BOUNDARY)
         else:
             kind[i, j] = int(NodeKind.GHOST)

@@ -1,6 +1,6 @@
-"""Time-dependent affine deformations and the mass-preserving moving object.
+"""The breathing deformation and the mass-preserving moving object.
 
-The breathing model maps a reference point x to
+One class, `AffineMotion`, maps a reference point x to
 ``diag(1/s, s) @ (x - (drift*(s-1), 0))`` with the slowly oscillating
 scale ``s(t) = amplitude*cos(frequency*t) + offset``, so the determinant
 of the spatial Jacobian is exactly 1 at all times.
@@ -18,52 +18,8 @@ from .phantom import PhantomSpec, eval_f0
 _DET_TINY = 1e-14
 
 
-class _AffineBase:
-    """Shared affine-deformation machinery; subclasses provide matrix/pre_shift."""
-
-    def matrix(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def pre_shift(self, t: float) -> np.ndarray:
-        """c(t) in phi(t, x) = A(t) @ (x - c(t))."""
-        raise NotImplementedError
-
-    def shift(self, t: float) -> np.ndarray:
-        """b(t) in the equivalent form phi(t, x) = A(t) @ x + b(t)."""
-        return -self.matrix(t) @ self.pre_shift(t)
-
-    def det(self, t: float) -> float:
-        a = self.matrix(t)
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-    def phi(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Deformed position of reference points, shape (..., 2)."""
-        a = self.matrix(t)
-        c = self.pre_shift(t)
-        pts = np.asarray(points, dtype=float)
-        x = pts[..., 0] - c[0]
-        y = pts[..., 1] - c[1]
-        return np.stack(
-            [a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y], axis=-1
-        )
-
-    def phi_inverse(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Reference position of deformed points; errors on singular A(t)."""
-        a = self.matrix(t)
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < _DET_TINY:
-            raise MotionError(f"motion matrix is singular at t={t}: not a diffeomorphism")
-        c = self.pre_shift(t)
-        pts = np.asarray(points, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
-        inv_x = (a[1, 1] * x - a[0, 1] * y) / det
-        inv_y = (-a[1, 0] * x + a[0, 0] * y) / det
-        return np.stack([inv_x + c[0], inv_y + c[1]], axis=-1)
-
-
 @dataclass
-class AffineMotion(_AffineBase):
+class AffineMotion:
     """The breathing deformation with its four scalar parameters."""
 
     amplitude: float = 0.05
@@ -74,35 +30,38 @@ class AffineMotion(_AffineBase):
     def scale_factor(self, t) -> float | np.ndarray:
         return self.amplitude * np.cos(self.frequency * np.asarray(t, dtype=float)) + self.offset
 
-    def period(self) -> float:
-        if self.frequency == 0.0:
-            raise MotionError("zero-frequency motion has no period")
-        return 2.0 * np.pi / self.frequency
+    def _scale(self, t: float) -> float:
+        s = float(self.scale_factor(t))
+        if s == 0.0:
+            raise MotionError(f"scale factor vanishes at t={t}: not a diffeomorphism")
+        return s
 
     def matrix(self, t: float) -> np.ndarray:
-        s = float(self.scale_factor(t))
-        if s == 0.0:
-            raise MotionError(f"scale factor vanishes at t={t}: not a diffeomorphism")
+        """A(t) in phi(t, x) = A(t) @ x + b(t)."""
+        s = self._scale(t)
         return np.array([[1.0 / s, 0.0], [0.0, s]])
 
-    def pre_shift(self, t: float) -> np.ndarray:
-        s = float(self.scale_factor(t))
-        return np.array([self.drift_coeff * (s - 1.0), 0.0])
+    def shift(self, t: float) -> np.ndarray:
+        """b(t) in phi(t, x) = A(t) @ x + b(t)."""
+        s = self._scale(t)
+        return -self.matrix(t) @ np.array([self.drift_coeff * (s - 1.0), 0.0])
+
+    def det(self, t: float) -> float:
+        a = self.matrix(t)
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
     def phi(self, t: float, points: np.ndarray) -> np.ndarray:
+        """Deformed position of reference points, shape (..., 2)."""
         # direct component form; identity parameters give phi(t,x) == x bitwise
-        s = float(self.scale_factor(t))
-        if s == 0.0:
-            raise MotionError(f"scale factor vanishes at t={t}: not a diffeomorphism")
+        s = self._scale(t)
         pts = np.asarray(points, dtype=float)
         return np.stack(
             [(pts[..., 0] - self.drift_coeff * (s - 1.0)) / s, s * pts[..., 1]], axis=-1
         )
 
     def phi_inverse(self, t: float, points: np.ndarray) -> np.ndarray:
-        s = float(self.scale_factor(t))
-        if s == 0.0:
-            raise MotionError(f"scale factor vanishes at t={t}: not a diffeomorphism")
+        """Reference position of deformed points."""
+        s = self._scale(t)
         pts = np.asarray(points, dtype=float)
         return np.stack(
             [s * pts[..., 0] + self.drift_coeff * (s - 1.0), pts[..., 1] / s], axis=-1
@@ -112,20 +71,6 @@ class AffineMotion(_AffineBase):
 def identity_motion() -> AffineMotion:
     """The static object as a degenerate breathing motion (s == 1 exactly)."""
     return AffineMotion(amplitude=0.0, frequency=0.0, offset=1.0, drift_coeff=0.0)
-
-
-class GenericAffineMotion(_AffineBase):
-    """Arbitrary time-indexed invertible matrix A(t) plus pre-shift c(t)."""
-
-    def __init__(self, matrix_fn, pre_shift_fn=None):
-        self._matrix_fn = matrix_fn
-        self._pre_shift_fn = pre_shift_fn or (lambda t: np.zeros(2))
-
-    def matrix(self, t: float) -> np.ndarray:
-        return np.asarray(self._matrix_fn(t), dtype=float)
-
-    def pre_shift(self, t: float) -> np.ndarray:
-        return np.asarray(self._pre_shift_fn(t), dtype=float)
 
 
 def eval_ft(spec: PhantomSpec, motion, t: float, points: np.ndarray) -> np.ndarray:

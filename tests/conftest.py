@@ -6,6 +6,13 @@ from dynact.domain import EllipseDomain, RectangleDomain
 from dynact.grid import make_grid
 
 
+def pytest_configure(config):
+    # any warning fails a test here, e.g. the ResourceWarning of a file left
+    # open; set for tests/ only, as perfbench's self-test still reads its
+    # spans file without closing it
+    config.addinivalue_line("filterwarnings", "error")
+
+
 @pytest.fixture(scope="session")
 def thorax_config():
     return default_config()

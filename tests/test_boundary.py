@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dynact.boundary import BoundaryData, BoundarySpec, perturb, sample_boundary, sparsify
+from dynact.boundary import (
+    BoundaryData,
+    BoundarySpec,
+    arclength_weights,
+    perturb,
+    sample_boundary,
+    sparsify,
+)
 from dynact.errors import ConfigError
 from dynact.motion import AffineMotion, identity_motion
 from dynact.rng import StableRng
@@ -58,6 +65,33 @@ class TestSampleBoundary:
         np.testing.assert_allclose(bd.at_time(0.5), 0.25 * np.ones((4, 2)))
         np.testing.assert_array_equal(bd.at_time(-1.0), bd.values[0])
         np.testing.assert_array_equal(bd.at_time(5.0), bd.values[1])
+
+
+class TestArclengthWeights:
+    # knots at arc lengths 1, 3, 6 on a closed curve of perimeter 8, unsorted
+    S_KNOTS = np.array([6.0, 1.0, 3.0])
+    VALUES = np.array([60.0, 10.0, 30.0])
+
+    def _interp(self, s):
+        lo, hi, w = arclength_weights(self.S_KNOTS, np.asarray(s, dtype=float), 8.0)
+        return (1.0 - w) * self.VALUES[lo] + w * self.VALUES[hi]
+
+    def test_unsorted_knots(self):
+        # halfway between the knots at 1 and 3, then between 3 and 6
+        np.testing.assert_allclose(self._interp([2.0, 4.5]), [20.0, 45.0], rtol=0, atol=1e-12)
+
+    def test_wraps_before_first_and_after_last_knot(self):
+        # the wrap segment runs from s = 6 (value 60) to s = 1 + 8 (value 10)
+        # over a length of 3; s = 0 is 2 along it, s = 7 is 1 along it
+        np.testing.assert_allclose(
+            self._interp([0.0, 7.0]),
+            [60.0 + (2.0 / 3.0) * (10.0 - 60.0), 60.0 + (1.0 / 3.0) * (10.0 - 60.0)],
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_knots_reproduce_their_values(self):
+        assert np.array_equal(self._interp(self.S_KNOTS), self.VALUES)
 
 
 class TestPerturb:

@@ -1,6 +1,7 @@
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +38,7 @@ def test_roundtrip_identity(tmp_path, thorax_config):
     dump_config(thorax_config, p1)
     cfg2 = load_config(p1)
     dump_config(cfg2, p2)
-    assert json.load(open(p1)) == json.load(open(p2))
+    assert json.loads(Path(p1).read_text()) == json.loads(Path(p2).read_text())
     assert config_to_dict(cfg2) == config_to_dict(thorax_config)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,31 +32,31 @@ class TestSinogramFormat:
         p1, p2 = str(tmp_path / "a.sino"), str(tmp_path / "b.sino")
         formats.write_sinogram(p1, sino_small)
         formats.write_sinogram(p2, sino_small)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_header_is_ascii_line(self, tmp_path, sino_small):
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino_small)
-        first = open(p, "rb").readline().decode("ascii")
+        with open(p, "rb") as f:
+            first = f.readline().decode("ascii")
         assert first.startswith("DYNACT-SINO v1 12 31 ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
-            formats.read_sinogram(str(tmp_path / "nope.sino"))
+            formats.read_sinogram(str(tmp_path / "nope.sino"), time_offset=0.0, time_scale=1.0)
 
     def test_truncated_payload(self, tmp_path, sino_small):
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino_small)
-        raw = open(p, "rb").read()
-        open(p, "wb").write(raw[:-8])
+        Path(p).write_bytes(Path(p).read_bytes()[:-8])
         with pytest.raises(MismatchError):
-            formats.read_sinogram(p)
+            formats.read_sinogram(p, time_offset=0.0, time_scale=1.0)
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "bad.sino")
-        open(p, "wb").write(b"NOPE v9 1 2 3\n")
+        Path(p).write_bytes(b"NOPE v9 1 2 3\n")
         with pytest.raises(MissingInputError):
-            formats.read_sinogram(p)
+            formats.read_sinogram(p, time_offset=0.0, time_scale=1.0)
 
 
 class TestFieldFormat:
@@ -88,7 +90,7 @@ class TestImageFormat:
         img = Image(ImageSpec(9, 9), np.linspace(0, 1, 81).reshape(9, 9))
         p = str(tmp_path / "i.pgm")
         formats.write_pgm(p, img)
-        raw = open(p, "rb").read()
+        raw = Path(p).read_bytes()
         assert raw.startswith(b"P5\n# window 0.0 1.0\n9 9\n65535\n")
         pix = np.frombuffer(raw.split(b"65535\n", 1)[1], dtype=">u2")
         assert pix.min() == 0 and pix.max() == 65535

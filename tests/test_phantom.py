@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynact.errors import ConfigError
-from dynact.motion import AffineMotion, GenericAffineMotion, eval_ft, identity_motion
+from dynact.motion import AffineMotion, eval_ft, identity_motion
 from dynact.phantom import (
     Ellipse,
     PhantomSpec,
@@ -94,7 +94,17 @@ class TestMassPreservingState:
 
     def test_anisotropic_stretch_scales_density(self):
         spec = PhantomSpec([Ellipse(center=(0, 0), semi_axes=(1, 1), density=1.0)])
-        motion = GenericAffineMotion(lambda t: np.diag([2.0, 1.0]))
+
+        class Stretch:
+            """phi(t, x) = diag(2, 1) x, the only motion here with |det| != 1."""
+
+            def phi_inverse(self, t, points):
+                return points * np.array([0.5, 1.0])
+
+            def det(self, t):
+                return 2.0
+
+        motion = Stretch()
         val = eval_ft(spec, motion, 1.0, np.array([1.0, 0.0]))
         assert val == pytest.approx(0.5, abs=1e-15)
 

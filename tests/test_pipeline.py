@@ -103,7 +103,7 @@ class TestStages:
             "report.json",
         }
         assert expected.issubset(set(written))
-        report = json.load(open(tmp_path / "out" / "report.json"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert set(report["images"]) == {
             "recon_static",
             "recon_exact_motion",
@@ -119,8 +119,8 @@ class TestStages:
         stage_simulate(cfg)
         cfg2 = tiny_config(str(tmp_path / "o2"))
         stage_simulate(cfg2)
-        a = open(tmp_path / "o1" / "sinogram.sino", "rb").read()
-        b = open(tmp_path / "o2" / "sinogram.sino", "rb").read()
+        a = (tmp_path / "o1" / "sinogram.sino").read_bytes()
+        b = (tmp_path / "o2" / "sinogram.sino").read_bytes()
         assert a == b
 
     def test_reconstruct_requires_sinogram(self, tmp_path):
@@ -144,7 +144,7 @@ class TestStages:
         gt = formats.read_image(os.path.join(cfg.output_dir, "ground_truth.img"))
         formats.write_image(os.path.join(cfg.output_dir, "recon_static.img"), gt)
         stage_evaluate(cfg)
-        report = json.load(open(tmp_path / "out" / "report.json"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
         entry = report["images"]["recon_static"]
         assert entry["rmse"] == 0.0
         assert entry["psnr"] == "inf"
