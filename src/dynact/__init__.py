@@ -4,7 +4,7 @@ motion-compensated filtered backprojection."""
 from .boundary import BoundaryData, BoundarySpec, perturb, sample_boundary, sparsify
 from .config import PipelineConfig, default_config, dump_config, load_config
 from .deformation import AnalyticDeformation, FieldDeformation
-from .domain import EllipseDomain, RectangleDomain
+from .domain import RectangleDomain
 from .elastic import (
     DisplacementHistory,
     ElasticModel,

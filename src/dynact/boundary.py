@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EllipseDomain
 from .errors import ConfigError
 from .grid import Grid2D
+from .phantom import Ellipse
 from .rng import StableRng
 
 
@@ -108,7 +108,7 @@ def boundary_arclengths(grid: Grid2D) -> np.ndarray:
     """Arc length of each boundary node (grid.boundary_ij order) on the
     grid's elliptic domain."""
     domain = grid.domain
-    if not isinstance(domain, EllipseDomain):
+    if not isinstance(domain, Ellipse):
         raise ConfigError("boundary arc-length ordering requires an elliptic domain")
     return domain.arclength_of_angle(domain.param_angle(grid.boundary_positions()))
 

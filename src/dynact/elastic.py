@@ -31,8 +31,8 @@ Two solvers:
 
   dt from the CFL bound. The first step is the same update with the
   mirror rule u(-1) = u(1) - 2*dt*theta1 folded in.
-* ``solve_quasi_static`` drops the inertia term and solves the
-  equilibrium L u(t_k) = -v(t_k) at each output time. The density
+* ``solve_quasi_static`` drops the inertia term and the forcing and
+  solves the equilibrium L u(t_k) = 0 at each output time. The density
   cancels. For the breathing motion the inertia term is about
   (omega L / c)^2 ~ 6e-4 of the elastic one, and the equilibrium does
   not carry boundary noise into the interior as undamped waves.
@@ -68,7 +68,7 @@ class MaterialParams:
     lame_lambda: float = 3460.0
     lame_mu: float = 1480.0
     rho0: np.ndarray | None = None  # (nx, ny); required by the explicit scheme
-    forcing: object | None = None  # callable t -> (nx, ny, 2), or None
+    forcing: object | None = None  # callable t -> (nx, ny, 2), or None; explicit scheme only
 
     def validate(self):
         if not self.lame_mu > 0:
@@ -479,22 +479,20 @@ def _gmres(apply_a, residual, precond, x: np.ndarray, target: float, basis: np.n
         x += precond(np.einsum("i,ij->j", y, basis[:k]))
 
 
-def solve_quasi_static(grid: Grid2D, params: MaterialParams, boundary, t_end: float, output_times) -> DisplacementHistory:
-    """Solve L u(t_k) = -v(t_k), u = psi(t_k) on the boundary, per snapshot.
+def solve_quasi_static(grid: Grid2D, params: MaterialParams, boundary, output_times) -> DisplacementHistory:
+    """Solve L u(t_k) = 0, u = psi(t_k) on the boundary, per snapshot.
 
-    ``boundary`` is as for ``solve``; ``output_times`` are clipped to
-    [0, t_end]. The unknowns are the interior node values of both
-    components; ghost values follow from them and the boundary values.
-    Each snapshot starts from the linear extrapolation of the two before
-    it. Raises InstabilityError when GMRES does not converge.
+    ``boundary`` is as for ``solve``; ``params.forcing`` is not used. The
+    unknowns are the interior node values of both components; ghost
+    values follow from them and the boundary values. Each snapshot
+    starts from the linear extrapolation of the two before it. Raises
+    InstabilityError when GMRES does not converge.
     """
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
     params.validate()
     op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
     precond = _PeriodicNavierInverse(op, params.lame_lambda, params.lame_mu)
     psi = _boundary_evaluator(boundary, grid)
-    times = np.clip(np.asarray(output_times, dtype=float), 0.0, t_end)
+    times = np.array(output_times, dtype=float)
     zero = np.zeros(len(op.cols))
 
     def apply_a(x):
@@ -506,8 +504,6 @@ def solve_quasi_static(grid: Grid2D, params: MaterialParams, boundary, t_end: fl
     for k, t in enumerate(times):
         p = psi(t)
         rhs = -op.apply(zero, p)
-        if params.forcing is not None:
-            rhs -= op.interior(params.forcing(t))
         rhs_norm = _norm(rhs)
         if rhs_norm == 0.0:
             x = zero

@@ -77,9 +77,3 @@ def evaluate(recon: Image, reference: Image, phantom: PhantomSpec | None = None)
                 region_rmse[name] = float(np.sqrt(np.mean(diff[mask] ** 2)))
     return MetricsReport(rmse=rmse, relative_l2=relative_l2, psnr=psnr, region_rmse=region_rmse)
 
-
-def masked_rmse(recon: Image, reference: Image, mask: np.ndarray) -> float:
-    if recon.values.shape != reference.values.shape or mask.shape != recon.values.shape:
-        raise MismatchError("image/mask dimensions differ")
-    diff = recon.values[mask] - reference.values[mask]
-    return float(np.sqrt(np.mean(diff ** 2)))

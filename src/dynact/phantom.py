@@ -1,4 +1,9 @@
-"""Analytic piecewise-constant phantoms built from additive ellipses."""
+"""Analytic piecewise-constant phantoms built from additive ellipses.
+
+The body ``Ellipse`` is also the curved solver domain: it supplies the
+grid classifier's predicates and the closest-point projection and arc
+length that extend displacement fields beyond it.
+"""
 
 from __future__ import annotations
 
@@ -41,31 +46,112 @@ class Ellipse:
         if not np.isfinite(self.density):
             raise ConfigError("ellipse density must be finite")
 
-    def quadratic_form(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate ((x'/a)^2 + (y'/b)^2) in the ellipse frame; <= 1 is inside."""
+    def _to_frame(self, points: np.ndarray) -> np.ndarray:
+        """World points in the ellipse frame (a-axis along x'), shape (..., 2)."""
         pts = np.asarray(points, dtype=float)
         dx = pts[..., 0] - self.center[0]
         dy = pts[..., 1] - self.center[1]
         c, s = np.cos(self.rotation), np.sin(self.rotation)
-        xr = dx * c + dy * s
-        yr = -dx * s + dy * c
+        # filled in place: np.stack costs more than the arithmetic on the
+        # single points that the grid classifier passes one at a time
+        w = np.empty(pts.shape)
+        w[..., 0] = dx * c + dy * s
+        w[..., 1] = -dx * s + dy * c
+        return w
+
+    def _from_frame(self, w: np.ndarray) -> np.ndarray:
+        x, y = w[..., 0], w[..., 1]
+        c, s = np.cos(self.rotation), np.sin(self.rotation)
+        pts = np.empty(w.shape)
+        pts[..., 0] = self.center[0] + x * c - y * s
+        pts[..., 1] = self.center[1] + x * s + y * c
+        return pts
+
+    def quadratic_form(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate ((x'/a)^2 + (y'/b)^2) in the ellipse frame; <= 1 is inside."""
+        w = self._to_frame(points)
         a, b = self.semi_axes
-        return (xr / a) ** 2 + (yr / b) ** 2
+        return (w[..., 0] / a) ** 2 + (w[..., 1] / b) ** 2
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Closed membership test (boundary counts as inside)."""
+        """Closed membership test (boundary counts as inside): phantom membership."""
         return self.quadratic_form(points) <= 1.0
+
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        """Strict interior test: the solver grid's interior."""
+        return self.quadratic_form(points) < 1.0
+
+    def on_boundary(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        return np.abs(self.quadratic_form(points) - 1.0) <= tol
 
     def boundary_points(self, n: int = 64) -> np.ndarray:
         """n points on the ellipse boundary, shape (n, 2)."""
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         a, b = self.semi_axes
-        c, s = np.cos(self.rotation), np.sin(self.rotation)
-        x = a * np.cos(t)
-        y = b * np.sin(t)
-        return np.stack(
-            [self.center[0] + x * c - y * s, self.center[1] + x * s + y * c], axis=-1
-        )
+        return self._from_frame(np.stack([a * np.cos(t), b * np.sin(t)], axis=-1))
+
+    def crossing_on_segment(self, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
+        """Boundary point on each segment from an inside to an outside point.
+
+        Vectorized over leading dimensions; exact quadratic solve in the
+        ellipse frame.
+        """
+        p_in = np.asarray(p_in, dtype=float)
+        p_out = np.asarray(p_out, dtype=float)
+        a, b = self.semi_axes
+        w0 = self._to_frame(p_in) / (a, b)
+        w1 = self._to_frame(p_out) / (a, b)
+        wd = w1 - w0
+        alpha = np.sum(wd * wd, axis=-1)
+        beta = 2.0 * np.sum(w0 * wd, axis=-1)
+        gamma = np.sum(w0 * w0, axis=-1) - 1.0
+        disc = beta * beta - 4.0 * alpha * gamma
+        tau = (-beta + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * alpha)
+        return p_in + tau[..., None] * (p_out - p_in)
+
+    def param_angle(self, points: np.ndarray) -> np.ndarray:
+        """Parametric angle phi with boundary point (a cos phi, b sin phi) in frame."""
+        w = self._to_frame(points)
+        a, b = self.semi_axes
+        return np.mod(np.arctan2(w[..., 1] / b, w[..., 0] / a), 2.0 * np.pi)
+
+    def arclength_of_angle(self, phi: np.ndarray, n_table: int = 4096) -> np.ndarray:
+        """Cumulative boundary arc-length at parametric angle phi (from phi=0)."""
+        a, b = self.semi_axes
+        tt = np.linspace(0.0, 2.0 * np.pi, n_table + 1)
+        speed = np.hypot(a * np.sin(tt), b * np.cos(tt))
+        cum = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * np.diff(tt))])
+        return np.interp(np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi), tt, cum)
+
+    def perimeter(self) -> float:
+        return float(self.arclength_of_angle(np.array(2.0 * np.pi - 1e-15)))
+
+    def closest_boundary_points(self, points: np.ndarray) -> np.ndarray:
+        """Closest point on the ellipse boundary for each query point.
+
+        Bisection on the stationarity condition of the squared distance in
+        the folded first quadrant; robust for any query location.
+        """
+        pts = np.asarray(points, dtype=float)
+        w = self._to_frame(pts.reshape(-1, 2))
+        a, b = self.semi_axes
+        u = np.abs(w[:, 0])
+        v = np.abs(w[:, 1])
+        # E'(phi)/2 = (b^2-a^2) sin cos + u a sin - v b cos; sign change on [0, pi/2]
+        lo = np.zeros(len(u))
+        hi = np.full(len(u), 0.5 * np.pi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            sn, cs = np.sin(mid), np.cos(mid)
+            g = (b * b - a * a) * sn * cs + u * a * sn - v * b * cs
+            neg = g < 0.0
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+        phi = 0.5 * (lo + hi)
+        cx = a * np.cos(phi) * np.sign(np.where(w[:, 0] == 0.0, 1.0, w[:, 0]))
+        cy = b * np.sin(phi) * np.sign(np.where(w[:, 1] == 0.0, 1.0, w[:, 1]))
+        out = self._from_frame(np.stack([cx, cy], axis=-1))
+        return out.reshape(pts.shape)
 
 
 @dataclass

@@ -17,7 +17,6 @@ from . import formats
 from .boundary import BoundaryData, perturb, sample_boundary, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation
-from .domain import EllipseDomain
 from .elastic import DisplacementHistory, MaterialParams
 from .elastic import solve_quasi_static as solve  # perfbench/tracing.py times pipeline.solve
 from .errors import ConfigError, MismatchError
@@ -35,16 +34,15 @@ def _out(cfg: PipelineConfig, name: str) -> str:
 
 
 def solver_grid(cfg: PipelineConfig) -> Grid2D:
-    domain = EllipseDomain.from_ellipse(cfg.phantom.require_labeled("body"))
     x = np.linspace(-1.0, 1.0, cfg.solver.grid_nx)
     y = np.linspace(-1.0, 1.0, cfg.solver.grid_ny)
-    return make_grid(x, y, domain)
+    return make_grid(x, y, cfg.phantom.require_labeled("body"))
 
 
 def check_prior_region(cfg: PipelineConfig) -> None:
     """ConfigError unless the spine prior region lies inside the body."""
     spine = cfg.phantom.require_labeled("spine")
-    body = EllipseDomain.from_ellipse(cfg.phantom.require_labeled("body"))
+    body = cfg.phantom.require_labeled("body")
     if not np.all(body.inside(spine.boundary_points(64))):
         raise ConfigError("spine prior region lies outside the solver domain")
 
@@ -85,9 +83,7 @@ def solve_motion(cfg: PipelineConfig, mode: str, grid: Grid2D | None = None) -> 
         grid = solver_grid(cfg)
     params = MaterialParams(lame_lambda=cfg.material.lame_lambda, lame_mu=cfg.material.lame_mu)
     bd = boundary_data_for_mode(cfg, grid, mode)
-    t_end = cfg.scan.t_end
-    output_times = np.linspace(0.0, t_end, cfg.solver.num_snapshots)
-    return solve(grid, params, bd, t_end, output_times)
+    return solve(grid, params, bd, np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots))
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
@@ -117,24 +113,14 @@ def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None
 def _load_sinogram_checked(cfg: PipelineConfig):
     path = formats.require_file(_out(cfg, "sinogram.sino"))
     sino = formats.read_sinogram(path, time_offset=cfg.scan.time_offset, time_scale=cfg.scan.time_scale)
-    g, s = sino.geometry, cfg.scan
-    same = (
-        g.num_angles == s.num_angles
-        and g.num_detectors == s.num_detectors
-        and g.angle_start == s.angle_start
-        and g.angle_end == s.angle_end
-        and g.detector_min == s.detector_min
-        and g.detector_max == s.detector_max
-    )
-    if not same:
+    if sino.geometry != cfg.scan:
         raise MismatchError("sinogram.sino geometry header disagrees with the config scan")
     return sino
 
 
 def load_field_provider(cfg: PipelineConfig, path: str) -> FieldDeformation:
     x, y, kind, times, fields = formats.read_field(formats.require_file(path))
-    domain = EllipseDomain.from_ellipse(cfg.phantom.require_labeled("body"))
-    grid = make_grid(x, y, domain)
+    grid = make_grid(x, y, cfg.phantom.require_labeled("body"))
     if not np.array_equal(grid.kind, kind):
         raise MismatchError(f"{path}: stored node classification does not match the config domain")
     history = DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0)
@@ -156,8 +142,7 @@ def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
     for mode in PDE_MODES:
         path = _out(cfg, f"field_{mode}.field")
         if os.path.isfile(path):
-            provider = load_field_provider(cfg, path)
-            emit(f"recon_pde_{mode}", reconstruct(sino, provider, cfg.filter, cfg.image))
+            emit(f"recon_pde_{mode}", reconstruct(sino, load_field_provider(cfg, path), cfg.filter, cfg.image))
     return written
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dynact.config import default_config
-from dynact.domain import EllipseDomain, RectangleDomain
+from dynact.domain import RectangleDomain
 from dynact.grid import make_grid
+from dynact.phantom import Ellipse
 
 
 def pytest_configure(config):
@@ -28,4 +29,4 @@ def unit_square_grid():
 @pytest.fixture(scope="session")
 def ellipse_grid_65():
     coords = np.linspace(-1.0, 1.0, 65)
-    return make_grid(coords, coords, EllipseDomain(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))
+    return make_grid(coords, coords, Ellipse(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))

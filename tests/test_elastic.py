@@ -250,7 +250,7 @@ def _thorax(n: int):
 class TestQuasiStatic:
     def test_zero_data_gives_zero_field(self, ellipse_grid_65):
         g = ellipse_grid_65
-        hist = solve_quasi_static(g, unit_params(g), None, t_end=1.0, output_times=[0.0, 1.0])
+        hist = solve_quasi_static(g, unit_params(g), None, output_times=[0.0, 1.0])
         assert np.abs(hist.fields).max() == 0.0
         assert hist.num_steps == 2 and hist.dt == 0.0
 
@@ -262,7 +262,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([0.05 * pos[:, 0] * pos[:, 1], 0.02 * pos[:, 0] ** 2 - 0.03 * pos[:, 1] ** 2], axis=-1)
         p = unit_params(g, lam=3460.0, mu=1480.0, rho=1050.0)
-        hist = solve_quasi_static(g, p, lambda t: psi, t_end=1.0, output_times=[1.0])
+        hist = solve_quasi_static(g, p, lambda t: psi, output_times=[1.0])
         u = hist.fields[0]
         dt = cfl_dt(p, g, 0.9)
         model = ElasticModel(g, p, dt)
@@ -279,7 +279,7 @@ class TestQuasiStatic:
         g = ellipse_grid_65
         nb = len(g.boundary_ij)
         psi = lambda t: np.tile([0.01 * np.sin(t), 0.02 * t], (nb, 1))
-        runs = [solve_quasi_static(g, unit_params(g), psi, t_end=1.0, output_times=[0.5, 1.0]) for _ in range(2)]
+        runs = [solve_quasi_static(g, unit_params(g), psi, output_times=[0.5, 1.0]) for _ in range(2)]
         assert np.array_equal(runs[0].fields, runs[1].fields)
         b = g.boundary_ij
         for k, t in enumerate(runs[0].times):
@@ -291,7 +291,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
         with pytest.raises(InstabilityError, match="converge"):
-            solve_quasi_static(g, unit_params(g), lambda t: psi, t_end=1.0, output_times=[1.0])
+            solve_quasi_static(g, unit_params(g), lambda t: psi, output_times=[1.0])
 
     def test_thorax_exact_data_reproduces_affine_motion(self):
         """Exact boundary data on the 65^2 thorax grid: the solver meets

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dynact.domain import EllipseDomain, RectangleDomain
+from dynact.domain import RectangleDomain
 from dynact.errors import GridError
 from dynact.grid import NodeKind, fill_ghost, make_grid
+from dynact.phantom import Ellipse
 
 
 def kinds_count(grid):
@@ -12,35 +13,34 @@ def kinds_count(grid):
 
 class TestDomains:
     def test_ellipse_inside(self):
-        d = EllipseDomain(center=(0.1, 0.0), semi_axes=(0.5, 0.3), rotation=0.2)
+        d = Ellipse(center=(0.1, 0.0), semi_axes=(0.5, 0.3), rotation=0.2)
         assert d.inside(np.array([0.1, 0.0]))
         assert not d.inside(np.array([0.9, 0.0]))
 
     def test_ellipse_crossing_lies_on_boundary(self):
-        d = EllipseDomain(center=(0, 0), semi_axes=(0.6, 0.4), rotation=0.3)
+        d = Ellipse(center=(0, 0), semi_axes=(0.6, 0.4), rotation=0.3)
         c = d.crossing_on_segment(np.array([0.0, 0.0]), np.array([1.0, 0.2]))
         assert abs(d.quadratic_form(c) - 1.0) < 1e-12
 
     def test_closest_point_on_axis(self):
-        d = EllipseDomain(center=(0, 0), semi_axes=(0.5, 0.25))
+        d = Ellipse(center=(0, 0), semi_axes=(0.5, 0.25))
         p = d.closest_boundary_points(np.array([2.0, 0.0]))
         np.testing.assert_allclose(p, [0.5, 0.0], atol=1e-12)
 
     def test_closest_point_is_nearest(self):
-        d = EllipseDomain(center=(0.05, -0.1), semi_axes=(0.7, 0.45), rotation=0.4)
+        d = Ellipse(center=(0.05, -0.1), semi_axes=(0.7, 0.45), rotation=0.4)
         rng = np.random.default_rng(2)
         queries = rng.uniform(-1.5, 1.5, (40, 2))
         proj = d.closest_boundary_points(queries)
         # projected points lie on the boundary and beat a dense sampling
         assert np.max(np.abs(d.quadratic_form(proj) - 1.0)) < 1e-9
-        phi = np.linspace(0, 2 * np.pi, 3000, endpoint=False)
-        ring = d.boundary_point(phi)
+        ring = d.boundary_points(3000)
         for q, p in zip(queries, proj):
             dists = np.hypot(ring[:, 0] - q[0], ring[:, 1] - q[1])
             assert np.hypot(*(p - q)) <= dists.min() + 1e-6
 
     def test_arclength_monotone_and_total(self):
-        d = EllipseDomain(center=(0, 0), semi_axes=(0.75, 0.55))
+        d = Ellipse(center=(0, 0), semi_axes=(0.75, 0.55))
         phi = np.linspace(0, 2 * np.pi - 1e-9, 100)
         s = d.arclength_of_angle(phi)
         assert np.all(np.diff(s) > 0)
@@ -75,7 +75,7 @@ class TestClassifier:
         # disk through (0,0), (2,2), (4,2) with (2,0) inside: the exterior
         # node at (0,2) becomes a ghost whose triple is the diagonal
         # interior node0=(2,0) and boundary neighbors node1=(2,2), node2=(0,0)
-        dom = EllipseDomain(center=(3.0, -1.0), semi_axes=(np.sqrt(10), np.sqrt(10)))
+        dom = Ellipse(center=(3.0, -1.0), semi_axes=(np.sqrt(10), np.sqrt(10)))
         x = np.array([-2.0, 0.0, 2.0, 4.0, 6.0])
         y = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
         g = make_grid(x, y, dom)
@@ -118,7 +118,7 @@ class TestClassifier:
         np.testing.assert_array_equal(gh.node2[:, 0], gh.ghost[:, 0])
 
     def test_domain_without_interior_nodes_raises(self):
-        dom = EllipseDomain(center=(0.26, 0.26), semi_axes=(0.2, 0.2))
+        dom = Ellipse(center=(0.26, 0.26), semi_axes=(0.2, 0.2))
         coords = np.linspace(-1, 1, 3)  # nodes at -1, 0, 1 all outside
         with pytest.raises(GridError):
             make_grid(coords, coords, dom)
@@ -142,7 +142,7 @@ class TestFillGhost:
     def test_reference_patch_linear_field(self):
         # h(x,y) = x + 2y on node0=(2,0), node1=(2,2), node2=(0,0):
         # h0=2, h_aux=3, ghost at (0,2) extrapolates to exactly 4
-        dom = EllipseDomain(center=(3.0, -1.0), semi_axes=(np.sqrt(10), np.sqrt(10)))
+        dom = Ellipse(center=(3.0, -1.0), semi_axes=(np.sqrt(10), np.sqrt(10)))
         x = np.array([-2.0, 0.0, 2.0, 4.0, 6.0])
         y = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
         g = make_grid(x, y, dom)
@@ -159,7 +159,7 @@ class TestFillGhost:
         # ghost orientations appear and the node0->aux->ghost line premise
         # of the extrapolation holds, so affine fields reproduce exactly
         for scale in (1.0, 0.5, 0.25):
-            dom = EllipseDomain(center=(3.0 * scale, -1.0 * scale),
+            dom = Ellipse(center=(3.0 * scale, -1.0 * scale),
                                 semi_axes=(np.sqrt(10) * scale, np.sqrt(10) * scale))
             x = scale * np.array([-2.0, 0.0, 2.0, 4.0, 6.0])
             y = scale * np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
@@ -179,7 +179,7 @@ class TestFillGhost:
         # ghost error drops ~4x per refinement
         errs = []
         for scale in (1.0, 0.5, 0.25):
-            dom = EllipseDomain(center=(3.0 * scale, -1.0 * scale),
+            dom = Ellipse(center=(3.0 * scale, -1.0 * scale),
                                 semi_axes=(np.sqrt(10) * scale, np.sqrt(10) * scale))
             x = scale * np.array([-2.0, 0.0, 2.0, 4.0, 6.0])
             y = scale * np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
@@ -198,7 +198,7 @@ class TestFillGhost:
     def test_affine_first_order_on_snapped_grid(self):
         # on generically snapped boundaries the midpoint aux leaves the
         # node0->ghost line; affine ghost error is O(h) (regression bound)
-        dom = EllipseDomain(center=(0, 0), semi_axes=(0.75, 0.55))
+        dom = Ellipse(center=(0, 0), semi_axes=(0.75, 0.55))
         errs = []
         for n in (65, 129):
             coords = np.linspace(-1, 1, n)

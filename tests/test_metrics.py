@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynact.errors import MismatchError
-from dynact.metrics import evaluate, masked_rmse
+from dynact.metrics import evaluate
 from dynact.phantom import Ellipse, PhantomSpec
 from dynact.reconstruct import Image, ImageSpec
 
@@ -67,10 +67,3 @@ def test_region_rmse_uses_labels():
     assert rep.region_rmse["tumour"] == pytest.approx(0.2, abs=1e-12)
     assert rep.region_rmse["lung"] == 0.0
 
-
-def test_masked_rmse():
-    a = img(np.ones((8, 8)))
-    b = img(np.zeros((8, 8)))
-    mask = np.zeros((8, 8), dtype=bool)
-    mask[:4] = True
-    assert masked_rmse(a, b, mask) == pytest.approx(1.0, abs=1e-15)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def test_solve_motion_requires_spine_inside_body(thorax_config):
     cfg = _spine_outside_body(thorax_config)
     with pytest.raises(ConfigError, match="spine"):
         solve_motion(cfg, "exact")
+
+
+def test_benchmark_hooks_exist(monkeypatch):
+    # perfbench/tracing.py wraps module attributes such as pipeline.make_grid,
+    # pipeline.solve, pipeline.FieldDeformation and reconstruct.backproject;
+    # entering it raises AttributeError when one of them is dropped or renamed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    with tracing.instrument(tracing.Tracer()):
+        pass
 
 
 @pytest.mark.slow
