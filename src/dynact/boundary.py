@@ -36,6 +36,8 @@ class BoundarySpec:
             raise ConfigError("noise_std must be >= 0")
         if self.num_nodes < 3:
             raise ConfigError("num_nodes must be >= 3")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ConfigError(f"rng_seed must be in [0, 2**64), got {self.rng_seed}")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import load_config
+from .config import load_config, validate_config
 from .errors import DynactError
 from .pipeline import STAGES, run
 
@@ -16,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stage", choices=STAGES, help="pipeline stage to run")
     p.add_argument("--config", required=True, help="path to a pipeline config JSON file")
     p.add_argument("--out", default=None, help="override the config output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed (also reseeds boundary noise)")
+    p.add_argument("--seed", type=int, default=None, help="override boundary.rng_seed, the boundary noise seed")
     return p
 
 
@@ -27,10 +27,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         if args.seed is not None:
-            if args.seed < 0:
-                raise DynactError("--seed must be >= 0")
-            cfg.seed = args.seed
             cfg.boundary.spec.rng_seed = args.seed
+            validate_config(cfg)
         written = run(args.stage, cfg)
     except DynactError as exc:
         print(f"dynact: error: {exc}", file=sys.stderr)

@@ -58,7 +58,6 @@ class BoundaryConfig:
 @dataclass
 class PipelineConfig:
     version: int = CONFIG_VERSION
-    seed: int = 1
     output_dir: str = "out"
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
     motion: AffineMotion = field(default_factory=AffineMotion)
@@ -163,8 +162,6 @@ def validate_config(cfg: PipelineConfig) -> None:
         cfg.phantom.require_labeled("spine")
     except ConfigError as exc:
         problems.append(str(exc))
-    if cfg.seed < 0:
-        problems.append("seed must be >= 0")
     if cfg.solver.grid_nx < 9 or cfg.solver.grid_ny < 9:
         problems.append("solver grid must be at least 9x9")
     if cfg.solver.num_snapshots < 2:

@@ -98,8 +98,20 @@ class Grid2D:
         return float(dx.min()), float(dy.min())
 
 
+def _nearest(key: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """For each distinct key, in key order, the index of its smallest
+    distance; of equal distances the earliest index wins."""
+    order = np.lexsort((dist, key))
+    _, first = np.unique(key[order], return_index=True)
+    return order[first]
+
+
 def make_grid(x_coords: np.ndarray, y_coords: np.ndarray, domain) -> Grid2D:
     """Classify lattice nodes against the domain and build ghost triples.
+
+    A snapped node moves onto its nearest boundary crossing; of crossings
+    at equal distance, the first in edge order (the axis-0 edges, then the
+    axis-1 edges, each in lattice order) wins.
 
     Raises GridError when the lattice cannot resolve the domain (interior
     touching the lattice edge, ghost without a valid triple, or a
@@ -115,45 +127,37 @@ def make_grid(x_coords: np.ndarray, y_coords: np.ndarray, domain) -> Grid2D:
     inside = domain.inside(pos)
     kind = np.where(inside, int(NodeKind.INTERIOR), int(NodeKind.EXTERIOR)).astype(np.uint8)
 
-    # collect boundary crossings on lattice edges between inside/outside pairs
-    crossings = []  # (inside_ij, outside_ij, point, dist_inside, edge_h)
+    # boundary crossings on the lattice edges between inside/outside pairs,
+    # each edge taken as (interior endpoint, exterior endpoint)
+    edges = []  # per axis: (interior ij, exterior ij, axis, edge length)
     for axis, coords in enumerate((x, y)):
         # a boolean diff marks lattice edges whose endpoints differ
-        for i, j in np.argwhere(np.diff(inside, axis=axis)):
-            ij0 = (i, j)
-            ij1 = (i + 1, j) if axis == 0 else (i, j + 1)
-            h = coords[ij1[axis]] - coords[ij0[axis]]
-            p_in, p_out = (ij0, ij1) if inside[ij0] else (ij1, ij0)
-            c = domain.crossing_on_segment(pos[p_in], pos[p_out])
-            crossings.append((p_in, p_out, c, abs(c[axis] - pos[p_in][axis]), h))
+        ij0 = np.argwhere(np.diff(inside, axis=axis))
+        ij1 = ij0 + np.eye(2, dtype=int)[axis]
+        first_in = inside[tuple(ij0.T)][:, None]
+        h = coords[ij1[:, axis]] - coords[ij0[:, axis]]
+        edges.append((np.where(first_in, ij0, ij1), np.where(first_in, ij1, ij0), np.full(len(h), axis), h))
+    p_in, p_out, axes, h = (np.concatenate(a) for a in zip(*edges))
+    pos_in, pos_out = pos[tuple(p_in.T)], pos[tuple(p_out.T)]
+    c = domain.crossing_on_segment(pos_in, pos_out)
+    rows = np.arange(len(c))
+    d_in = np.abs(c[rows, axes] - pos_in[rows, axes])
 
     # pass 1: relocate interior endpoints whose crossing is nearer to them
-    best_inner: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    for p_in, p_out, c, d_in, h in crossings:
-        if d_in < _MERGE_FRAC * h:
-            cur = best_inner.get(p_in)
-            if cur is None or d_in < cur[0]:
-                best_inner[p_in] = (d_in, c)
-    for p_in, (_, c) in sorted(best_inner.items()):
-        kind[p_in] = int(NodeKind.BOUNDARY)
-        pos[p_in] = c
-
-    # pass 2: snap surviving outside endpoints onto their nearest crossing
-    best_outer: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    for p_in, p_out, c, d_in, h in crossings:
-        if p_in in best_inner:
-            continue
-        d_out = float(np.max(np.abs(c - pos[p_out])))
-        cur = best_outer.get(p_out)
-        if cur is None or d_out < cur[0]:
-            best_outer[p_out] = (d_out, c)
-    for p_out, (_, c) in sorted(best_outer.items()):
-        kind[p_out] = int(NodeKind.BOUNDARY)
-        pos[p_out] = c
+    near = np.flatnonzero(d_in < _MERGE_FRAC * h)
+    moved = near[_nearest(p_in[near, 0] * ny + p_in[near, 1], d_in[near])]
+    kind[tuple(p_in[moved].T)] = int(NodeKind.BOUNDARY)
+    pos[tuple(p_in[moved].T)] = c[moved]
+    # pass 2: snap the outside endpoints of the crossings whose interior
+    # endpoint stayed onto their nearest crossing
+    rest = np.flatnonzero(kind[tuple(p_in.T)] == int(NodeKind.INTERIOR))
+    d_out = np.max(np.abs(c[rest] - pos_out[rest]), axis=-1)
+    snapped = rest[_nearest(p_out[rest, 0] * ny + p_out[rest, 1], d_out)]
+    kind[tuple(p_out[snapped].T)] = int(NodeKind.BOUNDARY)
+    pos[tuple(p_out[snapped].T)] = c[snapped]
 
     # ghost detection: exterior nodes inside some interior stencil
-    interior = kind == int(NodeKind.INTERIOR)
-    ii, jj = np.nonzero(interior)
+    ii, jj = np.nonzero(kind == int(NodeKind.INTERIOR))
     if ii.size == 0:
         raise GridError("domain contains no interior grid nodes")
     if ii.min() == 0 or ii.max() == nx - 1 or jj.min() == 0 or jj.max() == ny - 1:
@@ -164,54 +168,40 @@ def make_grid(x_coords: np.ndarray, y_coords: np.ndarray, domain) -> Grid2D:
             if di == 0 and dj == 0:
                 continue
             needed[ii + di, jj + dj] = True
-    ghost_candidates = np.argwhere(needed & (kind == int(NodeKind.EXTERIOR)))
-    ghost_list = []
-    for i, j in ghost_candidates:
-        if domain.on_boundary(pos[i, j], tol=_BOUNDARY_TOL):
-            kind[i, j] = int(NodeKind.BOUNDARY)
-        else:
-            kind[i, j] = int(NodeKind.GHOST)
-            ghost_list.append((i, j))
+    candidates = np.argwhere(needed & (kind == int(NodeKind.EXTERIOR)))
+    on = domain.on_boundary(pos[tuple(candidates.T)], tol=_BOUNDARY_TOL)
+    kind[tuple(candidates.T)] = np.where(on, int(NodeKind.BOUNDARY), int(NodeKind.GHOST))
+    ghost = candidates[~on]
 
-    g_ij, g_n0, g_n1, g_n2, g_f = [], [], [], [], []
-    for i, j in ghost_list:
-        triple = None
-        for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            i0, j0 = i + di, j + dj
-            if not (0 <= i0 < nx and 0 <= j0 < ny):
-                continue
-            if (
-                kind[i0, j0] == int(NodeKind.INTERIOR)
-                and kind[i0, j] == int(NodeKind.BOUNDARY)
-                and kind[i, j0] == int(NodeKind.BOUNDARY)
-            ):
-                triple = ((i0, j0), (i0, j), (i, j0))
-                break
-        if triple is None:
-            raise GridError(
-                f"ghost node ({i},{j}) has no interior node0 with two adjacent "
-                "boundary neighbors; grid too coarse for the domain"
-            )
-        n0, n1, n2 = triple
-        aux = 0.5 * (pos[n1] + pos[n2])
-        denom = aux - pos[n0]
-        scale = max(float(np.max(np.diff(x))), float(np.max(np.diff(y))))
-        if np.any(np.abs(denom) < 1e-12 * scale):
-            raise GridError(f"degenerate ghost extrapolation geometry at node ({i},{j})")
-        factor = (pos[i, j] - pos[n0]) / denom
-        g_ij.append((i, j))
-        g_n0.append(n0)
-        g_n1.append(n1)
-        g_n2.append(n2)
-        g_f.append(factor)
-
-    ghosts = GhostTable(
-        ghost=np.array(g_ij, dtype=int).reshape(-1, 2),
-        node0=np.array(g_n0, dtype=int).reshape(-1, 2),
-        node1=np.array(g_n1, dtype=int).reshape(-1, 2),
-        node2=np.array(g_n2, dtype=int).reshape(-1, 2),
-        factor=np.array(g_f, dtype=float).reshape(-1, 2),
+    # node0 is the first diagonal neighbour, in this order, that is interior
+    # while the two nodes between it and the ghost lie on the boundary; the
+    # EXTERIOR rim of the padded kinds fails every diagonal off the lattice
+    diag = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    padded = np.pad(kind, 1)
+    gi, gj = ghost[:, :1] + 1, ghost[:, 1:] + 1
+    valid = (
+        (padded[gi + diag[:, 0], gj + diag[:, 1]] == int(NodeKind.INTERIOR))
+        & (padded[gi + diag[:, 0], gj] == int(NodeKind.BOUNDARY))
+        & (padded[gi, gj + diag[:, 1]] == int(NodeKind.BOUNDARY))
     )
+    found = valid.any(axis=1)
+    if not found.all():
+        i, j = ghost[np.argmin(found)]
+        raise GridError(
+            f"ghost node ({i},{j}) has no interior node0 with two adjacent "
+            "boundary neighbors; grid too coarse for the domain"
+        )
+    node0 = ghost + diag[np.argmax(valid, axis=1)]
+    node1 = np.stack([node0[:, 0], ghost[:, 1]], axis=1)
+    node2 = np.stack([ghost[:, 0], node0[:, 1]], axis=1)
+    denom = 0.5 * (pos[tuple(node1.T)] + pos[tuple(node2.T)]) - pos[tuple(node0.T)]
+    scale = max(float(np.max(np.diff(x))), float(np.max(np.diff(y))))
+    degenerate = np.any(np.abs(denom) < 1e-12 * scale, axis=1)
+    if degenerate.any():
+        i, j = ghost[np.argmax(degenerate)]
+        raise GridError(f"degenerate ghost extrapolation geometry at node ({i},{j})")
+    factor = (pos[tuple(ghost.T)] - pos[tuple(node0.T)]) / denom
+    ghosts = GhostTable(ghost=ghost, node0=node0, node1=node1, node2=node2, factor=factor)
     grid = Grid2D(x_coords=x, y_coords=y, pos=pos, kind=kind, ghosts=ghosts, domain=domain)
     grid.min_spacings()  # validates positive spacings
     return grid

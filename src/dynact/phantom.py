@@ -52,20 +52,12 @@ class Ellipse:
         dx = pts[..., 0] - self.center[0]
         dy = pts[..., 1] - self.center[1]
         c, s = np.cos(self.rotation), np.sin(self.rotation)
-        # filled in place: np.stack costs more than the arithmetic on the
-        # single points that the grid classifier passes one at a time
-        w = np.empty(pts.shape)
-        w[..., 0] = dx * c + dy * s
-        w[..., 1] = -dx * s + dy * c
-        return w
+        return np.stack([dx * c + dy * s, -dx * s + dy * c], axis=-1)
 
     def _from_frame(self, w: np.ndarray) -> np.ndarray:
         x, y = w[..., 0], w[..., 1]
         c, s = np.cos(self.rotation), np.sin(self.rotation)
-        pts = np.empty(w.shape)
-        pts[..., 0] = self.center[0] + x * c - y * s
-        pts[..., 1] = self.center[1] + x * s + y * c
-        return pts
+        return np.stack([self.center[0] + x * c - y * s, self.center[1] + x * s + y * c], axis=-1)
 
     def quadratic_form(self, points: np.ndarray) -> np.ndarray:
         """Evaluate ((x'/a)^2 + (y'/b)^2) in the ellipse frame; <= 1 is inside."""

@@ -47,17 +47,6 @@ def check_prior_region(cfg: PipelineConfig) -> None:
         raise ConfigError("spine prior region lies outside the solver domain")
 
 
-def build_density_prior(cfg: PipelineConfig, grid: Grid2D) -> np.ndarray:
-    """Two-value density prior: spine disk vs soft tissue everywhere else."""
-    check_prior_region(cfg)
-    spine = cfg.phantom.require_labeled("spine")
-    rho = np.full(grid.shape, cfg.prior.soft_tissue_density)
-    X, Y = np.meshgrid(grid.x_coords, grid.y_coords, indexing="ij")
-    in_spine = spine.contains(np.stack([X, Y], axis=-1))
-    rho[in_spine] = cfg.prior.spine_density
-    return rho
-
-
 def boundary_data_for_mode(cfg: PipelineConfig, grid: Grid2D, mode: str) -> BoundaryData:
     times = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
     bd = sample_boundary(cfg.motion, grid, times)

@@ -164,6 +164,18 @@ def test_spec_error_names_its_location(path, value, expected):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+def test_rng_seed_outside_u64_rejected(seed):
+    # the noise generator masks its seed to 64 bits, so these would alias
+    # 2**64 - 1 and 0
+    raw = config_to_dict(default_config())
+    raw["boundary"]["rng_seed"] = seed
+    with pytest.raises(ConfigError, match=re.escape(f"boundary.rng_seed must be in [0, 2**64), got {seed}")):
+        config_from_dict(raw)
+    raw["boundary"]["rng_seed"] = 2**64 - 1
+    assert config_from_dict(raw).boundary.spec.rng_seed == 2**64 - 1
+
+
 def test_invalid_json_file(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -214,8 +226,9 @@ def test_optional_leaves_default_when_absent():
 
 
 def test_parent_layout_with_unknown_keys_loads():
-    # configs written before solver.cfl_safety was dropped still load
+    # configs written before solver.cfl_safety and seed were dropped still load
     raw = config_to_dict(default_config())
     raw["solver"]["cfl_safety"] = 0.9
+    raw["seed"] = 20260808
     raw["comment"] = "ignored"
     assert config_to_dict(config_from_dict(raw)) == config_to_dict(default_config())

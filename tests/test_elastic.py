@@ -16,7 +16,7 @@ from dynact.elastic import (
 )
 from dynact.errors import ConfigError, InstabilityError
 from dynact.grid import NodeKind, fill_ghost, make_grid
-from dynact.pipeline import boundary_data_for_mode, build_density_prior, solve_motion, solver_grid
+from dynact.pipeline import boundary_data_for_mode, solve_motion, solver_grid
 
 
 def unit_params(grid, lam=1.0, mu=1.0, rho=1.0, forcing=None):
@@ -331,7 +331,11 @@ def test_explicit_divergence_raises():
     # against a boundary amplitude of 0.13
     cfg = _thorax(65)
     g = solver_grid(cfg)
-    params = MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu, rho0=build_density_prior(cfg, g))
+    # two-value density prior: the spine disk against soft tissue
+    X, Y = np.meshgrid(g.x_coords, g.y_coords, indexing="ij")
+    in_spine = cfg.phantom.require_labeled("spine").contains(np.stack([X, Y], axis=-1))
+    rho0 = np.where(in_spine, cfg.prior.spine_density, cfg.prior.soft_tissue_density)
+    params = MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu, rho0=rho0)
     bd = boundary_data_for_mode(cfg, g, "exact")
     times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
     with pytest.raises(InstabilityError, match="diverged") as exc_info:

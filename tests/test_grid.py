@@ -88,6 +88,27 @@ class TestClassifier:
         assert g.kind[tuple(gh.node1[idx])] == int(NodeKind.BOUNDARY)
         assert g.kind[tuple(gh.node2[idx])] == int(NodeKind.BOUNDARY)
 
+    def test_tie_goes_to_first_crossing_in_edge_order(self):
+        # lattice node (1,1) at (0.1, 0.1) has crossings at distance 0.1 on
+        # its axis-0 edge, at (0, 0.1), and on its axis-1 edge, at (0.1, 0);
+        # the axis-0 edge comes first, and likewise for (3,3) at (0.9, 0.9)
+        c = np.array([-0.3, 0.1, 0.5, 0.9, 1.3])
+        g = make_grid(c, c, RectangleDomain(0.0, 1.0, 0.0, 1.0))
+        np.testing.assert_array_equal(g.pos[1, 1], [0.0, 0.1])
+        np.testing.assert_array_equal(g.pos[3, 3], [1.0, 0.9])
+
+    @pytest.mark.parametrize("n, interior, boundary, ghost", [
+        (33, 311, 60, 24),
+        (65, 1273, 120, 48),
+        (81, 1997, 148, 60),
+        (129, 5187, 240, 92),
+        (257, 20997, 476, 188),
+    ])
+    def test_thorax_grid_counts(self, thorax_config, n, interior, boundary, ghost):
+        coords = np.linspace(-1.0, 1.0, n)
+        counts = kinds_count(make_grid(coords, coords, thorax_config.phantom.require_labeled("body")))
+        assert (counts["INTERIOR"], counts["BOUNDARY"], counts["GHOST"]) == (interior, boundary, ghost)
+
     def test_ellipse_stencils_closed(self, ellipse_grid_65):
         g = ellipse_grid_65
         ii, jj = np.nonzero(g.kind == int(NodeKind.INTERIOR))

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,7 @@ from dynact import formats
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
 from dynact.errors import ConfigError, MissingInputError
-from dynact.grid import NodeKind
 from dynact.pipeline import (
-    build_density_prior,
     run,
     solve_motion,
     solver_grid,
@@ -40,50 +40,15 @@ def tiny_config(out_dir: str):
     return config_from_dict(raw)
 
 
-def test_density_prior_values(thorax_config):
-    cfg = thorax_config
-    import copy
-
-    cfg = copy.deepcopy(cfg)
-    cfg.solver.grid_nx = cfg.solver.grid_ny = 65
-    grid = solver_grid(cfg)
-    rho = build_density_prior(cfg, grid)
-    spine = cfg.phantom.require_labeled("spine")
-    X, Y = np.meshgrid(grid.x_coords, grid.y_coords, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    in_spine = spine.contains(pts)
-    assert np.all(rho[in_spine] == 1850.0)
-    assert np.all(rho[~in_spine] == 1050.0)
-    interior = grid.kind == int(NodeKind.INTERIOR)
-    assert rho[interior].min() == 1050.0
-
-
-def _spine_outside_body(thorax_config):
-    import copy
-
+def test_solve_motion_requires_spine_inside_body(thorax_config):
+    # the equilibrium solve does not use the density prior, but a
+    # misplaced prior region is still a config error
     cfg = copy.deepcopy(thorax_config)
     cfg.solver.grid_nx = cfg.solver.grid_ny = 33
     # move the spine outside the body ellipse
     for i, e in enumerate(cfg.phantom.ellipses):
         if e.label == "spine":
-            cfg.phantom.ellipses[i] = type(e)(
-                center=(0.9, 0.0), semi_axes=e.semi_axes, rotation=e.rotation,
-                density=e.density, label=e.label,
-            )
-    return cfg
-
-
-def test_density_prior_requires_spine_inside_body(thorax_config):
-    cfg = _spine_outside_body(thorax_config)
-    grid = solver_grid(cfg)
-    with pytest.raises(ConfigError, match="spine"):
-        build_density_prior(cfg, grid)
-
-
-def test_solve_motion_requires_spine_inside_body(thorax_config):
-    # the equilibrium solve does not use the density prior, but a
-    # misplaced prior region is still a config error
-    cfg = _spine_outside_body(thorax_config)
+            cfg.phantom.ellipses[i] = replace(e, center=(0.9, 0.0))
     with pytest.raises(ConfigError, match="spine"):
         solve_motion(cfg, "exact")
 
@@ -204,3 +169,9 @@ class TestCli:
         out2 = str(tmp_path / "other")
         assert cli_main(["simulate", "--config", cfg_path, "--out", out2, "--seed", "7"]) == 0
         assert os.path.isfile(os.path.join(out2, "sinogram.sino"))
+
+    def test_seed_outside_u64_is_config_error(self, tmp_path):
+        cfg_path = str(tmp_path / "cfg.json")
+        dump_config(tiny_config(str(tmp_path / "out")), cfg_path)
+        assert cli_main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
+        assert not os.path.exists(tmp_path / "out")
