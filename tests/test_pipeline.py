@@ -175,3 +175,12 @@ class TestCli:
         dump_config(tiny_config(str(tmp_path / "out")), cfg_path)
         assert cli_main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
         assert not os.path.exists(tmp_path / "out")
+
+    def test_vanishing_motion_scale_is_config_error(self, tmp_path, capsys):
+        cfg = tiny_config(str(tmp_path / "out"))
+        cfg.motion.amplitude = cfg.motion.offset = 0.0
+        cfg_path = str(tmp_path / "cfg.json")
+        dump_config(cfg, cfg_path)
+        assert cli_main(["simulate", "--config", cfg_path]) == 2
+        assert "motion: scale factor vanishes" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
