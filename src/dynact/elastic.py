@@ -540,14 +540,19 @@ def solve_quasi_static(grid: Grid2D, params: MaterialParams, boundary, output_ti
     times = np.array(output_times, dtype=float)
     zero = np.zeros(len(op.cols))
     basis = np.empty((RESTART + 1, len(zero)))
+    # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
+    edge = np.nonzero((op.cols >= len(zero)).any(axis=1))[0]
+    edge_vals, edge_cols = op.vals[edge], op.cols[edge]
 
     def apply_a(x):
         return op.apply(x, 0.0)
 
     def solve_in_place(x, p):
-        # GMRES from x for the interior values x of L(x, p) = 0
-        rhs = -op.apply(zero, p)
-        _gmres(apply_a, lambda x: rhs - apply_a(x), precond, x, RELATIVE_TOLERANCE * _norm(rhs), basis)
+        # GMRES from x for the interior values x of L(x, p) = 0; the
+        # residual -L(x, p) is one gather
+        z = np.concatenate([zero, np.transpose(p).ravel()])
+        rhs_norm = _norm(np.einsum("ij,ij->i", edge_vals, z[edge_cols]))
+        _gmres(apply_a, lambda x: -op.apply(x, p), precond, x, RELATIVE_TOLERANCE * rhs_norm, basis)
 
     P = np.stack([psi(t) for t in times]).reshape(len(times), -1)
     Q, C = _pivoted_basis(P)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from dynact.boundary import sample_boundary
+from dynact.boundary import arclength_weights, boundary_arclengths, lerp_in_time, sample_boundary
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.elastic import DisplacementHistory
 from dynact.grid import NodeKind
@@ -17,6 +17,33 @@ def make_history(grid, times, field_fn):
     return DisplacementHistory(
         times=np.asarray(times, dtype=float), fields=fields, grid=grid, dt=0.0, num_steps=0
     )
+
+
+def reference_eval(history, t, pts):
+    """The per-view formula FieldDeformation replaces: extend every
+    snapshot on the whole lattice, blend the lattice fields in time, then
+    interpolate bilinearly at the points."""
+    g = history.grid
+    outside = (g.kind == int(NodeKind.EXTERIOR)) | (g.kind == int(NodeKind.GHOST))
+    filled = np.array(history.fields, dtype=float)
+    closest = g.domain.closest_boundary_points(g.pos[outside])
+    s_out = g.domain.arclength_of_angle(g.domain.param_angle(closest))
+    lo, hi, w = arclength_weights(boundary_arclengths(g), s_out, g.domain.perimeter())
+    b_i, b_j = g.boundary_ij.T
+    for u in filled:
+        ub = u[b_i, b_j]
+        u[outside] = (1.0 - w)[:, None] * ub[lo] + w[:, None] * ub[hi]
+    field = lerp_in_time(history.times, filled, t)
+
+    xc, yc = g.x_coords, g.y_coords
+    px, py = pts[..., 0], pts[..., 1]
+    ix = np.clip(np.searchsorted(xc, px, side="right") - 1, 0, len(xc) - 2)
+    iy = np.clip(np.searchsorted(yc, py, side="right") - 1, 0, len(yc) - 2)
+    wx = np.clip((px - xc[ix]) / (xc[ix + 1] - xc[ix]), 0.0, 1.0)[..., None]
+    wy = np.clip((py - yc[iy]) / (yc[iy + 1] - yc[iy]), 0.0, 1.0)[..., None]
+    f00, f10 = field[ix, iy], field[ix + 1, iy]
+    f01, f11 = field[ix, iy + 1], field[ix + 1, iy + 1]
+    return pts + (1 - wx) * ((1 - wy) * f00 + wy * f01) + wx * ((1 - wy) * f10 + wy * f11)
 
 
 class TestAnalytic:
@@ -115,3 +142,39 @@ class TestFieldDeformation:
         got = prov.eval(t1, p)
         assert np.abs(got - expect).max() < 5e-3  # boundary-node spacing scale
         del bd
+
+
+class TestAgainstWholeLatticeReference:
+    """FieldDeformation against the whole-lattice formula, on off-lattice
+    pixels that reach outside the domain and the lattice."""
+
+    @staticmethod
+    def history(grid):
+        # random values everywhere: outside nodes must be ignored
+        times = np.array([0.0, 0.7, 1.5, 2.0, 3.1, 4.0])
+        fields = 0.1 * np.random.default_rng(3).standard_normal((len(times),) + grid.shape + (2,))
+        return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0)
+
+    @staticmethod
+    def raster():
+        c = np.linspace(-1.2, 1.2, 97)
+        return np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    def test_time_sweeps(self, ellipse_grid_65):
+        hist = self.history(ellipse_grid_65)
+        pts = self.raster()
+        prov = FieldDeformation(hist)
+        forward = np.linspace(-0.5, 4.5, 23)
+        sweep = np.concatenate([forward, forward[::-1], [3.1, -1.0, 0.7, 9.0, 2.0, 2.0]])
+        for t in sweep:
+            np.testing.assert_allclose(prov.eval(t, pts), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+
+    def test_points_mutated_in_place_rebind(self, ellipse_grid_65):
+        hist = self.history(ellipse_grid_65)
+        pts = self.raster()
+        prov = FieldDeformation(hist)
+        np.testing.assert_allclose(prov.eval(1.2, pts), reference_eval(hist, 1.2, pts), rtol=0, atol=1e-14)
+        pts *= 0.9
+        pts[0] = [1.1, -0.05]
+        for t in (1.2, 2.5):
+            np.testing.assert_allclose(prov.eval(t, pts), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
