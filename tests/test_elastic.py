@@ -16,6 +16,7 @@ from dynact.elastic import (
 )
 from dynact.errors import ConfigError, InstabilityError
 from dynact.grid import NodeKind, fill_ghost, make_grid
+from dynact.phantom import Ellipse
 from dynact.pipeline import boundary_data_for_mode, solve_motion, solver_grid
 
 
@@ -313,7 +314,9 @@ class TestQuasiStatic:
             np.testing.assert_array_equal(runs[0].fields[k][b[:, 0], b[:, 1]], psi(t))
 
     def test_no_convergence_raises(self, ellipse_grid_65, monkeypatch):
-        monkeypatch.setattr(elastic, "MAX_ITERATIONS", 2)
+        # the preconditioner is an exact inverse, so GMRES converges in one
+        # iteration; no iteration at all leaves the residual at its start
+        monkeypatch.setattr(elastic, "MAX_ITERATIONS", 0)
         g = ellipse_grid_65
         pos = g.boundary_positions()
         psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
@@ -340,6 +343,9 @@ class TestQuasiStatic:
         iterations = _count_gmres(monkeypatch)
         hist = solve_motion(cfg, mode)
         assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
+        # the preconditioner is exact: one iteration per direction, two at
+        # most for round-off
+        assert max(iterations[: len(iterations) - len(hist.times)]) <= 2
         if mode != "noisy":
             assert len(iterations) == 2 + len(hist.times)
             assert min(iterations[:2]) > 0 and max(iterations[2:]) == 0
@@ -348,6 +354,27 @@ class TestQuasiStatic:
             interior = g.kind == int(NodeKind.INTERIOR)
             exact = np.stack([cfg.motion.phi(t, g.pos[interior]) - g.pos[interior] for t in hist.times])
             assert np.abs(hist.fields[:, interior] - exact).max() < 1e-3
+
+    def test_nonuniform_lattice_rejected(self):
+        # the preconditioner corrects the rows that differ from the uniform
+        # stencil: on a non-uniform lattice that would be every row
+        coords = np.concatenate([np.linspace(-1.0, 0.0, 17), np.linspace(0.0, 1.0, 33)[1:]])
+        g = make_grid(coords, coords, Ellipse(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))
+        with pytest.raises(ConfigError, match="uniformly spaced"):
+            solve_quasi_static(g, unit_params(g), None, output_times=[0.0])
+
+    @pytest.mark.parametrize("n", [33, 65, 129])
+    def test_preconditioner_is_exact(self, n):
+        # the FFT box inverse with its capacitance correction inverts the
+        # operator with psi = 0 up to round-off
+        cfg = _thorax(n)
+        lam, mu = cfg.material.lame_lambda, cfg.material.lame_mu
+        op = NavierOperator(solver_grid(cfg), lam, mu)
+        precond = elastic._NavierInverse(op, lam, mu)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            b = rng.standard_normal(len(op.cols))
+            assert np.linalg.norm(op.apply(precond(b), 0.0) - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_noisy_data_has_full_rank(self, monkeypatch):
         # 133 snapshots of per-sample noise on the 33^2 grid's 60 boundary
