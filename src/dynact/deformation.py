@@ -9,58 +9,97 @@ interpolated in arc length between boundary nodes exactly as sparse
 boundary data is (`boundary.arclength_weights`), so it is total and
 continuous on the whole image extent.
 
-The field provider does that work in three parts. A node map, built
+Both providers have ``bind(points)``, which returns Phi_t at that point
+set as a function of t, for use on one thread. The reconstructor binds
+once per block of views, on the calling thread, so every buffer an
+evaluator writes is allocated there.
+
+The field provider does its work in three parts. A node map, built
 once, gives every lattice node two source nodes and two weights: itself
 with weights (1, 0) inside the domain and on its boundary, the two
 arc-length neighbours of its closest boundary point outside. Binding to
 a point set folds the bilinear cell weights through the node map, so
-each point reads 8 snapshot values. Snapshots are mapped to the bound
-points lazily, one gather each, and blended in time per call.
+each point reads 8 snapshot values. The evaluator maps snapshots to the
+bound points lazily, one gather per component into two snapshot slots,
+and blends the two slots in time per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
+from .boundary import arclength_weights, boundary_arclengths
 from .elastic import DisplacementHistory
 from .errors import ConfigError
 from .grid import NodeKind
 
 
 class AnalyticDeformation:
-    """Exact motion: eval(t, x) = phi(t, x)."""
+    """Exact motion: Phi_t(x) = phi(t, x)."""
 
     def __init__(self, motion):
         self.motion = motion
 
+    def bind(self, points: np.ndarray):
+        """t -> phi(t, points)."""
+        phi = self.motion.phi
+        return lambda t: phi(t, points)
+
     def eval(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.motion.phi(t, points)
+        return self.bind(points)(t)
 
 
-class _SnapshotsAtPoints:
-    """The snapshot displacements at one bound point set, as a sequence
-    for `lerp_in_time`: component c of snapshot k at point p is
-    sum_j wts[p, j] * field_k.ravel()[idx[c, p, j]], computed on first
-    access. Only the two most recently used are kept, which are the
-    snapshots bracketing the last requested time."""
+class _FieldAtPoints:
+    """x + u(t, x) at one bound point set, as a function of t.
 
-    def __init__(self, fields: np.ndarray, idx: np.ndarray, wts: np.ndarray):
+    Component c of snapshot k at point p is sum_j wts[p, j] *
+    fields[k].ravel()[idx[p, j] + c]. Two slots hold the snapshots most
+    recently used, which are the ones bracketing the last requested
+    time; between them the blend is `boundary.lerp_in_time`'s, clamped
+    to the first and last snapshot. A call returns the evaluator's own
+    buffer, overwritten by the next call.
+    """
+
+    def __init__(self, times: np.ndarray, fields: np.ndarray, points: np.ndarray, idx: np.ndarray, wts: np.ndarray):
+        self.times = times
         self.fields = fields
+        self.shape = points.shape
+        self.points = points.reshape(-1, 2)
         self.idx = idx
         self.wts = wts
-        self._cache: dict[int, np.ndarray] = {}
+        self.gather = np.empty(idx.shape)
+        self.slots = [np.empty((len(idx), 2)) for _ in range(2)]
+        self.held = [-1, -1]  # the snapshot in each slot, the most recently used last
+        self.out = np.empty((len(idx), 2))
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        k = range(len(self.fields))[k]
-        u = self._cache.pop(k, None)
-        if u is None:
-            # one flat take per snapshot: far cheaper than a (P, 8) row gather
-            u = np.einsum("pj,cpj->pc", self.wts, self.fields[k].reshape(-1).take(self.idx))
-        self._cache[k] = u
-        if len(self._cache) > 2:
-            del self._cache[next(iter(self._cache))]
-        return u
+    def _snapshot(self, k: int) -> np.ndarray:
+        if k != self.held[1]:
+            self.held.reverse()
+            self.slots.reverse()
+            if k != self.held[1]:
+                self.held[1] = k
+                flat = self.fields[k].reshape(-1)
+                for c in range(2):
+                    # one flat take per component: far cheaper than a row gather
+                    np.take(flat[c:], self.idx, out=self.gather, mode="clip")
+                    np.einsum("pj,pj->p", self.wts, self.gather, out=self.slots[1][:, c])
+        return self.slots[1]
+
+    def __call__(self, t: float) -> np.ndarray:
+        times = self.times
+        if t <= times[0]:
+            u = self._snapshot(0)
+        elif t >= times[-1]:
+            u = self._snapshot(len(times) - 1)
+        else:
+            k = int(np.searchsorted(times, t, side="right")) - 1
+            w = (t - times[k]) / (times[k + 1] - times[k])
+            a, b = self._snapshot(k), self._snapshot(k + 1)
+            # the gather buffer is free between snapshot loads
+            scaled = self.gather.reshape(-1)[: b.size].reshape(b.shape)
+            u = np.multiply(a, 1.0 - w, out=self.out)
+            u += np.multiply(b, w, out=scaled)
+        return np.add(self.points, u, out=self.out).reshape(self.shape)
 
 
 class FieldDeformation:
@@ -71,9 +110,8 @@ class FieldDeformation:
     in arc length between boundary nodes: the clamped continuous
     extension. It is kept as a node map (two source nodes and two
     weights per lattice node) and applied only where points read it.
-    ``eval`` binds to its point set on the first call and whenever the
-    points change; each snapshot is then mapped to the points once,
-    when a call first needs it.
+    ``bind`` maps the node map to a point set; its evaluator maps each
+    snapshot to the points when a call first needs it.
     """
 
     def __init__(self, history: DisplacementHistory):
@@ -100,13 +138,14 @@ class FieldDeformation:
             b_flat = grid.boundary_ij[:, 0] * grid.ny + grid.boundary_ij[:, 1]
             self.src[outside] = np.stack([b_flat[lo], b_flat[hi]], axis=1)
             self.src_wts[outside] = np.stack([1.0 - w, w], axis=1)
-        self._points: np.ndarray | None = None
-        self._snapshots: _SnapshotsAtPoints | None = None
 
-    def _bind(self, points: np.ndarray) -> None:
-        """Per-point source weights (P, 8) and flat field indices (2, P, 8)
-        by component: the four bilinear cell corners, clamped at the
-        lattice edges, each read through the node map."""
+    def bind(self, points: np.ndarray) -> _FieldAtPoints:
+        """t -> x + u(t, x) at ``points`` (..., 2), t clamped to the snapshot
+        range. Per-point source weights and flat field indices of the
+        first component, (P, 8): the four bilinear cell corners, clamped at
+        the lattice edges, each read through the node map. The evaluator
+        reads ``points`` when called: bind again after changing them."""
+        points = np.asarray(points, dtype=float)
         xc, yc = self.grid.x_coords, self.grid.y_coords
         pts = points.reshape(-1, 2)
         px, py = pts[:, 0], pts[:, 1]
@@ -117,15 +156,10 @@ class FieldDeformation:
         node = ix * self.grid.ny + iy
         corners = np.stack([node, node + 1, node + self.grid.ny, node + self.grid.ny + 1], axis=1)
         corner_wts = np.stack([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1)
-        src = self.src[corners].reshape(len(pts), 8)
-        idx = 2 * src + np.arange(2)[:, None, None]
+        idx = 2 * self.src[corners].reshape(len(pts), 8)
         wts = (corner_wts[:, :, None] * self.src_wts[corners]).reshape(len(pts), 8)
-        self._points = points.copy()
-        self._snapshots = _SnapshotsAtPoints(self.fields, idx, wts)
+        return _FieldAtPoints(self.times, self.fields, points, idx, wts)
 
     def eval(self, t: float, points: np.ndarray) -> np.ndarray:
         """x + u(t, x); t clamped to the snapshot range."""
-        points = np.asarray(points, dtype=float)
-        if self._snapshots is None or not np.array_equal(points, self._points):
-            self._bind(points)
-        return points + lerp_in_time(self.times, self._snapshots, t).reshape(points.shape)
+        return self.bind(points)(t)

@@ -31,7 +31,7 @@ Two solvers:
 
   dt from the CFL bound. The first step is the same update with the
   mirror rule u(-1) = u(1) - 2*dt*theta1 folded in.
-* ``solve_quasi_static`` drops the inertia term and the forcing and
+* ``QuasiStaticSolver`` drops the inertia term and the forcing and
   solves the equilibrium L u(t_k) = 0 at each output time. The density
   cancels. For the breathing motion the inertia term is about
   (omega L / c)^2 ~ 6e-4 of the elastic one, and the equilibrium does
@@ -615,14 +615,15 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
-def _gmres(apply_a, residual, precond, x: np.ndarray, target: float, basis: np.ndarray) -> int:
+def _gmres(apply_a, residual, precond, x: np.ndarray, target: float, basis: np.ndarray, directions: np.ndarray) -> int:
     """Right-preconditioned restarted GMRES; updates ``x`` in place.
 
     Iterates until ``residual(x)`` (b - A x) has norm <= ``target``, with
     a restart every len(basis) - 1 iterations. ``basis`` is the Krylov
-    workspace; preconditioned vectors are recomputed, not stored.
-    Returns the iteration count; raises InstabilityError after
-    MAX_ITERATIONS.
+    workspace and ``directions``, one row shorter, holds the
+    preconditioned basis vectors of the current cycle, so each iteration
+    applies ``precond`` once. Returns the iteration count; raises
+    InstabilityError after MAX_ITERATIONS.
     """
     m = len(basis) - 1
     iterations = 0
@@ -644,7 +645,8 @@ def _gmres(apply_a, residual, precond, x: np.ndarray, target: float, basis: np.n
         g[0] = beta
         k = 0
         while k < m and iterations < MAX_ITERATIONS:
-            w = apply_a(precond(basis[k]))
+            directions[k] = precond(basis[k])
+            w = apply_a(directions[k])
             iterations += 1
             # classical Gram-Schmidt, applied twice
             coef = np.einsum("ij,j->i", basis[: k + 1], w)
@@ -667,7 +669,7 @@ def _gmres(apply_a, residual, precond, x: np.ndarray, target: float, basis: np.n
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - np.einsum("j,j->", h[i, i + 1 : k], y[i + 1 : k])) / h[i, i]
-        x += precond(np.einsum("i,ij->j", y, basis[:k]))
+        x += np.einsum("i,ij->j", y, directions[:k])
 
 
 def _pivoted_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -697,68 +699,79 @@ def _pivoted_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q, C
 
 
-def solve_quasi_static(grid: Grid2D, params: MaterialParams, boundary, output_times) -> DisplacementHistory:
-    """Solve L u(t_k) = 0, u = psi(t_k) on the boundary, per snapshot.
-
-    ``boundary`` is as for ``solve``; ``params.forcing`` is not used. The
-    unknowns are the interior node values of both components; ghost
-    values follow from them and the boundary values.
-
-    The solution is linear in psi, so GMRES runs once per direction of
-    the snapshot boundary data, not once per snapshot: ``_pivoted_basis``
-    reduces the K snapshot vectors psi(t_k) to r orthonormal directions
-    q_i (r = 2 for exact and sparse data, full rank for noisy data), and
-    L(y_i, q_i) = 0 is solved for each. Each y_i is added to every
-    snapshot, weighted by C[i, k], as soon as its batch of BATCH
-    directions is solved, so no more than BATCH of them are kept. Each
-    snapshot then starts from its combination sum_i C[i, k] y_i and is
-    checked against its own right-hand side: one matvec when the
-    combination meets RELATIVE_TOLERANCE, GMRES iterations when it does
-    not. Raises InstabilityError when GMRES does not converge.
+class QuasiStaticSolver:
+    """The equilibrium solve L u(t_k) = 0, u = psi(t_k) on the boundary,
+    on one grid and material (``params.forcing`` and ``params.rho0`` are
+    not used). The operator, its preconditioner and the GMRES workspaces
+    are built once; ``solve`` takes the boundary data.
     """
-    params.validate()
-    op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
-    precond = _NavierInverse(op, params.lame_lambda, params.lame_mu)
-    psi = _boundary_evaluator(boundary, grid)
-    times = np.array(output_times, dtype=float)
-    zero = np.zeros(len(op.cols))
-    basis = np.empty((RESTART + 1, len(zero)))
-    # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
-    edge = np.nonzero((op.cols >= len(zero)).any(axis=1))[0]
-    edge_vals, edge_cols = op.vals[edge], op.cols[edge]
 
-    def apply_a(x):
-        return op.apply(x, 0.0)
+    def __init__(self, grid: Grid2D, params: MaterialParams):
+        params.validate()
+        self.grid = grid
+        self.op = op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
+        self.precond = _NavierInverse(op, params.lame_lambda, params.lame_mu)
+        self.zero = np.zeros(len(op.cols))
+        self.basis = np.empty((RESTART + 1, len(self.zero)))
+        self.directions = np.empty((RESTART, len(self.zero)))
+        # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
+        edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
+        self.edge_vals, self.edge_cols = op.vals[edge], op.cols[edge]
+        # the interior nodes of a lattice column x with consecutive y indices
+        # are one slice of the fields, both components interleaved
+        ii, jj = op.int_ij
+        cut = np.nonzero((np.diff(ii) != 0) | (np.diff(jj) != 1))[0] + 1
+        self.runs = [(ii[a], 2 * jj[a], 2 * (jj[a] + b - a), 2 * a, 2 * b) for a, b in zip(np.r_[0, cut], np.r_[cut, len(ii)])]
 
-    def solve_in_place(x, p):
+    def _solve_in_place(self, x: np.ndarray, p: np.ndarray) -> None:
         # GMRES from x for the interior values x of L(x, p) = 0; the
         # residual -L(x, p) is one gather
-        z = np.concatenate([zero, np.transpose(p).ravel()])
-        rhs_norm = _norm(np.einsum("ij,ij->i", edge_vals, z[edge_cols]))
-        _gmres(apply_a, lambda x: -op.apply(x, p), precond, x, RELATIVE_TOLERANCE * rhs_norm, basis)
+        op = self.op
+        z = np.concatenate([self.zero, np.transpose(p).ravel()])
+        rhs_norm = _norm(np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols]))
+        target = RELATIVE_TOLERANCE * rhs_norm
+        _gmres(lambda x: op.apply(x, 0.0), lambda x: -op.apply(x, p), self.precond, x, target, self.basis, self.directions)
 
-    P = np.stack([psi(t) for t in times]).reshape(len(times), -1)
-    Q, C = _pivoted_basis(P)
-    del P
-    # the interior nodes of a lattice column x with consecutive y indices
-    # are one slice of the fields, both components interleaved
-    ii, jj = op.int_ij
-    cut = np.nonzero((np.diff(ii) != 0) | (np.diff(jj) != 1))[0] + 1
-    runs = [(ii[a], 2 * jj[a], 2 * (jj[a] + b - a), 2 * a, 2 * b) for a, b in zip(np.r_[0, cut], np.r_[cut, len(ii)])]
-    fields = np.zeros((len(times), grid.nx, grid.ny, 2))
-    rows = fields.reshape(len(times), grid.nx, -1)
-    for i in range(0, len(Q), BATCH):
-        ys = np.zeros((len(Q[i : i + BATCH]), len(zero)))
-        for q, y in zip(Q[i : i + BATCH], ys):
-            solve_in_place(y, q.reshape(-1, 2))
-        u = ys.reshape(len(ys), 2, -1).transpose(0, 2, 1).reshape(len(ys), -1)
-        for x, j0, j1, a, b in runs:
-            rows[:, x, j0:j1] += np.einsum("ik,ij->kj", C[i : i + BATCH], u[:, a:b])
+    def solve(self, boundary, output_times) -> DisplacementHistory:
+        """u(t_k) at each output time from the boundary data.
 
-    for k, t in enumerate(times):
-        p = psi(t)
-        x = op.interior(fields[k])
-        solve_in_place(x, p)
-        fields[k] = op.field(x, p)
+        ``boundary`` is as for the explicit ``solve``. The unknowns are
+        the interior node values of both components; ghost values follow
+        from them and the boundary values.
 
-    return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))
+        The solution is linear in psi, so GMRES runs once per direction
+        of the snapshot boundary data, not once per snapshot:
+        ``_pivoted_basis`` reduces the K snapshot vectors psi(t_k) to r
+        orthonormal directions q_i (r = 2 for exact and sparse data, full
+        rank for noisy data), and L(y_i, q_i) = 0 is solved for each.
+        Each y_i is added to every snapshot, weighted by C[i, k], as soon
+        as its batch of BATCH directions is solved, so no more than BATCH
+        of them are kept. Each snapshot then starts from its combination
+        sum_i C[i, k] y_i and is checked against its own right-hand side:
+        one matvec when the combination meets RELATIVE_TOLERANCE, GMRES
+        iterations when it does not. Raises InstabilityError when GMRES
+        does not converge.
+        """
+        grid, op = self.grid, self.op
+        psi = _boundary_evaluator(boundary, grid)
+        times = np.array(output_times, dtype=float)
+        P = np.stack([psi(t) for t in times]).reshape(len(times), -1)
+        Q, C = _pivoted_basis(P)
+        del P
+        fields = np.zeros((len(times), grid.nx, grid.ny, 2))
+        rows = fields.reshape(len(times), grid.nx, -1)
+        for i in range(0, len(Q), BATCH):
+            ys = np.zeros((len(Q[i : i + BATCH]), len(self.zero)))
+            for q, y in zip(Q[i : i + BATCH], ys):
+                self._solve_in_place(y, q.reshape(-1, 2))
+            u = ys.reshape(len(ys), 2, -1).transpose(0, 2, 1).reshape(len(ys), -1)
+            for x, j0, j1, a, b in self.runs:
+                rows[:, x, j0:j1] += np.einsum("ik,ij->kj", C[i : i + BATCH], u[:, a:b])
+
+        for k, t in enumerate(times):
+            p = psi(t)
+            x = op.interior(fields[k])
+            self._solve_in_place(x, p)
+            fields[k] = op.field(x, p)
+
+        return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))

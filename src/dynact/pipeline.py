@@ -7,6 +7,7 @@ bit-identical artifacts.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 from dataclasses import replace
@@ -17,14 +18,19 @@ from . import formats
 from .boundary import BoundaryData, perturb, sample_boundary, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation
-from .elastic import DisplacementHistory, MaterialParams
-from .elastic import solve_quasi_static as solve  # perfbench/tracing.py times pipeline.solve
+from .elastic import DisplacementHistory, MaterialParams, QuasiStaticSolver
 from .errors import ConfigError, MismatchError
 from .grid import Grid2D, make_grid
 from .metrics import evaluate
 from .phantom import rasterize_f0
 from .projection import simulate_scan
-from .reconstruct import Image, reconstruct, static_fbp
+from .reconstruct import Image
+
+# the package re-exports the function reconstruct(), hiding the module;
+# stage_reconstruct calls through the module, where perfbench/tracing.py
+# times filter_sinogram and backproject
+recon = importlib.import_module(".reconstruct", __package__)
+solve = QuasiStaticSolver.solve  # perfbench/tracing.py times pipeline.solve
 
 PDE_MODES = ("exact", "noisy", "sparse")
 
@@ -60,19 +66,24 @@ def boundary_data_for_mode(cfg: PipelineConfig, grid: Grid2D, mode: str) -> Boun
     raise ConfigError(f"unknown boundary mode {mode!r}")
 
 
-def solve_motion(cfg: PipelineConfig, mode: str, grid: Grid2D | None = None) -> DisplacementHistory:
-    """Interior motion from the boundary data of ``mode``.
+def motion_solver(cfg: PipelineConfig) -> QuasiStaticSolver:
+    """The equilibrium Navier-Cauchy solver on the config's grid and material.
 
-    Solves the equilibrium Navier-Cauchy equation at each snapshot time
-    (``elastic.solve_quasi_static``). The density prior does not enter
-    the equilibrium, but a misplaced prior region is still a config error.
+    The density prior does not enter the equilibrium, but a misplaced
+    prior region is still a config error.
     """
     check_prior_region(cfg)
-    if grid is None:
-        grid = solver_grid(cfg)
     params = MaterialParams(lame_lambda=cfg.material.lame_lambda, lame_mu=cfg.material.lame_mu)
-    bd = boundary_data_for_mode(cfg, grid, mode)
-    return solve(grid, params, bd, np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots))
+    return QuasiStaticSolver(solver_grid(cfg), params)
+
+
+def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | None = None) -> DisplacementHistory:
+    """Interior motion from the boundary data of ``mode``, solved at each
+    snapshot time by ``solver`` (``motion_solver(cfg)`` when omitted)."""
+    if solver is None:
+        solver = motion_solver(cfg)
+    bd = boundary_data_for_mode(cfg, solver.grid, mode)
+    return solve(solver, bd, np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots))
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
@@ -89,10 +100,10 @@ def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None
     os.makedirs(cfg.output_dir, exist_ok=True)
     if modes is None:
         modes = (cfg.boundary.spec.mode,)
-    grid = solver_grid(cfg)
+    solver = motion_solver(cfg)
     written = []
     for mode in modes:
-        history = solve_motion(cfg, mode, grid=grid)
+        history = solve_motion(cfg, mode, solver=solver)
         name = f"field_{mode}.field"
         formats.write_field(_out(cfg, name), history)
         written.append(name)
@@ -126,12 +137,13 @@ def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
         formats.write_pgm(_out(cfg, name + ".pgm"), img)
         written.extend([name + ".img", name + ".pgm"])
 
-    emit("recon_static", static_fbp(sino, cfg.filter, cfg.image))
-    emit("recon_exact_motion", reconstruct(sino, AnalyticDeformation(cfg.motion), cfg.filter, cfg.image))
+    filtered = recon.filter_sinogram(sino, cfg.filter)
+    emit("recon_static", recon.backproject_static(filtered, sino.geometry, cfg.image))
+    emit("recon_exact_motion", recon.backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image))
     for mode in PDE_MODES:
         path = _out(cfg, f"field_{mode}.field")
         if os.path.isfile(path):
-            emit(f"recon_pde_{mode}", reconstruct(sino, load_field_provider(cfg, path), cfg.filter, cfg.image))
+            emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, load_field_provider(cfg, path), cfg.image))
     return written
 
 

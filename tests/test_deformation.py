@@ -54,6 +54,13 @@ class TestAnalytic:
         t = 30.0
         assert np.array_equal(prov.eval(t, pts), m.phi(t, pts))
 
+    def test_bind_matches_phi(self):
+        m = AffineMotion()
+        pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
+        move = AnalyticDeformation(m).bind(pts)
+        for t in (0.0, 30.0, 77.0):
+            assert np.array_equal(move(t), m.phi(t, pts))
+
     def test_identity_is_bitwise(self):
         prov = AnalyticDeformation(identity_motion())
         pts = np.array([[0.3, -0.7], [0.0, 0.0]])
@@ -161,20 +168,33 @@ class TestAgainstWholeLatticeReference:
         return np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
 
     def test_time_sweeps(self, ellipse_grid_65):
+        # one bound evaluator over the whole sweep: its two snapshot slots
+        # are reused forwards, backwards and across clamped times
         hist = self.history(ellipse_grid_65)
         pts = self.raster()
-        prov = FieldDeformation(hist)
+        move = FieldDeformation(hist).bind(pts)
         forward = np.linspace(-0.5, 4.5, 23)
         sweep = np.concatenate([forward, forward[::-1], [3.1, -1.0, 0.7, 9.0, 2.0, 2.0]])
         for t in sweep:
-            np.testing.assert_allclose(prov.eval(t, pts), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(move(t), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
 
     def test_points_mutated_in_place_rebind(self, ellipse_grid_65):
+        # an evaluator keeps the point map of its bind: points changed in
+        # place are bound again
         hist = self.history(ellipse_grid_65)
         pts = self.raster()
         prov = FieldDeformation(hist)
-        np.testing.assert_allclose(prov.eval(1.2, pts), reference_eval(hist, 1.2, pts), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(prov.bind(pts)(1.2), reference_eval(hist, 1.2, pts), rtol=0, atol=1e-14)
         pts *= 0.9
         pts[0] = [1.1, -0.05]
+        move = prov.bind(pts)
         for t in (1.2, 2.5):
-            np.testing.assert_allclose(prov.eval(t, pts), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(move(t), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+
+    def test_eval_is_bind_then_call(self, ellipse_grid_65):
+        hist = self.history(ellipse_grid_65)
+        pts = self.raster().reshape(97, 97, 2)
+        prov = FieldDeformation(hist)
+        for t in (-1.0, 0.7, 2.2, 9.0):
+            assert np.array_equal(prov.eval(t, pts), prov.bind(pts)(t))
+            assert prov.eval(t, pts).shape == pts.shape

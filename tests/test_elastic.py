@@ -10,9 +10,9 @@ from dynact.elastic import (
     InitialData,
     MaterialParams,
     NavierOperator,
+    QuasiStaticSolver,
     cfl_dt,
     solve,
-    solve_quasi_static,
 )
 from dynact.errors import ConfigError, InstabilityError
 from dynact.grid import NodeKind, fill_ghost, make_grid
@@ -278,7 +278,7 @@ def _relative_residuals(cfg, hist) -> np.ndarray:
 class TestQuasiStatic:
     def test_zero_data_gives_zero_field(self, ellipse_grid_65):
         g = ellipse_grid_65
-        hist = solve_quasi_static(g, unit_params(g), None, output_times=[0.0, 1.0])
+        hist = QuasiStaticSolver(g, unit_params(g)).solve(None, output_times=[0.0, 1.0])
         assert np.abs(hist.fields).max() == 0.0
         assert hist.num_steps == 2 and hist.dt == 0.0
 
@@ -290,7 +290,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([0.05 * pos[:, 0] * pos[:, 1], 0.02 * pos[:, 0] ** 2 - 0.03 * pos[:, 1] ** 2], axis=-1)
         p = unit_params(g, lam=3460.0, mu=1480.0, rho=1050.0)
-        hist = solve_quasi_static(g, p, lambda t: psi, output_times=[1.0])
+        hist = QuasiStaticSolver(g, p).solve(lambda t: psi, output_times=[1.0])
         u = hist.fields[0]
         dt = cfl_dt(p, g, 0.9)
         model = ElasticModel(g, p, dt)
@@ -307,7 +307,7 @@ class TestQuasiStatic:
         g = ellipse_grid_65
         nb = len(g.boundary_ij)
         psi = lambda t: np.tile([0.01 * np.sin(t), 0.02 * t], (nb, 1))
-        runs = [solve_quasi_static(g, unit_params(g), psi, output_times=[0.5, 1.0]) for _ in range(2)]
+        runs = [QuasiStaticSolver(g, unit_params(g)).solve(psi, output_times=[0.5, 1.0]) for _ in range(2)]
         assert np.array_equal(runs[0].fields, runs[1].fields)
         b = g.boundary_ij
         for k, t in enumerate(runs[0].times):
@@ -321,7 +321,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
         with pytest.raises(InstabilityError, match="converge"):
-            solve_quasi_static(g, unit_params(g), lambda t: psi, output_times=[1.0])
+            QuasiStaticSolver(g, unit_params(g)).solve(lambda t: psi, output_times=[1.0])
 
     @pytest.mark.parametrize("mode", ["exact", "noisy", "sparse"])
     def test_thorax_snapshots_meet_tolerance(self, mode, monkeypatch):
@@ -361,7 +361,7 @@ class TestQuasiStatic:
         coords = np.concatenate([np.linspace(-1.0, 0.0, 17), np.linspace(0.0, 1.0, 33)[1:]])
         g = make_grid(coords, coords, Ellipse(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))
         with pytest.raises(ConfigError, match="uniformly spaced"):
-            solve_quasi_static(g, unit_params(g), None, output_times=[0.0])
+            QuasiStaticSolver(g, unit_params(g))
 
     @pytest.mark.parametrize("n", [33, 65, 129])
     def test_preconditioner_is_exact(self, n):
@@ -375,6 +375,16 @@ class TestQuasiStatic:
         for _ in range(3):
             b = rng.standard_normal(len(op.cols))
             assert np.linalg.norm(op.apply(precond(b), 0.0) - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_one_preconditioner_apply_per_iteration(self, monkeypatch):
+        # GMRES keeps the preconditioned vectors of its cycle for the update
+        cfg = _thorax(33)
+        iterations = _count_gmres(monkeypatch)
+        applies = []
+        apply = elastic._NavierInverse.__call__
+        monkeypatch.setattr(elastic._NavierInverse, "__call__", lambda self, r: applies.append(1) or apply(self, r))
+        solve_motion(cfg, "noisy")
+        assert len(applies) == sum(iterations) > 0
 
     def test_noisy_data_has_full_rank(self, monkeypatch):
         # 133 snapshots of per-sample noise on the 33^2 grid's 60 boundary

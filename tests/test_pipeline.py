@@ -1,17 +1,19 @@
 import copy
 import json
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynact import formats
+from dynact import elastic, formats
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
 from dynact.errors import ConfigError, MissingInputError
 from dynact.pipeline import (
+    PDE_MODES,
     run,
     solve_motion,
     solver_grid,
@@ -62,6 +64,32 @@ def test_benchmark_hooks_exist(monkeypatch):
 
     with tracing.instrument(tracing.Tracer()):
         pass
+
+
+def test_artifacts_independent_of_workers(tmp_path, monkeypatch):
+    # next to criterion 10's BLAS thread counts: every artifact of `all`
+    # has the same bytes whether the view blocks run on 1 or 2 threads
+    out = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(sys.modules["dynact.reconstruct"], "WORKERS", workers)
+        cfg = tiny_config(str(tmp_path / f"workers_{workers}"))
+        out[workers] = {name: Path(cfg.output_dir, name).read_bytes() for name in run("all", cfg)}
+    assert len(out[1]) == 17
+    assert out[1] == out[2]
+
+
+def test_one_solver_for_all_modes(tmp_path, monkeypatch):
+    # the three modes share one operator and preconditioner, and solve as
+    # a solver built for each mode alone does
+    cfg = tiny_config(str(tmp_path))
+    fresh = [solve_motion(cfg, mode).fields for mode in PDE_MODES]
+    builds = []
+    build = elastic._NavierInverse.__init__
+    monkeypatch.setattr(elastic._NavierInverse, "__init__", lambda self, *a: builds.append(1) or build(self, *a))
+    stage_solve_motion(cfg, modes=PDE_MODES)
+    assert len(builds) == 1
+    for mode, fields in zip(PDE_MODES, fresh):
+        assert np.array_equal(formats.read_field(str(tmp_path / f"field_{mode}.field"))[4], fields)
 
 
 @pytest.mark.slow

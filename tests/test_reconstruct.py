@@ -1,19 +1,28 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from dynact.deformation import AnalyticDeformation
-from dynact.errors import ConfigError
+from dynact.deformation import AnalyticDeformation, FieldDeformation
+from dynact.elastic import DisplacementHistory
+from dynact.errors import ConfigError, MotionError
 from dynact.motion import AffineMotion, identity_motion
 from dynact.phantom import Ellipse, PhantomSpec
 from dynact.projection import ScanGeometry, Sinogram, simulate_scan
 from dynact.reconstruct import (
     FilterSpec,
     ImageSpec,
+    backproject,
+    backproject_static,
     filter_projection,
     filter_sinogram,
     reconstruct,
     static_fbp,
 )
+
+# the package re-exports the function reconstruct(), hiding the module
+recon_module = sys.modules["dynact.reconstruct"]
 
 GEO_SMALL = ScanGeometry(num_angles=60, num_detectors=101)
 
@@ -176,3 +185,63 @@ class TestReconstruct:
         a = reconstruct(sino, prov, fs, ispec)
         b = reconstruct(sino, prov, fs, ispec)
         assert np.array_equal(a.values, b.values)
+
+
+class TestViewBlocks:
+    """Views are split into a constant number of blocks, summed in block
+    order: the images do not depend on how many threads run the blocks."""
+
+    GEO = ScanGeometry(num_angles=61, num_detectors=81)
+
+    @classmethod
+    def filtered(cls):
+        return np.random.default_rng(5).standard_normal((cls.GEO.num_angles, cls.GEO.num_detectors))
+
+    @classmethod
+    def field_provider(cls, grid):
+        # snapshots spanning the scan, so the blocks walk different ones
+        times = np.linspace(0.0, cls.GEO.view_times[-1], 7)
+        fields = 0.05 * np.random.default_rng(6).standard_normal((len(times),) + grid.shape + (2,))
+        return FieldDeformation(DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0))
+
+    def images(self, monkeypatch, make_image) -> list[bytes]:
+        out = []
+        for workers in (1, 2):
+            monkeypatch.setattr(recon_module, "WORKERS", workers)
+            out.append(make_image().values.tobytes())
+        return out
+
+    def test_static_bytes_independent_of_workers(self, monkeypatch):
+        one, two = self.images(monkeypatch, lambda: backproject_static(self.filtered(), self.GEO, ImageSpec(33, 33)))
+        assert one == two
+
+    def test_analytic_bytes_independent_of_workers(self, monkeypatch):
+        prov = AnalyticDeformation(AffineMotion(amplitude=0.2, frequency=0.05))
+        one, two = self.images(monkeypatch, lambda: backproject(self.filtered(), self.GEO, prov, ImageSpec(33, 33)))
+        assert one == two
+
+    def test_field_bytes_independent_of_workers(self, monkeypatch, ellipse_grid_65):
+        prov = self.field_provider(ellipse_grid_65)
+        one, two = self.images(monkeypatch, lambda: backproject(self.filtered(), self.GEO, prov, ImageSpec(33, 33)))
+        assert one == two
+
+    def test_blocks_partition_the_views(self, monkeypatch):
+        # one block holding every view gives the same image up to the
+        # rounding of the block sum
+        prov = AnalyticDeformation(AffineMotion())
+        blocked = backproject(self.filtered(), self.GEO, prov, ImageSpec(33, 33))
+        monkeypatch.setattr(recon_module, "BLOCKS", 1)
+        whole = backproject(self.filtered(), self.GEO, prov, ImageSpec(33, 33))
+        assert np.abs(blocked.values - whole.values).max() <= 1e-12 * np.abs(whole.values).max()
+
+    def test_error_in_second_block_reaches_caller(self):
+        # the scale s(t) = cos(f t) + 1 vanishes at the last view only, so
+        # the first block runs through and the second raises on its thread
+        times = self.GEO.view_times
+        motion = AffineMotion(amplitude=1.0, frequency=np.pi / times[-1], offset=1.0, drift_coeff=0.0)
+        assert motion.scale_factor(times[-1]) == 0.0
+        assert np.all(motion.scale_factor(times[: len(times) // 2]) > 0.0)
+        running = threading.active_count()
+        with pytest.raises(MotionError, match="vanishes"):
+            backproject(self.filtered(), self.GEO, AnalyticDeformation(motion), ImageSpec(17, 17))
+        assert threading.active_count() == running
