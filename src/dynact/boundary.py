@@ -67,16 +67,26 @@ class BoundaryData:
         return lerp_in_time(self.times, self.values, t)
 
 
-def lerp_in_time(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+def lerp_in_time(times: np.ndarray, values, t: float, out=None, scratch=None) -> np.ndarray:
     """Linear interpolation of values[k], sampled at ascending times[k], at
-    time t; clamped to the first and last sample outside their range."""
+    time t; clamped to the first and last sample outside their range.
+
+    ``values`` needs only indexing by 0 <= k < len(times); a call reads
+    at most two samples, k before k + 1. With ``out`` and ``scratch``
+    (arrays of a sample's shape) a blend is written into ``out``, with the
+    same bits, and nothing is allocated; a clamped t returns the sample.
+    """
+    last = len(times) - 1
     if t <= times[0]:
         return values[0]
-    if t >= times[-1]:
-        return values[-1]
+    if t >= times[last]:
+        return values[last]
     k = int(np.searchsorted(times, t, side="right")) - 1
     w = (t - times[k]) / (times[k + 1] - times[k])
-    return (1.0 - w) * values[k] + w * values[k + 1]
+    if out is None:
+        return (1.0 - w) * values[k] + w * values[k + 1]
+    np.multiply(values[k], 1.0 - w, out=out)
+    return np.add(out, np.multiply(values[k + 1], w, out=scratch), out=out)
 
 
 def sample_boundary(motion, grid: Grid2D, times) -> BoundaryData:

@@ -9,29 +9,53 @@ interpolated in arc length between boundary nodes exactly as sparse
 boundary data is (`boundary.arclength_weights`), so it is total and
 continuous on the whole image extent.
 
-Both providers have ``bind(points)``, which returns Phi_t at that point
-set as a function of t, for use on one thread. The reconstructor binds
-once per block of views, on the calling thread, so every buffer an
-evaluator writes is allocated there.
+Both providers have ``bind(points)``, which returns an evaluator: Phi_t
+at that point set as a function of t, for use on one thread. An
+evaluator's ``twin()`` is another evaluator at the same points, with
+buffers of its own. ``eval(t, points)`` takes an array of points, bound
+afresh on every call, or an evaluator from ``bind``. The reconstructor
+binds once per image, on the calling thread, and gives every block of
+views a twin, so every buffer an evaluator writes is allocated there.
 
 The field provider does its work in three parts. A node map, built
 once, gives every lattice node two source nodes and two weights: itself
 with weights (1, 0) inside the domain and on its boundary, the two
 arc-length neighbours of its closest boundary point outside. Binding to
 a point set folds the bilinear cell weights through the node map, so
-each point reads 8 snapshot values. The evaluator maps snapshots to the
-bound points lazily, one gather per component into two snapshot slots,
-and blends the two slots in time per call.
+each point reads 8 snapshot values; twins share that point map. An
+evaluator maps snapshots to the bound points lazily, one gather per
+component into two snapshot slots, and blends the two slots in time
+with `boundary.lerp_in_time`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import arclength_weights, boundary_arclengths
+from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
 from .elastic import DisplacementHistory
 from .errors import ConfigError
 from .grid import NodeKind
+
+
+def _evaluator(provider, points):
+    """``points`` if it is an evaluator (callable), else ``provider.bind(points)``."""
+    return points if callable(points) else provider.bind(points)
+
+
+class _MotionAtPoints:
+    """phi(t, points) as a function of t. It writes no buffer, so it is
+    its own twin."""
+
+    def __init__(self, phi, points: np.ndarray):
+        self.phi = phi
+        self.points = points
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.phi(t, self.points)
+
+    def twin(self) -> "_MotionAtPoints":
+        return self
 
 
 class AnalyticDeformation:
@@ -40,39 +64,32 @@ class AnalyticDeformation:
     def __init__(self, motion):
         self.motion = motion
 
-    def bind(self, points: np.ndarray):
+    def bind(self, points: np.ndarray) -> _MotionAtPoints:
         """t -> phi(t, points)."""
-        phi = self.motion.phi
-        return lambda t: phi(t, points)
+        return _MotionAtPoints(self.motion.phi, points)
 
-    def eval(self, t: float, points: np.ndarray) -> np.ndarray:
-        return self.bind(points)(t)
+    def eval(self, t: float, points) -> np.ndarray:
+        """phi(t, x) at ``points``, an array (..., 2) or an evaluator from ``bind``."""
+        return _evaluator(self, points)(t)
 
 
-class _FieldAtPoints:
-    """x + u(t, x) at one bound point set, as a function of t.
-
-    Component c of snapshot k at point p is sum_j wts[p, j] *
-    fields[k].ravel()[idx[p, j] + c]. Two slots hold the snapshots most
-    recently used, which are the ones bracketing the last requested
-    time; between them the blend is `boundary.lerp_in_time`'s, clamped
-    to the first and last snapshot. A call returns the evaluator's own
-    buffer, overwritten by the next call.
+class _SnapshotsAtPoints:
+    """The snapshot displacements at one bound point set, as a sequence
+    for `lerp_in_time`: component c of snapshot k at point p is
+    sum_j wts[p, j] * fields[k].ravel()[idx[p, j] + c], computed into one
+    of two slots on first access. The slots hold the two snapshots most
+    recently read, which are the ones bracketing the last requested time.
     """
 
-    def __init__(self, times: np.ndarray, fields: np.ndarray, points: np.ndarray, idx: np.ndarray, wts: np.ndarray):
-        self.times = times
+    def __init__(self, fields: np.ndarray, idx: np.ndarray, wts: np.ndarray):
         self.fields = fields
-        self.shape = points.shape
-        self.points = points.reshape(-1, 2)
         self.idx = idx
         self.wts = wts
         self.gather = np.empty(idx.shape)
         self.slots = [np.empty((len(idx), 2)) for _ in range(2)]
-        self.held = [-1, -1]  # the snapshot in each slot, the most recently used last
-        self.out = np.empty((len(idx), 2))
+        self.held = [-1, -1]  # the snapshot in each slot, the most recently read last
 
-    def _snapshot(self, k: int) -> np.ndarray:
+    def __getitem__(self, k: int) -> np.ndarray:
         if k != self.held[1]:
             self.held.reverse()
             self.slots.reverse()
@@ -85,21 +102,31 @@ class _FieldAtPoints:
                     np.einsum("pj,pj->p", self.wts, self.gather, out=self.slots[1][:, c])
         return self.slots[1]
 
+
+class _FieldAtPoints:
+    """x + u(t, x) at one bound point set, as a function of t, with u
+    blended by `boundary.lerp_in_time` (clamped to the first and last
+    snapshot). A call returns the evaluator's own buffer, overwritten by
+    the next call.
+    """
+
+    def __init__(self, times: np.ndarray, points: np.ndarray, snapshots: _SnapshotsAtPoints):
+        self.times = times
+        self.shape = points.shape
+        self.points = points.reshape(-1, 2)
+        self.snapshots = snapshots
+        self.out = np.empty(self.points.shape)
+        self.scratch = np.empty(self.points.shape)
+
     def __call__(self, t: float) -> np.ndarray:
-        times = self.times
-        if t <= times[0]:
-            u = self._snapshot(0)
-        elif t >= times[-1]:
-            u = self._snapshot(len(times) - 1)
-        else:
-            k = int(np.searchsorted(times, t, side="right")) - 1
-            w = (t - times[k]) / (times[k + 1] - times[k])
-            a, b = self._snapshot(k), self._snapshot(k + 1)
-            # the gather buffer is free between snapshot loads
-            scaled = self.gather.reshape(-1)[: b.size].reshape(b.shape)
-            u = np.multiply(a, 1.0 - w, out=self.out)
-            u += np.multiply(b, w, out=scaled)
+        u = lerp_in_time(self.times, self.snapshots, t, out=self.out, scratch=self.scratch)
         return np.add(self.points, u, out=self.out).reshape(self.shape)
+
+    def twin(self) -> "_FieldAtPoints":
+        """An evaluator at the same points sharing the point map, with
+        snapshot slots and buffers of its own."""
+        s = self.snapshots
+        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.fields, s.idx, s.wts))
 
 
 class FieldDeformation:
@@ -158,8 +185,12 @@ class FieldDeformation:
         corner_wts = np.stack([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1)
         idx = 2 * self.src[corners].reshape(len(pts), 8)
         wts = (corner_wts[:, :, None] * self.src_wts[corners]).reshape(len(pts), 8)
-        return _FieldAtPoints(self.times, self.fields, points, idx, wts)
+        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(self.fields, idx, wts))
 
-    def eval(self, t: float, points: np.ndarray) -> np.ndarray:
-        """x + u(t, x); t clamped to the snapshot range."""
-        return self.bind(points)(t)
+    def eval(self, t: float, points) -> np.ndarray:
+        """x + u(t, x) at ``points``; t clamped to the snapshot range.
+
+        An array (..., 2) of points is bound afresh, a (P, 8) point map,
+        on every call; over many times, bind once and pass the evaluator.
+        """
+        return _evaluator(self, points)(t)

@@ -26,11 +26,13 @@ theoretical constant is kept exactly and the default dft_size is 4096.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .deformation import AnalyticDeformation, FieldDeformation
 from .errors import ConfigError
 from .projection import ScanGeometry, Sinogram
 
@@ -180,23 +182,32 @@ def backproject(filtered: np.ndarray, geometry: ScanGeometry, provider, image_sp
     """Backproject filtered rows along motion-deformed lines.
 
     For each view n the pixel's detector coordinate is
-    (Phi_{t_n} x) . theta_n, with Phi_t from ``provider.bind``, called
-    once per view block on the calling thread; rows are interpolated
-    linearly and contribute zero outside the detector interval. Views
-    accumulate in ascending order within a block and the blocks in
-    block order, for bit-reproducibility.
+    (Phi_{t_n} x) . theta_n, with Phi_t from ``provider.eval(t_n, e)``:
+    e is block b's evaluator, made on the calling thread by
+    ``provider.bind`` (block 0) and its ``twin`` (the others). Rows are
+    interpolated linearly and contribute zero outside the detector
+    interval. Views accumulate in ascending order within a block and the
+    blocks in block order, for bit-reproducibility.
+
+    The providers of this package keep every buffer a call writes in the
+    evaluator, so the blocks call them at the same time. Any other
+    provider, such as a user's own or a wrapper that times or records
+    calls, is called by one block at a time and need not be thread-safe.
     """
     angles = geometry.angles
     times = geometry.view_times
     dets = geometry.detectors
     weights = _angle_weights(angles)
     pts = image_spec.pixel_points().reshape(-1, 2)
-    movers = [provider.bind(pts) for _ in range(BLOCKS)]
+    first = provider.bind(pts)
+    movers = [first] + [first.twin() for _ in range(1, BLOCKS)]
+    own = type(provider) in (AnalyticDeformation, FieldDeformation)
+    turn = contextlib.nullcontext() if own else threading.Lock()
 
     def run_block(b: int, views: range, acc: np.ndarray) -> None:
-        move = movers[b]
         for n in views:
-            moved = move(times[n])
+            with turn:
+                moved = provider.eval(times[n], movers[b])
             p = moved[:, 0] * np.cos(angles[n]) + moved[:, 1] * np.sin(angles[n])
             acc += weights[n] * np.interp(p, dets, filtered[n], left=0.0, right=0.0)
 
@@ -223,12 +234,16 @@ def backproject_static(filtered: np.ndarray, geometry: ScanGeometry, image_spec:
 
 
 def reconstruct(sino: Sinogram, provider, filter_spec: FilterSpec, image_spec: ImageSpec) -> Image:
-    """Filter all rows, then backproject with the deformation provider."""
+    """Filter all rows, then backproject with the deformation provider: the
+    one-call form for one image. A caller making several images from one
+    sinogram (as ``pipeline.stage_reconstruct`` does) filters once and
+    calls ``backproject`` for each."""
     filtered = filter_sinogram(sino, filter_spec)
     return backproject(filtered, sino.geometry, provider, image_spec)
 
 
 def static_fbp(sino: Sinogram, filter_spec: FilterSpec, image_spec: ImageSpec) -> Image:
-    """Classical FBP ignoring any motion (the comparison baseline)."""
+    """Classical FBP ignoring any motion (the comparison baseline): the
+    one-call form of ``filter_sinogram`` and ``backproject_static``."""
     filtered = filter_sinogram(sino, filter_spec)
     return backproject_static(filtered, sino.geometry, image_spec)

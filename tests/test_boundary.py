@@ -5,6 +5,7 @@ from dynact.boundary import (
     BoundaryData,
     BoundarySpec,
     arclength_weights,
+    lerp_in_time,
     perturb,
     sample_boundary,
     sparsify,
@@ -92,6 +93,33 @@ class TestArclengthWeights:
 
     def test_knots_reproduce_their_values(self):
         assert np.array_equal(self._interp(self.S_KNOTS), self.VALUES)
+
+
+class TestLerpInTime:
+    TIMES = np.array([0.0, 0.7, 1.5, 4.0])
+    VALUES = np.random.default_rng(8).standard_normal((4, 5, 2))
+
+    def test_buffers_give_the_same_bits(self):
+        out, scratch = np.empty((5, 2)), np.empty((5, 2))
+        for t in (-1.0, 0.0, 0.3, 0.7, 1.1, 3.9, 4.0, 7.0):
+            expect = lerp_in_time(self.TIMES, self.VALUES, t)
+            got = lerp_in_time(self.TIMES, self.VALUES, t, out=out, scratch=scratch)
+            assert np.array_equal(got, expect)
+            # a blend lands in out; a clamped time returns the sample itself
+            assert (got is out) == (0.0 < t < 4.0)
+
+    def test_reads_a_sequence_k_then_k_plus_1(self):
+        read = []
+
+        class Samples:
+            def __getitem__(s, k):
+                read.append(k)
+                return self.VALUES[k]
+
+        for t, keys in ((-1.0, [0]), (9.0, [3]), (2.0, [2, 3]), (0.7, [1, 2])):
+            read.clear()
+            assert np.array_equal(lerp_in_time(self.TIMES, Samples(), t), lerp_in_time(self.TIMES, self.VALUES, t))
+            assert read == keys
 
 
 class TestPerturb:

@@ -61,6 +61,14 @@ class TestAnalytic:
         for t in (0.0, 30.0, 77.0):
             assert np.array_equal(move(t), m.phi(t, pts))
 
+    def test_eval_takes_an_evaluator(self):
+        m = AffineMotion()
+        prov = AnalyticDeformation(m)
+        pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
+        move = prov.bind(pts)
+        assert move.twin() is move  # it writes no buffer
+        assert np.array_equal(prov.eval(30.0, move), m.phi(30.0, pts))
+
     def test_identity_is_bitwise(self):
         prov = AnalyticDeformation(identity_motion())
         pts = np.array([[0.3, -0.7], [0.0, 0.0]])
@@ -191,6 +199,21 @@ class TestAgainstWholeLatticeReference:
         for t in (1.2, 2.5):
             np.testing.assert_allclose(move(t), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
 
+    def test_twin_shares_the_point_map(self, ellipse_grid_65):
+        # a twin reads the same point map into buffers of its own: two
+        # evaluators walking different times do not disturb each other
+        hist = self.history(ellipse_grid_65)
+        pts = self.raster()
+        move = FieldDeformation(hist).bind(pts)
+        twin = move.twin()
+        assert twin.snapshots.idx is move.snapshots.idx and twin.snapshots.wts is move.snapshots.wts
+        assert not np.shares_memory(twin.out, move.out)
+        assert not np.shares_memory(twin.snapshots.slots[0], move.snapshots.slots[0])
+        for t0, t1 in ((0.2, 3.5), (0.9, 3.7), (1.6, 4.2)):
+            a, b = move(t0), twin(t1)
+            np.testing.assert_allclose(a, reference_eval(hist, t0, pts), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(b, reference_eval(hist, t1, pts), rtol=0, atol=1e-14)
+
     def test_eval_is_bind_then_call(self, ellipse_grid_65):
         hist = self.history(ellipse_grid_65)
         pts = self.raster().reshape(97, 97, 2)
@@ -198,3 +221,6 @@ class TestAgainstWholeLatticeReference:
         for t in (-1.0, 0.7, 2.2, 9.0):
             assert np.array_equal(prov.eval(t, pts), prov.bind(pts)(t))
             assert prov.eval(t, pts).shape == pts.shape
+        move = prov.bind(pts)
+        for t in (-1.0, 0.7, 2.2, 9.0):
+            assert np.array_equal(prov.eval(t, move), prov.bind(pts)(t))

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -245,3 +246,34 @@ class TestViewBlocks:
         with pytest.raises(MotionError, match="vanishes"):
             backproject(self.filtered(), self.GEO, AnalyticDeformation(motion), ImageSpec(17, 17))
         assert threading.active_count() == running
+
+    def test_other_providers_called_one_block_at_a_time(self, ellipse_grid_65):
+        # a wrapper that records its calls, as a timing proxy does: every
+        # view goes through its eval, never two at once, and the image is
+        # the wrapped provider's
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+                self.times = []
+                self.active = 0
+                self.overlapped = False
+
+            def bind(self, points):
+                return self.inner.bind(points)
+
+            def eval(self, t, points):
+                self.active += 1
+                self.overlapped |= self.active > 1
+                time.sleep(1e-3)  # lets the other block run, were it not waiting
+                out = self.inner.eval(t, points)
+                self.times.append(t)
+                self.active -= 1
+                return out
+
+        prov = self.field_provider(ellipse_grid_65)
+        rec = Recording(prov)
+        img = backproject(self.filtered(), self.GEO, rec, ImageSpec(33, 33))
+        assert not rec.overlapped
+        assert sorted(rec.times) == list(self.GEO.view_times)
+        plain = backproject(self.filtered(), self.GEO, prov, ImageSpec(33, 33))
+        assert img.values.tobytes() == plain.values.tobytes()
