@@ -17,13 +17,16 @@ afresh on every call, or an evaluator from ``bind``. The reconstructor
 binds once per image, on the calling thread, and gives every block of
 views a twin, so every buffer an evaluator writes is allocated there.
 
-The field provider does its work in three parts. A node map, built
-once, gives every lattice node two source nodes and two weights: itself
-with weights (1, 0) inside the domain and on its boundary, the two
-arc-length neighbours of its closest boundary point outside. Binding to
-a point set folds the bilinear cell weights through the node map, so
-each point reads 8 snapshot values; twins share that point map. An
-evaluator maps snapshots to the bound points lazily, one gather per
+The field provider holds its snapshots in stored-node form, (K, n_stored,
+2): the values of the interior, boundary and ghost nodes only, as the
+field artifact stores them. It does its work in three parts. A
+`NodeMap`, which depends only on the grid and so can serve every field
+on it, gives every lattice node two stored source nodes and two weights:
+itself with weights (1, 0) inside the domain and on its boundary, the
+two arc-length neighbours of its closest boundary point outside.
+Binding to a point set folds the bilinear cell weights through the node
+map, so each point reads 8 snapshot values; twins share that point map.
+An evaluator maps snapshots to the bound points lazily, one gather per
 component into two snapshot slots, and blends the two slots in time
 with `boundary.lerp_in_time`.
 """
@@ -35,7 +38,7 @@ import numpy as np
 from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
 from .elastic import DisplacementHistory
 from .errors import ConfigError
-from .grid import NodeKind
+from .grid import Grid2D, NodeKind, stored_nodes
 
 
 def _evaluator(provider, points):
@@ -76,13 +79,13 @@ class AnalyticDeformation:
 class _SnapshotsAtPoints:
     """The snapshot displacements at one bound point set, as a sequence
     for `lerp_in_time`: component c of snapshot k at point p is
-    sum_j wts[p, j] * fields[k].ravel()[idx[p, j] + c], computed into one
+    sum_j wts[p, j] * values[k].ravel()[idx[p, j] + c], computed into one
     of two slots on first access. The slots hold the two snapshots most
     recently read, which are the ones bracketing the last requested time.
     """
 
-    def __init__(self, fields: np.ndarray, idx: np.ndarray, wts: np.ndarray):
-        self.fields = fields
+    def __init__(self, values: np.ndarray, idx: np.ndarray, wts: np.ndarray):
+        self.values = values
         self.idx = idx
         self.wts = wts
         self.gather = np.empty(idx.shape)
@@ -95,7 +98,7 @@ class _SnapshotsAtPoints:
             self.slots.reverse()
             if k != self.held[1]:
                 self.held[1] = k
-                flat = self.fields[k].reshape(-1)
+                flat = self.values[k].reshape(-1)
                 for c in range(2):
                     # one flat take per component: far cheaper than a row gather
                     np.take(flat[c:], self.idx, out=self.gather, mode="clip")
@@ -126,35 +129,31 @@ class _FieldAtPoints:
         """An evaluator at the same points sharing the point map, with
         snapshot slots and buffers of its own."""
         s = self.snapshots
-        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.fields, s.idx, s.wts))
+        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.values, s.idx, s.wts))
 
 
-class FieldDeformation:
-    """Deformation backed by a solved displacement history.
+class NodeMap:
+    """Where a field on ``grid`` is read at each lattice node.
 
-    Nodes outside the solver domain (exterior and ghost) take the
-    boundary displacement at their closest boundary point, interpolated
-    in arc length between boundary nodes: the clamped continuous
-    extension. It is kept as a node map (two source nodes and two
-    weights per lattice node) and applied only where points read it.
-    ``bind`` maps the node map to a point set; its evaluator maps each
-    snapshot to the points when a call first needs it.
+    ``stored`` lists the stored nodes (`grid.stored_nodes`), whose values
+    a field in stored-node form holds, one row each. Lattice node n reads
+    rows ``src[n]`` with weights ``wts[n]``: its own row with weights
+    (1, 0) inside the domain and on its boundary; outside it (exterior
+    and ghost nodes) the rows of the two boundary nodes around its
+    closest boundary point, interpolated in arc length: the clamped
+    continuous extension.
     """
 
-    def __init__(self, history: DisplacementHistory):
-        grid = history.grid
+    def __init__(self, grid: Grid2D):
         s_b = boundary_arclengths(grid)  # requires an elliptic solver domain
-        self.grid = grid
-        self.times = np.asarray(history.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ConfigError("snapshot times must be strictly ascending")
-        self.fields = np.asarray(history.fields, dtype=float)
-
-        nodes = grid.nx * grid.ny
-        self.src = np.repeat(np.arange(nodes)[:, None], 2, axis=1)
-        self.src_wts = np.zeros((nodes, 2))
-        self.src_wts[:, 0] = 1.0
         kind = grid.kind.ravel()
+        self.grid = grid
+        self.stored = stored_nodes(kind)
+        row = np.zeros(kind.size, dtype=np.intp)  # the row of each stored node
+        row[self.stored] = np.arange(len(self.stored))
+        self.src = np.repeat(row[:, None], 2, axis=1)
+        self.wts = np.zeros((kind.size, 2))
+        self.wts[:, 0] = 1.0
         outside = np.nonzero((kind == int(NodeKind.EXTERIOR)) | (kind == int(NodeKind.GHOST)))[0]
         if len(outside):
             # outside nodes keep their nominal lattice positions
@@ -162,16 +161,45 @@ class FieldDeformation:
             closest = domain.closest_boundary_points(grid.pos.reshape(-1, 2)[outside])
             s_out = domain.arclength_of_angle(domain.param_angle(closest))
             lo, hi, w = arclength_weights(s_b, s_out, domain.perimeter())
-            b_flat = grid.boundary_ij[:, 0] * grid.ny + grid.boundary_ij[:, 1]
-            self.src[outside] = np.stack([b_flat[lo], b_flat[hi]], axis=1)
-            self.src_wts[outside] = np.stack([1.0 - w, w], axis=1)
+            b_row = row[grid.boundary_ij[:, 0] * grid.ny + grid.boundary_ij[:, 1]]
+            self.src[outside] = np.stack([b_row[lo], b_row[hi]], axis=1)
+            self.wts[outside] = np.stack([1.0 - w, w], axis=1)
+
+
+class FieldDeformation:
+    """Deformation backed by a solved displacement history.
+
+    ``history.fields`` is either (K, nx, ny, 2) on the lattice or the
+    (K, n_stored, 2) values of the stored nodes, as
+    `formats.read_field_nodes` returns them; the provider keeps the
+    stored-node values, taking the latter without a copy. Nodes outside
+    the solver domain (exterior and ghost) take the boundary
+    displacement at their closest boundary point through ``node_map``,
+    which must be built for ``history.grid`` (built here when omitted).
+    ``bind`` maps the node map to a point set; its evaluator maps each
+    snapshot to the points when a call first needs it.
+    """
+
+    def __init__(self, history: DisplacementHistory, node_map: NodeMap | None = None):
+        self.grid = history.grid
+        self.times = np.asarray(history.times, dtype=float)
+        if np.any(np.diff(self.times) <= 0):
+            raise ConfigError("snapshot times must be strictly ascending")
+        self.node_map = NodeMap(self.grid) if node_map is None else node_map
+        if self.node_map.grid is not self.grid:
+            raise ConfigError("the node map was built for another grid")
+        values = np.asarray(history.fields, dtype=float)
+        if values.ndim == 4:
+            values = np.take(values.reshape(len(values), -1, 2), self.node_map.stored, axis=1)
+        self.values = values
 
     def bind(self, points: np.ndarray) -> _FieldAtPoints:
         """t -> x + u(t, x) at ``points`` (..., 2), t clamped to the snapshot
-        range. Per-point source weights and flat field indices of the
-        first component, (P, 8): the four bilinear cell corners, clamped at
-        the lattice edges, each read through the node map. The evaluator
-        reads ``points`` when called: bind again after changing them."""
+        range. Per-point source weights and flat indices of the first
+        component into a snapshot's stored-node values, (P, 8): the four
+        bilinear cell corners, clamped at the lattice edges, each read
+        through the node map. The evaluator reads ``points`` when called:
+        bind again after changing them."""
         points = np.asarray(points, dtype=float)
         xc, yc = self.grid.x_coords, self.grid.y_coords
         pts = points.reshape(-1, 2)
@@ -183,9 +211,10 @@ class FieldDeformation:
         node = ix * self.grid.ny + iy
         corners = np.stack([node, node + 1, node + self.grid.ny, node + self.grid.ny + 1], axis=1)
         corner_wts = np.stack([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1)
-        idx = 2 * self.src[corners].reshape(len(pts), 8)
-        wts = (corner_wts[:, :, None] * self.src_wts[corners]).reshape(len(pts), 8)
-        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(self.fields, idx, wts))
+        src, src_wts = self.node_map.src, self.node_map.wts
+        idx = 2 * src[corners].reshape(len(pts), 8)
+        wts = (corner_wts[:, :, None] * src_wts[corners]).reshape(len(pts), 8)
+        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(self.values, idx, wts))
 
     def eval(self, t: float, points) -> np.ndarray:
         """x + u(t, x) at ``points``; t clamped to the snapshot range.

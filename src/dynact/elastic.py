@@ -121,7 +121,7 @@ class DisplacementHistory:
     """
 
     times: np.ndarray  # (K,)
-    fields: np.ndarray  # (K, nx, ny, 2)
+    fields: np.ndarray  # (K, nx, ny, 2), or (K, n_stored, 2) for a FieldDeformation
     grid: Grid2D
     dt: float
     num_steps: int

@@ -4,9 +4,28 @@ All payloads are little-endian IEEE float64 (classification is raw
 bytes); headers are single ASCII lines with shortest round-trip float
 formatting, so identical data always produces identical bytes.
 
-  DYNACT-SINO v1  <num_angles> <num_detectors> <angle_start> <angle_end> <det_min> <det_max>
-  DYNACT-FIELD v1 <nx> <ny> <num_snapshots>
+  DYNACT-SINO v2  <num_angles> <num_detectors> <angle_start> <angle_end> <det_min> <det_max> <time_offset> <time_scale>
+  DYNACT-FIELD v2 <nx> <ny> <num_snapshots> <n_stored>
   DYNACT-IMG v1   <nx> <ny> <xmin> <xmax> <ymin> <ymax>
+
+A sinogram's payload is its (num_angles, num_detectors) values; its
+header carries the view-to-time map, so a stage can tell a sinogram
+simulated under another one. A field's payload is x (nx), y (ny), the
+node classification (nx * ny bytes), the K snapshot times and then one
+(K, n_stored, 2) block: the displacement of every stored node
+(interior, boundary and ghost, `grid.stored_nodes`) in flat lattice
+order. Exterior nodes are not stored; the solver sets them to zero, and
+``read_field`` returns them as zero. An image's payload is its (nx, ny)
+values.
+
+Version 1 files are still read. A ``DYNACT-SINO v1`` header has no time
+map, so the caller supplies one. A ``DYNACT-FIELD v1 <nx> <ny> <K>``
+payload stores every lattice node: x, y and the classification as in v2,
+then K records of (t, x components (nx, ny), y components (nx, ny)).
+
+Every reader checks the payload size against the header before reading
+(MismatchError) and reads the payload straight into the arrays it
+returns.
 """
 
 from __future__ import annotations
@@ -17,6 +36,7 @@ import numpy as np
 
 from .elastic import DisplacementHistory
 from .errors import MismatchError, MissingInputError
+from .grid import stored_nodes
 from .projection import ScanGeometry, Sinogram
 from .reconstruct import Image, ImageSpec
 
@@ -27,44 +47,66 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_header(path: str, magic: str, n_fields: int) -> tuple[list[str], bytes]:
+def _open(path: str, headers: dict[str, int]):
+    """(header fields, file positioned after the header line); ``headers``
+    maps each accepted magic to its field count, which tells the versions
+    of a format apart."""
     try:
         f = open(path, "rb")
     except OSError as exc:
         raise MissingInputError(f"cannot open {path}: {exc}") from exc
-    with f:
-        line = f.readline()
-        rest = f.read()
     try:
-        text = line.decode("ascii").rstrip("\n")
+        parts = f.readline().decode("ascii").rstrip("\n").split(" ")
     except UnicodeDecodeError as exc:
+        f.close()
         raise MissingInputError(f"{path}: corrupt header") from exc
-    parts = text.split(" ")
-    if parts[:2] != magic.split(" ") or len(parts) != 2 + n_fields:
-        raise MissingInputError(f"{path}: expected '{magic}' header with {n_fields} fields")
-    return parts[2:], rest
+    magic = " ".join(parts[:2])
+    if headers.get(magic) != len(parts) - 2:
+        f.close()
+        accepted = " or ".join(f"'{m}' with {n} fields" for m, n in headers.items())
+        raise MissingInputError(f"{path}: expected a {accepted} header")
+    return parts[2:], f
+
+
+def _check_payload(f, expected: int) -> None:
+    """MismatchError unless exactly ``expected`` bytes follow the header."""
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size != expected:
+        raise MismatchError(f"{f.name}: payload is {size} bytes, expected {expected}")
+
+
+def _fill(f, out: np.ndarray) -> np.ndarray:
+    """Read the next ``out.nbytes`` bytes of ``f`` into ``out``."""
+    if f.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise MismatchError(f"{f.name}: payload ends early")
+    return out
 
 
 def write_sinogram(path: str, sino: Sinogram) -> None:
     g = sino.geometry
     header = (
-        f"DYNACT-SINO v1 {g.num_angles} {g.num_detectors} "
-        f"{_fmt(g.angle_start)} {_fmt(g.angle_end)} {_fmt(g.detector_min)} {_fmt(g.detector_max)}\n"
+        f"DYNACT-SINO v2 {g.num_angles} {g.num_detectors} "
+        f"{_fmt(g.angle_start)} {_fmt(g.angle_end)} {_fmt(g.detector_min)} {_fmt(g.detector_max)} "
+        f"{_fmt(g.time_offset)} {_fmt(g.time_scale)}\n"
     )
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(np.ascontiguousarray(sino.values, dtype=_F8).tobytes())
 
 
-def read_sinogram(path: str, *, time_offset: float, time_scale: float) -> Sinogram:
-    """Load a sinogram; the time map is not part of the file and must be
-    supplied."""
-    fields, payload = _read_header(path, "DYNACT-SINO v1", 6)
-    num_angles, num_detectors = int(fields[0]), int(fields[1])
-    angle_start, angle_end, det_min, det_max = (float(v) for v in fields[2:])
-    expected = num_angles * num_detectors * 8
-    if len(payload) != expected:
-        raise MismatchError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+def read_sinogram(path: str, *, time_offset: float | None = None, time_scale: float | None = None) -> Sinogram:
+    """Load a sinogram. A v2 file carries its time map; ``time_offset``
+    and ``time_scale`` are the time map of a v1 file, which has none."""
+    hdr, f = _open(path, {"DYNACT-SINO v2": 8, "DYNACT-SINO v1": 6})
+    with f:
+        num_angles, num_detectors = int(hdr[0]), int(hdr[1])
+        angle_start, angle_end, det_min, det_max, *time_map = (float(v) for v in hdr[2:])
+        if not time_map:
+            if time_offset is None or time_scale is None:
+                raise MismatchError(f"{path}: a v1 sinogram has no time map; pass time_offset and time_scale")
+            time_map = [time_offset, time_scale]
+        _check_payload(f, num_angles * num_detectors * 8)
+        values = _fill(f, np.empty((num_angles, num_detectors), _F8))
     geometry = ScanGeometry(
         num_angles=num_angles,
         angle_start=angle_start,
@@ -72,46 +114,68 @@ def read_sinogram(path: str, *, time_offset: float, time_scale: float) -> Sinogr
         num_detectors=num_detectors,
         detector_min=det_min,
         detector_max=det_max,
-        time_offset=time_offset,
-        time_scale=time_scale,
+        time_offset=time_map[0],
+        time_scale=time_map[1],
     )
-    values = np.frombuffer(payload, dtype=_F8).reshape(num_angles, num_detectors).copy()
     return Sinogram(geometry, values)
 
 
 def write_field(path: str, history: DisplacementHistory) -> None:
+    """The v2 file of ``history``, written one snapshot at a time; the
+    values of exterior nodes are not stored."""
     grid = history.grid
     nx, ny = grid.shape
+    stored = stored_nodes(grid.kind)
     k = len(history.times)
     with open(path, "wb") as f:
-        f.write(f"DYNACT-FIELD v1 {nx} {ny} {k}\n".encode("ascii"))
+        f.write(f"DYNACT-FIELD v2 {nx} {ny} {k} {len(stored)}\n".encode("ascii"))
         f.write(np.ascontiguousarray(grid.x_coords, dtype=_F8).tobytes())
         f.write(np.ascontiguousarray(grid.y_coords, dtype=_F8).tobytes())
         f.write(np.ascontiguousarray(grid.kind, dtype=np.uint8).tobytes())
-        for i in range(k):
-            f.write(np.asarray(history.times[i], dtype=_F8).tobytes())
-            f.write(np.ascontiguousarray(history.fields[i, :, :, 0], dtype=_F8).tobytes())
-            f.write(np.ascontiguousarray(history.fields[i, :, :, 1], dtype=_F8).tobytes())
+        f.write(np.asarray(history.times, dtype=_F8).tobytes())
+        for u in history.fields:
+            # np.take: a fraction of the time of the equivalent u[stored]
+            f.write(np.take(np.asarray(u, dtype=_F8).reshape(-1, 2), stored, axis=0))
+
+
+def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (x_coords, y_coords, kind, times, values[K, n_stored, 2]):
+    the values of the stored nodes, ``grid.stored_nodes(kind)``, of a v2
+    or v1 file."""
+    hdr, f = _open(path, {"DYNACT-FIELD v2": 4, "DYNACT-FIELD v1": 3})
+    with f:
+        nx, ny, k = (int(v) for v in hdr[:3])
+        per_snapshot = 16 * (int(hdr[3]) if len(hdr) == 4 else nx * ny)
+        _check_payload(f, (nx + ny) * 8 + nx * ny + k * (8 + per_snapshot))
+        x = _fill(f, np.empty(nx, _F8))
+        y = _fill(f, np.empty(ny, _F8))
+        kind = _fill(f, np.empty((nx, ny), np.uint8))
+        stored = stored_nodes(kind)
+        times = np.empty(k, _F8)
+        values = np.empty((k, len(stored), 2), _F8)
+        if len(hdr) == 4:
+            if len(stored) != int(hdr[3]):
+                raise MismatchError(f"{path}: header stores {hdr[3]} nodes, the classification {len(stored)}")
+            _fill(f, times)
+            _fill(f, values)
+        else:
+            # one record per snapshot: its time, then the x and y components
+            # of every lattice node
+            snapshot = np.empty((2, nx * ny), _F8)
+            for i in range(k):
+                _fill(f, times[i : i + 1])
+                values[i] = np.take(_fill(f, snapshot), stored, axis=1).T
+    return x, y, kind, times, values
 
 
 def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (x_coords, y_coords, kind, times, fields[K, nx, ny, 2])."""
-    fields_hdr, payload = _read_header(path, "DYNACT-FIELD v1", 3)
-    nx, ny, k = (int(v) for v in fields_hdr)
-    expected = (nx + ny) * 8 + nx * ny + k * (8 + 2 * nx * ny * 8)
-    if len(payload) != expected:
-        raise MismatchError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    off = 0
-    x = np.frombuffer(payload, dtype=_F8, count=nx, offset=off).copy()
-    off += nx * 8
-    y = np.frombuffer(payload, dtype=_F8, count=ny, offset=off).copy()
-    off += ny * 8
-    kind = np.frombuffer(payload, dtype=np.uint8, count=nx * ny, offset=off).reshape(nx, ny).copy()
-    off += nx * ny
-    # one record per snapshot: its time, then the x and y components
-    record = np.dtype([("t", _F8), ("u", _F8, (2, nx, ny))])
-    snapshots = np.frombuffer(payload, dtype=record, count=k, offset=off)
-    return x, y, kind, snapshots["t"].copy(), np.moveaxis(snapshots["u"], 1, -1).copy()
+    """Returns (x_coords, y_coords, kind, times, fields[K, nx, ny, 2]): the
+    stored values of ``read_field_nodes`` on the whole lattice, with 0 at
+    the exterior nodes."""
+    x, y, kind, times, values = read_field_nodes(path)
+    fields = np.zeros((len(times), kind.size, 2))
+    fields[:, stored_nodes(kind)] = values
+    return x, y, kind, times, fields.reshape(len(times), *kind.shape, 2)
 
 
 def write_image(path: str, img: Image) -> None:
@@ -123,15 +187,14 @@ def write_image(path: str, img: Image) -> None:
 
 
 def read_image(path: str) -> Image:
-    fields, payload = _read_header(path, "DYNACT-IMG v1", 6)
-    nx, ny = int(fields[0]), int(fields[1])
-    extent = tuple(float(v) for v in fields[2:])
-    if extent != (-1.0, 1.0, -1.0, 1.0):
-        raise MismatchError(f"{path}: unsupported image extent {extent}")
-    expected = nx * ny * 8
-    if len(payload) != expected:
-        raise MismatchError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype=_F8).reshape(nx, ny).copy()
+    hdr, f = _open(path, {"DYNACT-IMG v1": 6})
+    with f:
+        nx, ny = int(hdr[0]), int(hdr[1])
+        extent = tuple(float(v) for v in hdr[2:])
+        if extent != (-1.0, 1.0, -1.0, 1.0):
+            raise MismatchError(f"{path}: unsupported image extent {extent}")
+        _check_payload(f, nx * ny * 8)
+        values = _fill(f, np.empty((nx, ny), _F8))
     return Image(ImageSpec(nx=nx, ny=ny), values)
 
 

@@ -207,6 +207,12 @@ def make_grid(x_coords: np.ndarray, y_coords: np.ndarray, domain) -> Grid2D:
     return grid
 
 
+def stored_nodes(kind: np.ndarray) -> np.ndarray:
+    """Flat lattice indices of the nodes a field artifact stores, all but
+    the exterior ones, ascending."""
+    return np.flatnonzero(np.asarray(kind).ravel() != int(NodeKind.EXTERIOR))
+
+
 def fill_ghost(grid: Grid2D, field: np.ndarray) -> np.ndarray:
     """Fill ghost entries of an (nx, ny, 2) field by collinear extrapolation.
 

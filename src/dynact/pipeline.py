@@ -17,7 +17,7 @@ import numpy as np
 from . import formats
 from .boundary import BoundaryData, perturb, sample_boundary, sparsify
 from .config import PipelineConfig
-from .deformation import AnalyticDeformation, FieldDeformation
+from .deformation import AnalyticDeformation, FieldDeformation, NodeMap
 from .elastic import DisplacementHistory, MaterialParams, QuasiStaticSolver
 from .errors import ConfigError, MismatchError
 from .grid import Grid2D, make_grid
@@ -111,20 +111,29 @@ def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None
 
 
 def _load_sinogram_checked(cfg: PipelineConfig):
+    """The stage's sinogram; MismatchError when its geometry or time map
+    (a v1 file has none and takes the config's) disagrees with the config."""
     path = formats.require_file(_out(cfg, "sinogram.sino"))
     sino = formats.read_sinogram(path, time_offset=cfg.scan.time_offset, time_scale=cfg.scan.time_scale)
     if sino.geometry != cfg.scan:
-        raise MismatchError("sinogram.sino geometry header disagrees with the config scan")
+        raise MismatchError("sinogram.sino geometry or time map disagrees with the config scan")
     return sino
 
 
-def load_field_provider(cfg: PipelineConfig, path: str) -> FieldDeformation:
-    x, y, kind, times, fields = formats.read_field(formats.require_file(path))
-    grid = make_grid(x, y, cfg.phantom.require_labeled("body"))
-    if not np.array_equal(grid.kind, kind):
+def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None = None) -> FieldDeformation:
+    """The provider of a field file, in stored-node form. ``node_map`` is
+    the one of ``solver_grid(cfg)`` (built when omitted); a file solved on
+    another lattice or domain is a MismatchError."""
+    if node_map is None:
+        node_map = NodeMap(solver_grid(cfg))
+    grid = node_map.grid
+    x, y, kind, times, values = formats.read_field_nodes(formats.require_file(path))
+    if not (np.array_equal(x, grid.x_coords) and np.array_equal(y, grid.y_coords)):
+        raise MismatchError(f"{path}: lattice {len(x)}x{len(y)} does not match the config's solver grid")
+    if not np.array_equal(kind, grid.kind):
         raise MismatchError(f"{path}: stored node classification does not match the config domain")
-    history = DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0)
-    return FieldDeformation(history)
+    history = DisplacementHistory(times=times, fields=values, grid=grid, dt=0.0, num_steps=0)
+    return FieldDeformation(history, node_map)
 
 
 def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
@@ -140,10 +149,14 @@ def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
     filtered = recon.filter_sinogram(sino, cfg.filter)
     emit("recon_static", recon.backproject_static(filtered, sino.geometry, cfg.image))
     emit("recon_exact_motion", recon.backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image))
+    node_map = None  # one grid and node map for all fields, built for the first
     for mode in PDE_MODES:
         path = _out(cfg, f"field_{mode}.field")
         if os.path.isfile(path):
-            emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, load_field_provider(cfg, path), cfg.image))
+            node_map = node_map or NodeMap(solver_grid(cfg))
+            provider = load_field_provider(cfg, path, node_map)
+            emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, provider, cfg.image))
+            del provider  # its values go before the next field is read
     return written
 
 

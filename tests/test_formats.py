@@ -6,6 +6,7 @@ import pytest
 from dynact import formats
 from dynact.elastic import DisplacementHistory
 from dynact.errors import MismatchError, MissingInputError
+from dynact.grid import NodeKind, stored_nodes
 from dynact.motion import identity_motion
 from dynact.phantom import Ellipse, PhantomSpec
 from dynact.projection import ScanGeometry, simulate_scan
@@ -28,6 +29,26 @@ class TestSinogramFormat:
         assert (g0.num_angles, g0.num_detectors) == (g1.num_angles, g1.num_detectors)
         assert (g0.angle_start, g0.angle_end) == (g1.angle_start, g1.angle_end)
 
+    def test_time_map_is_stored(self, tmp_path):
+        spec = PhantomSpec([Ellipse(center=(0.1, 0), semi_axes=(0.4, 0.3), density=1.0)])
+        geometry = ScanGeometry(num_angles=12, num_detectors=31, time_offset=0.3, time_scale=1.0 / 3.0)
+        sino = simulate_scan(spec, identity_motion(), geometry)
+        p = str(tmp_path / "a.sino")
+        formats.write_sinogram(p, sino)
+        assert formats.read_sinogram(p).geometry == geometry
+        # the caller's time map is only for v1 files
+        assert formats.read_sinogram(p, time_offset=0.0, time_scale=1.0).geometry == geometry
+
+    def test_v1_takes_the_callers_time_map(self, tmp_path, sino_small):
+        p = str(tmp_path / "a.sino")
+        header = b"DYNACT-SINO v1 12 31 0.0 3.141592653589793 -1.0 1.0\n"
+        Path(p).write_bytes(header + sino_small.values.astype("<f8").tobytes())
+        back = formats.read_sinogram(p, time_offset=0.0, time_scale=sino_small.geometry.time_scale)
+        assert back.geometry == sino_small.geometry
+        assert np.array_equal(back.values, sino_small.values)
+        with pytest.raises(MismatchError, match="time map"):
+            formats.read_sinogram(p)
+
     def test_bitwise_stable(self, tmp_path, sino_small):
         p1, p2 = str(tmp_path / "a.sino"), str(tmp_path / "b.sino")
         formats.write_sinogram(p1, sino_small)
@@ -39,7 +60,8 @@ class TestSinogramFormat:
         formats.write_sinogram(p, sino_small)
         with open(p, "rb") as f:
             first = f.readline().decode("ascii")
-        assert first.startswith("DYNACT-SINO v1 12 31 ")
+        assert first.startswith("DYNACT-SINO v2 12 31 ")
+        assert len(first.split(" ")) == 10  # magic, version and 8 fields
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
@@ -52,6 +74,13 @@ class TestSinogramFormat:
         with pytest.raises(MismatchError):
             formats.read_sinogram(p, time_offset=0.0, time_scale=1.0)
 
+    def test_long_payload(self, tmp_path, sino_small):
+        p = str(tmp_path / "a.sino")
+        formats.write_sinogram(p, sino_small)
+        Path(p).write_bytes(Path(p).read_bytes() + bytes(8))
+        with pytest.raises(MismatchError):
+            formats.read_sinogram(p)
+
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "bad.sino")
         Path(p).write_bytes(b"NOPE v9 1 2 3\n")
@@ -60,20 +89,75 @@ class TestSinogramFormat:
 
 
 class TestFieldFormat:
-    def test_roundtrip(self, tmp_path, ellipse_grid_65):
-        g = ellipse_grid_65
+    @staticmethod
+    def history(grid):
         times = np.array([0.0, 1.5, 3.0])
-        rng = np.random.default_rng(1)
-        fields = rng.uniform(-1, 1, (3,) + g.shape + (2,))
-        hist = DisplacementHistory(times=times, fields=fields, grid=g, dt=0.1, num_steps=30)
+        fields = np.random.default_rng(1).uniform(-1, 1, (3,) + grid.shape + (2,))
+        return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.1, num_steps=30)
+
+    def test_roundtrip(self, tmp_path, ellipse_grid_65):
+        # v2 stores no exterior values: the stored nodes (interior, boundary
+        # and ghost) come back bit-exactly, the exterior ones as 0
+        g = ellipse_grid_65
+        hist = self.history(g)
         p = str(tmp_path / "f.field")
         formats.write_field(p, hist)
         x, y, kind, t_back, f_back = formats.read_field(p)
         assert np.array_equal(x, g.x_coords)
         assert np.array_equal(y, g.y_coords)
         assert np.array_equal(kind, g.kind)
-        assert np.array_equal(t_back, times)
-        assert np.array_equal(f_back, fields)
+        assert np.array_equal(t_back, hist.times)
+        exterior = g.kind == int(NodeKind.EXTERIOR)
+        assert np.array_equal(f_back[:, ~exterior], hist.fields[:, ~exterior])
+        assert np.all(f_back[:, exterior] == 0.0)
+        values = formats.read_field_nodes(p)[4]
+        assert np.array_equal(values, hist.fields.reshape(3, -1, 2)[:, stored_nodes(g.kind)])
+
+    def test_stores_only_the_non_exterior_nodes(self, tmp_path, ellipse_grid_65):
+        g = ellipse_grid_65
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, self.history(g))
+        n_stored = int(np.count_nonzero(g.kind != int(NodeKind.EXTERIOR)))
+        header = f"DYNACT-FIELD v2 65 65 3 {n_stored}\n".encode("ascii")
+        raw = Path(p).read_bytes()
+        assert raw.startswith(header)
+        assert len(raw) == len(header) + (65 + 65) * 8 + 65 * 65 + 3 * 8 + 3 * n_stored * 2 * 8
+
+    def test_v1_reads_as_its_v2_rewrite(self, tmp_path, ellipse_grid_65, write_field_v1):
+        # a v1 file stores every lattice node; its exterior values read as 0
+        g = ellipse_grid_65
+        hist = self.history(g)
+        v1, v2 = str(tmp_path / "v1.field"), str(tmp_path / "v2.field")
+        write_field_v1(v1, g.x_coords, g.y_coords, g.kind, hist.times, hist.fields)
+        formats.write_field(v2, hist)
+        for a, b in zip(formats.read_field(v1), formats.read_field(v2)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_wrong_payload_size(self, tmp_path, ellipse_grid_65, write_field_v1, version):
+        g = ellipse_grid_65
+        hist = self.history(g)
+        p = str(tmp_path / "f.field")
+        if version == 1:
+            write_field_v1(p, g.x_coords, g.y_coords, g.kind, hist.times, hist.fields)
+        else:
+            formats.write_field(p, hist)
+        raw = Path(p).read_bytes()
+        for bad in (raw[:-8], raw + bytes(1)):
+            Path(p).write_bytes(bad)
+            with pytest.raises(MismatchError):
+                formats.read_field(p)
+
+    def test_stored_count_must_match_the_classification(self, tmp_path, ellipse_grid_65):
+        g = ellipse_grid_65
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, self.history(g))
+        # one more stored node in the header, and its payload
+        line, rest = Path(p).read_bytes().split(b"\n", 1)
+        *head, n = line.split(b" ")
+        Path(p).write_bytes(b" ".join(head + [b"%d" % (int(n) + 1)]) + b"\n" + rest + bytes(3 * 16))
+        with pytest.raises(MismatchError, match="classification"):
+            formats.read_field_nodes(p)
 
 
 class TestImageFormat:
@@ -85,6 +169,14 @@ class TestImageFormat:
         back = formats.read_image(p)
         assert np.array_equal(back.values, img.values)
         assert (back.spec.nx, back.spec.ny) == (17, 23)
+
+    def test_truncated_payload(self, tmp_path):
+        img = Image(ImageSpec(5, 4), np.ones((5, 4)))
+        p = str(tmp_path / "i.img")
+        formats.write_image(p, img)
+        Path(p).write_bytes(Path(p).read_bytes()[:-1])
+        with pytest.raises(MismatchError):
+            formats.read_image(p)
 
     def test_pgm_window_comment(self, tmp_path):
         img = Image(ImageSpec(9, 9), np.linspace(0, 1, 81).reshape(9, 9))

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynact import elastic, formats
+from dynact import deformation, elastic, formats, pipeline
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
-from dynact.errors import ConfigError, MissingInputError
+from dynact.errors import ConfigError, MismatchError, MissingInputError
 from dynact.pipeline import (
     PDE_MODES,
     run,
@@ -92,6 +92,53 @@ def test_one_solver_for_all_modes(tmp_path, monkeypatch):
         assert np.array_equal(formats.read_field(str(tmp_path / f"field_{mode}.field"))[4], fields)
 
 
+def test_reconstruct_builds_one_grid_and_node_map(tmp_path, monkeypatch):
+    # the three field files are read against one solver grid and one
+    # exterior node map, which depend only on the config
+    cfg = tiny_config(str(tmp_path))
+    stage_simulate(cfg)
+    stage_solve_motion(cfg, modes=PDE_MODES)
+    grids, maps, providers = [], [], []
+    make_grid = pipeline.make_grid
+    monkeypatch.setattr(pipeline, "make_grid", lambda *a: grids.append(1) or make_grid(*a))
+    for cls, calls in ((deformation.NodeMap, maps), (deformation.FieldDeformation, providers)):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, calls=calls: calls.append(1) or init(self, *a))
+    written = stage_reconstruct(cfg)
+    assert {f"recon_pde_{mode}.img" for mode in PDE_MODES} <= set(written)
+    assert (len(grids), len(maps), len(providers)) == (1, 1, 3)
+
+
+def test_field_on_shifted_lattice_is_mismatch(tmp_path):
+    # same node count and classification, other coordinates
+    cfg = tiny_config(str(tmp_path))
+    grid = solver_grid(cfg)
+    shifted = replace(grid, x_coords=grid.x_coords + 1e-9)
+    fields = np.zeros((2,) + grid.shape + (2,))
+    history = elastic.DisplacementHistory(times=np.array([0.0, 1.0]), fields=fields, grid=shifted, dt=0.0, num_steps=0)
+    path = str(tmp_path / "field_exact.field")
+    formats.write_field(path, history)
+    with pytest.raises(MismatchError, match="lattice"):
+        pipeline.load_field_provider(cfg, path)
+
+
+def test_v1_field_reconstructs_as_its_v2_rewrite(tmp_path, write_field_v1):
+    # a v1 field file, holding values at the exterior nodes too, gives the
+    # same image bytes as the v2 file of the same field
+    cfg = tiny_config(str(tmp_path))
+    stage_simulate(cfg)
+    stage_solve_motion(cfg, modes=("exact",))
+    path = str(tmp_path / "field_exact.field")
+    x, y, kind, times, fields = formats.read_field(path)
+    image = tmp_path / "recon_pde_exact.img"
+    stage_reconstruct(cfg)
+    v2_bytes = image.read_bytes()
+    fields[:, kind == 0] = np.random.default_rng(5).uniform(-1, 1, fields[:, kind == 0].shape)
+    write_field_v1(path, x, y, kind, times, fields)
+    stage_reconstruct(cfg)
+    assert image.read_bytes() == v2_bytes
+
+
 @pytest.mark.slow
 class TestStages:
     def test_full_pipeline(self, tmp_path):
@@ -138,8 +185,6 @@ class TestStages:
         cfg = tiny_config(str(tmp_path / "out"))
         stage_simulate(cfg)
         cfg.scan.num_detectors = 51  # disagree with the stored header
-        from dynact.errors import MismatchError
-
         with pytest.raises(MismatchError):
             stage_reconstruct(cfg)
 
@@ -189,6 +234,36 @@ class TestCli:
         cfg_path = str(tmp_path / "cfg.json")
         dump_config(cfg, cfg_path)
         assert cli_main(["reconstruct", "--config", cfg_path]) == 3
+
+    @staticmethod
+    def simulated(tmp_path, modes=()):
+        """A tiny config and its path, with the sinogram and the fields of
+        ``modes`` written."""
+        cfg = tiny_config(str(tmp_path / "out"))
+        cfg_path = str(tmp_path / "cfg.json")
+        dump_config(cfg, cfg_path)
+        stage_simulate(cfg)
+        if modes:
+            stage_solve_motion(cfg, modes=modes)
+        return cfg, cfg_path
+
+    def test_sinogram_time_map_mismatch_is_artifact_mismatch(self, tmp_path):
+        cfg, cfg_path = self.simulated(tmp_path)
+        cfg.scan.time_scale *= 1.5
+        dump_config(cfg, cfg_path)
+        assert cli_main(["reconstruct", "--config", cfg_path]) == 5
+
+    def test_field_from_another_lattice_is_artifact_mismatch(self, tmp_path):
+        cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
+        cfg.solver.grid_nx = cfg.solver.grid_ny = 41  # the field was solved on 33^2
+        dump_config(cfg, cfg_path)
+        assert cli_main(["reconstruct", "--config", cfg_path]) == 5
+
+    def test_truncated_field_is_artifact_mismatch(self, tmp_path):
+        cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
+        field = Path(cfg.output_dir, "field_exact.field")
+        field.write_bytes(field.read_bytes()[:-8])
+        assert cli_main(["reconstruct", "--config", cfg_path]) == 5
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "ignored"))
