@@ -36,18 +36,18 @@ Two solvers:
   cancels. For the breathing motion the inertia term is about
   (omega L / c)^2 ~ 6e-4 of the elastic one, and the equilibrium does
   not carry boundary noise into the interior as undamped waves.
-  The equilibrium is linear in the boundary values, so the solve runs
-  in three passes: a pivoted Gram-Schmidt basis of the snapshot
-  boundary vectors psi(t_k) (rank 2 for exact and sparse data), one
-  GMRES solve per basis direction, and per snapshot the combination of
-  the direction solutions, checked against the snapshot's own
-  right-hand side and corrected by GMRES where it misses the tolerance.
-  GMRES is preconditioned by an exact inverse of the operator: a
-  periodic FFT solve on a box around the interior, corrected by a
-  capacitance matrix of order m + 2 for the m rows next to the boundary,
-  where the operator is not the box's uniform stencil, and the two
-  per-component constants, on which the periodic operator is singular
-  (``_NavierInverse``). One GMRES iteration then meets the tolerance.
+  The solve is direct: ``_NavierInverse`` is the exact inverse of the
+  operator, a periodic FFT solve on a box around the interior, corrected
+  by a capacitance matrix of order m + 2 for the m rows next to the
+  boundary, where the operator is not the box's uniform stencil, and the
+  two per-component constants, on which the periodic operator is
+  singular. The equilibrium is linear in the boundary values, so the
+  solve runs in three passes: a pivoted Gram-Schmidt basis of the
+  snapshot boundary vectors psi(t_k) (rank 2 for exact and sparse data),
+  one inverse apply per basis direction, and per snapshot the
+  combination of the direction solutions, checked against the
+  snapshot's own right-hand side and refined (x += A^-1 r) where it
+  misses the tolerance.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ from .grid import Grid2D, NodeKind, fill_ghost
 # largest boundary or initial displacement so far counts as diverged
 GROWTH_BOUND = 10.0
 
-# quasi-static solve: GMRES stops at this residual relative to the
-# right-hand side, restarts after RESTART iterations and gives up after
-# MAX_ITERATIONS per solve
+# quasi-static solve: each snapshot must meet this residual relative to
+# its right-hand side; refinement gives up after MAX_ITERATIONS steps per
+# snapshot
 RELATIVE_TOLERANCE = 1e-6
-RESTART = 20
 MAX_ITERATIONS = 1000
 # snapshot boundary data: directions whose remainder is at most this
 # share of the largest snapshot norm are dropped (the exact and sparse
@@ -77,7 +76,7 @@ RANK_TOLERANCE = 1e-12
 # at a time, the adds stream the whole history per direction: 1.2 s of a
 # 1.8 s noisy solve at 81^2)
 BATCH = 16
-# preconditioner: a row of the operator whose weights differ from the
+# _NavierInverse: a row of the operator whose weights differ from the
 # uniform stencil's by more than this share of the centre weight gets a
 # capacitance correction; the capacitance matrix is factored in blocks of
 # LU_BLOCK rows, and its build and factorisation make no temporary of
@@ -472,8 +471,8 @@ def _lu_solve(a: np.ndarray, perm: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _NavierInverse:
-    """Preconditioner: the inverse of A, the NavierOperator with psi = 0,
-    exact up to round-off: a periodic FFT solve with a capacitance-matrix
+    """The inverse of A, the NavierOperator with psi = 0, exact up to
+    round-off: a periodic FFT solve with a capacitance-matrix
     correction (Buzbee, Dorr, George & Golub, SINUM 1971; Proskurowski &
     Widlund, Math. Comp. 1976).
 
@@ -615,61 +614,26 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
-def _gmres(apply_a, residual, precond, x: np.ndarray, target: float, basis: np.ndarray, directions: np.ndarray) -> int:
-    """Right-preconditioned restarted GMRES; updates ``x`` in place.
-
-    Iterates until ``residual(x)`` (b - A x) has norm <= ``target``, with
-    a restart every len(basis) - 1 iterations. ``basis`` is the Krylov
-    workspace and ``directions``, one row shorter, holds the
-    preconditioned basis vectors of the current cycle, so each iteration
-    applies ``precond`` once. Returns the iteration count; raises
-    InstabilityError after MAX_ITERATIONS.
+def _refine(residual, precond, x: np.ndarray, target: float) -> int:
+    """Iterative refinement: ``x += precond(residual(x))`` until
+    ``residual(x)`` (b - A x) has norm <= ``target``; updates ``x`` in
+    place and returns the step count. With the exact inverse as
+    ``precond`` a step removes all but round-off. Raises InstabilityError
+    after MAX_ITERATIONS steps or on a non-finite residual.
     """
-    m = len(basis) - 1
-    iterations = 0
+    steps = 0
     while True:
         r = residual(x)
-        beta = _norm(r)
-        if beta <= target:
-            return iterations
-        if iterations >= MAX_ITERATIONS or not np.isfinite(beta):
+        norm = _norm(r)
+        if norm <= target:
+            return steps
+        if steps >= MAX_ITERATIONS or not np.isfinite(norm):
             raise InstabilityError(
-                f"quasi-static solve did not converge in {iterations} iterations "
-                f"(residual {beta:.3g}, target {target:.3g})"
+                f"quasi-static solve did not converge in {steps} refinement steps "
+                f"(residual {norm:.3g}, target {target:.3g})"
             )
-        basis[0] = r / beta
-        h = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        k = 0
-        while k < m and iterations < MAX_ITERATIONS:
-            directions[k] = precond(basis[k])
-            w = apply_a(directions[k])
-            iterations += 1
-            # classical Gram-Schmidt, applied twice
-            coef = np.einsum("ij,j->i", basis[: k + 1], w)
-            w -= np.einsum("i,ij->j", coef, basis[: k + 1])
-            again = np.einsum("ij,j->i", basis[: k + 1], w)
-            w -= np.einsum("i,ij->j", again, basis[: k + 1])
-            h[: k + 1, k] = coef + again
-            h_next = _norm(w)
-            for i in range(k):
-                h[i, k], h[i + 1, k] = cs[i] * h[i, k] + sn[i] * h[i + 1, k], -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
-            rho = float(np.hypot(h[k, k], h_next))
-            cs[k], sn[k] = h[k, k] / rho, h_next / rho
-            h[k, k] = rho
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-            k += 1
-            if h_next == 0.0 or abs(g[k]) <= target:
-                break
-            basis[k] = w / h_next
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            y[i] = (g[i] - np.einsum("j,j->", h[i, i + 1 : k], y[i + 1 : k])) / h[i, i]
-        x += np.einsum("i,ij->j", y, directions[:k])
+        x += precond(r)
+        steps += 1
 
 
 def _pivoted_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -702,8 +666,8 @@ def _pivoted_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class QuasiStaticSolver:
     """The equilibrium solve L u(t_k) = 0, u = psi(t_k) on the boundary,
     on one grid and material (``params.forcing`` and ``params.rho0`` are
-    not used). The operator, its preconditioner and the GMRES workspaces
-    are built once; ``solve`` takes the boundary data.
+    not used). The operator and its inverse are built once; ``solve``
+    takes the boundary data.
     """
 
     def __init__(self, grid: Grid2D, params: MaterialParams):
@@ -712,8 +676,6 @@ class QuasiStaticSolver:
         self.op = op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
         self.precond = _NavierInverse(op, params.lame_lambda, params.lame_mu)
         self.zero = np.zeros(len(op.cols))
-        self.basis = np.empty((RESTART + 1, len(self.zero)))
-        self.directions = np.empty((RESTART, len(self.zero)))
         # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
         edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
         self.edge_vals, self.edge_cols = op.vals[edge], op.cols[edge]
@@ -723,15 +685,6 @@ class QuasiStaticSolver:
         cut = np.nonzero((np.diff(ii) != 0) | (np.diff(jj) != 1))[0] + 1
         self.runs = [(ii[a], 2 * jj[a], 2 * (jj[a] + b - a), 2 * a, 2 * b) for a, b in zip(np.r_[0, cut], np.r_[cut, len(ii)])]
 
-    def _solve_in_place(self, x: np.ndarray, p: np.ndarray) -> None:
-        # GMRES from x for the interior values x of L(x, p) = 0; the
-        # residual -L(x, p) is one gather
-        op = self.op
-        z = np.concatenate([self.zero, np.transpose(p).ravel()])
-        rhs_norm = _norm(np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols]))
-        target = RELATIVE_TOLERANCE * rhs_norm
-        _gmres(lambda x: op.apply(x, 0.0), lambda x: -op.apply(x, p), self.precond, x, target, self.basis, self.directions)
-
     def solve(self, boundary, output_times) -> DisplacementHistory:
         """u(t_k) at each output time from the boundary data.
 
@@ -739,18 +692,18 @@ class QuasiStaticSolver:
         the interior node values of both components; ghost values follow
         from them and the boundary values.
 
-        The solution is linear in psi, so GMRES runs once per direction
-        of the snapshot boundary data, not once per snapshot:
+        The solution is linear in psi, so the inverse is applied once per
+        direction of the snapshot boundary data, not once per snapshot:
         ``_pivoted_basis`` reduces the K snapshot vectors psi(t_k) to r
         orthonormal directions q_i (r = 2 for exact and sparse data, full
-        rank for noisy data), and L(y_i, q_i) = 0 is solved for each.
-        Each y_i is added to every snapshot, weighted by C[i, k], as soon
-        as its batch of BATCH directions is solved, so no more than BATCH
-        of them are kept. Each snapshot then starts from its combination
-        sum_i C[i, k] y_i and is checked against its own right-hand side:
-        one matvec when the combination meets RELATIVE_TOLERANCE, GMRES
-        iterations when it does not. Raises InstabilityError when GMRES
-        does not converge.
+        rank for noisy data), and y_i = A^-1 (-L(0, q_i)) solves
+        L(y_i, q_i) = 0. Each y_i is added to every snapshot, weighted by
+        C[i, k], as soon as its batch of BATCH directions is solved, so no
+        more than BATCH of them are kept. Each snapshot's combination
+        sum_i C[i, k] y_i is then checked against its own right-hand side:
+        one matvec when it meets RELATIVE_TOLERANCE, refinement steps
+        (``_refine``) when it does not. Raises InstabilityError when
+        refinement does not converge.
         """
         grid, op = self.grid, self.op
         psi = _boundary_evaluator(boundary, grid)
@@ -761,17 +714,18 @@ class QuasiStaticSolver:
         fields = np.zeros((len(times), grid.nx, grid.ny, 2))
         rows = fields.reshape(len(times), grid.nx, -1)
         for i in range(0, len(Q), BATCH):
-            ys = np.zeros((len(Q[i : i + BATCH]), len(self.zero)))
-            for q, y in zip(Q[i : i + BATCH], ys):
-                self._solve_in_place(y, q.reshape(-1, 2))
+            ys = np.stack([self.precond(-op.apply(self.zero, q.reshape(-1, 2))) for q in Q[i : i + BATCH]])
             u = ys.reshape(len(ys), 2, -1).transpose(0, 2, 1).reshape(len(ys), -1)
             for x, j0, j1, a, b in self.runs:
                 rows[:, x, j0:j1] += np.einsum("ik,ij->kj", C[i : i + BATCH], u[:, a:b])
 
         for k, t in enumerate(times):
             p = psi(t)
+            # the right-hand side -L(0, p) is one gather over the edge rows
+            z = np.concatenate([self.zero, np.transpose(p).ravel()])
+            target = RELATIVE_TOLERANCE * _norm(np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols]))
             x = op.interior(fields[k])
-            self._solve_in_place(x, p)
+            _refine(lambda x: -op.apply(x, p), self.precond, x, target)
             fields[k] = op.field(x, p)
 
         return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))

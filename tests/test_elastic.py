@@ -248,18 +248,20 @@ def _thorax(n: int):
     return cfg
 
 
-def _count_gmres(monkeypatch) -> list[int]:
-    """The iteration counts of every later ``elastic._gmres`` call, in call
-    order: the direction solves, then one call per snapshot."""
-    counts = []
-    gmres = elastic._gmres
+def _count_solves(monkeypatch) -> tuple[list[int], list[int]]:
+    """The step counts of every later ``elastic._refine`` call (one per
+    snapshot, in call order), and a list that grows by one per
+    ``_NavierInverse`` apply: one per direction plus one per step."""
+    steps, applies = [], []
+    refine, apply = elastic._refine, elastic._NavierInverse.__call__
 
     def counting(*args):
-        counts.append(gmres(*args))
-        return counts[-1]
+        steps.append(refine(*args))
+        return steps[-1]
 
-    monkeypatch.setattr(elastic, "_gmres", counting)
-    return counts
+    monkeypatch.setattr(elastic, "_refine", counting)
+    monkeypatch.setattr(elastic._NavierInverse, "__call__", lambda self, r: applies.append(1) or apply(self, r))
+    return steps, applies
 
 
 def _relative_residuals(cfg, hist) -> np.ndarray:
@@ -314,9 +316,21 @@ class TestQuasiStatic:
             np.testing.assert_array_equal(runs[0].fields[k][b[:, 0], b[:, 1]], psi(t))
 
     def test_no_convergence_raises(self, ellipse_grid_65, monkeypatch):
-        # the preconditioner is an exact inverse, so GMRES converges in one
-        # iteration; no iteration at all leaves the residual at its start
-        monkeypatch.setattr(elastic, "MAX_ITERATIONS", 0)
+        # an inverse that maps everything to zero leaves the direction
+        # solutions and every refinement step at zero: the residual stalls
+        # at the right-hand side until MAX_ITERATIONS
+        monkeypatch.setattr(elastic._NavierInverse, "__call__", lambda self, r: np.zeros_like(r))
+        g = ellipse_grid_65
+        pos = g.boundary_positions()
+        psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
+        with pytest.raises(InstabilityError, match=f"converge in {elastic.MAX_ITERATIONS} refinement steps"):
+            QuasiStaticSolver(g, unit_params(g)).solve(lambda t: psi, output_times=[1.0])
+
+    def test_diverging_refinement_raises(self, ellipse_grid_65, monkeypatch):
+        # a sign-flipped inverse doubles the error at every refinement step:
+        # the solve raises instead of returning the field
+        apply = elastic._NavierInverse.__call__
+        monkeypatch.setattr(elastic._NavierInverse, "__call__", lambda self, r: -apply(self, r))
         g = ellipse_grid_65
         pos = g.boundary_positions()
         psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
@@ -328,8 +342,8 @@ class TestQuasiStatic:
         """Every snapshot of every mode on the 65^2 thorax grid meets the
         residual tolerance against its own right-hand side. For exact and
         sparse data the snapshot boundary vectors span two directions:
-        GMRES iterates for those two only, and each snapshot's
-        combination passes its check without an iteration.
+        the inverse is applied to those two only, and each snapshot's
+        combination passes its check without a refinement step.
 
         With exact data the interior field is the affine motion
         phi(t, x) - x up to the stencil's own consistency error. That
@@ -337,18 +351,15 @@ class TestQuasiStatic:
         E/W neighbour moved in y, a diagonal one moved in either
         coordinate) make L of an affine field non-zero next to the
         boundary. It measures 3.9e-4 at 65^2 and 2.0e-4 at 129^2 against
-        a boundary amplitude of 0.13, independent of the GMRES tolerance.
+        a boundary amplitude of 0.13, independent of the solver tolerance.
         """
         cfg = _thorax(65)
-        iterations = _count_gmres(monkeypatch)
+        steps, applies = _count_solves(monkeypatch)
         hist = solve_motion(cfg, mode)
         assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
-        # the preconditioner is exact: one iteration per direction, two at
-        # most for round-off
-        assert max(iterations[: len(iterations) - len(hist.times)]) <= 2
+        assert len(steps) == len(hist.times) == 133
         if mode != "noisy":
-            assert len(iterations) == 2 + len(hist.times)
-            assert min(iterations[:2]) > 0 and max(iterations[2:]) == 0
+            assert len(applies) == 2 and max(steps) == 0
         if mode == "exact":
             g = hist.grid
             interior = g.kind == int(NodeKind.INTERIOR)
@@ -377,32 +388,38 @@ class TestQuasiStatic:
             assert np.linalg.norm(op.apply(precond(b), 0.0) - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_one_preconditioner_apply_per_iteration(self, monkeypatch):
-        # GMRES keeps the preconditioned vectors of its cycle for the update
+        # one inverse apply per basis direction and one per refinement step
         cfg = _thorax(33)
-        iterations = _count_gmres(monkeypatch)
-        applies = []
-        apply = elastic._NavierInverse.__call__
-        monkeypatch.setattr(elastic._NavierInverse, "__call__", lambda self, r: applies.append(1) or apply(self, r))
+        steps, applies = _count_solves(monkeypatch)
+        ranks = []
+        basis = elastic._pivoted_basis
+
+        def recording(P):
+            Q, C = basis(P)
+            ranks.append(len(Q))
+            return Q, C
+
+        monkeypatch.setattr(elastic, "_pivoted_basis", recording)
         solve_motion(cfg, "noisy")
-        assert len(applies) == sum(iterations) > 0
+        assert len(applies) == sum(ranks) + sum(steps) > 0
 
     def test_noisy_data_has_full_rank(self, monkeypatch):
         # 133 snapshots of per-sample noise on the 33^2 grid's 60 boundary
         # nodes span all 2 x 60 directions
         cfg = _thorax(33)
-        iterations = _count_gmres(monkeypatch)
+        steps, applies = _count_solves(monkeypatch)
         hist = solve_motion(cfg, "noisy")
-        assert len(iterations) - len(hist.times) == 2 * len(hist.grid.boundary_ij) == 120
+        assert len(applies) - sum(steps) == 2 * len(hist.grid.boundary_ij) == 120
 
     def test_per_snapshot_pass_corrects_a_short_basis(self, monkeypatch):
         # a rank tolerance that keeps one of the two exact-data directions:
-        # the per-snapshot pass iterates to the tolerance instead
+        # the per-snapshot pass refines to the tolerance instead
         monkeypatch.setattr(elastic, "RANK_TOLERANCE", 0.5)
         cfg = _thorax(33)
-        iterations = _count_gmres(monkeypatch)
+        steps, applies = _count_solves(monkeypatch)
         hist = solve_motion(cfg, "exact")
-        assert len(iterations) == 1 + len(hist.times)
-        assert sum(iterations[1:]) > 0
+        assert len(steps) == len(hist.times)
+        assert len(applies) - sum(steps) == 1 and sum(steps) > 0
         assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
 
 
