@@ -18,7 +18,8 @@ class ConfigError(DynactError):
 
 
 class MissingInputError(DynactError):
-    """A pipeline stage input file is absent or unreadable."""
+    """A pipeline stage input file is absent, unreadable, or of a format
+    version this program does not read."""
 
     exit_code = 3
 

@@ -18,14 +18,10 @@ order. Exterior nodes are not stored; the solver sets them to zero, and
 ``read_field`` returns them as zero. An image's payload is its (nx, ny)
 values.
 
-Version 1 files are still read. A ``DYNACT-SINO v1`` header has no time
-map, so the caller supplies one. A ``DYNACT-FIELD v1 <nx> <ny> <K>``
-payload stores every lattice node: x, y and the classification as in v2,
-then K records of (t, x components (nx, ny), y components (nx, ny)).
-
-Every reader checks the payload size against the header before reading
-(MismatchError) and reads the payload straight into the arrays it
-returns.
+A file with any other header, an older version of the same format
+included, is a MissingInputError. Every reader checks the payload size
+against the header before reading (MismatchError) and reads the payload
+straight into the arrays it returns.
 """
 
 from __future__ import annotations
@@ -47,10 +43,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _open(path: str, headers: dict[str, int]):
-    """(header fields, file positioned after the header line); ``headers``
-    maps each accepted magic to its field count, which tells the versions
-    of a format apart."""
+def _open(path: str, magic: str, count: int):
+    """(header fields, file positioned after the header line); the header
+    must be ``magic`` followed by ``count`` fields."""
     try:
         f = open(path, "rb")
     except OSError as exc:
@@ -60,11 +55,12 @@ def _open(path: str, headers: dict[str, int]):
     except UnicodeDecodeError as exc:
         f.close()
         raise MissingInputError(f"{path}: corrupt header") from exc
-    magic = " ".join(parts[:2])
-    if headers.get(magic) != len(parts) - 2:
+    found = " ".join(parts[:2])
+    if found != magic or len(parts) - 2 != count:
         f.close()
-        accepted = " or ".join(f"'{m}' with {n} fields" for m, n in headers.items())
-        raise MissingInputError(f"{path}: expected a {accepted} header")
+        raise MissingInputError(
+            f"{path}: expected a '{magic}' header with {count} fields, found '{found}' with {len(parts) - 2}"
+        )
     return parts[2:], f
 
 
@@ -94,17 +90,11 @@ def write_sinogram(path: str, sino: Sinogram) -> None:
         f.write(np.ascontiguousarray(sino.values, dtype=_F8).tobytes())
 
 
-def read_sinogram(path: str, *, time_offset: float | None = None, time_scale: float | None = None) -> Sinogram:
-    """Load a sinogram. A v2 file carries its time map; ``time_offset``
-    and ``time_scale`` are the time map of a v1 file, which has none."""
-    hdr, f = _open(path, {"DYNACT-SINO v2": 8, "DYNACT-SINO v1": 6})
+def read_sinogram(path: str) -> Sinogram:
+    hdr, f = _open(path, "DYNACT-SINO v2", 8)
     with f:
         num_angles, num_detectors = int(hdr[0]), int(hdr[1])
-        angle_start, angle_end, det_min, det_max, *time_map = (float(v) for v in hdr[2:])
-        if not time_map:
-            if time_offset is None or time_scale is None:
-                raise MismatchError(f"{path}: a v1 sinogram has no time map; pass time_offset and time_scale")
-            time_map = [time_offset, time_scale]
+        angle_start, angle_end, det_min, det_max, time_offset, time_scale = (float(v) for v in hdr[2:])
         _check_payload(f, num_angles * num_detectors * 8)
         values = _fill(f, np.empty((num_angles, num_detectors), _F8))
     geometry = ScanGeometry(
@@ -114,8 +104,8 @@ def read_sinogram(path: str, *, time_offset: float | None = None, time_scale: fl
         num_detectors=num_detectors,
         detector_min=det_min,
         detector_max=det_max,
-        time_offset=time_map[0],
-        time_scale=time_map[1],
+        time_offset=time_offset,
+        time_scale=time_scale,
     )
     return Sinogram(geometry, values)
 
@@ -140,31 +130,19 @@ def write_field(path: str, history: DisplacementHistory) -> None:
 
 def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (x_coords, y_coords, kind, times, values[K, n_stored, 2]):
-    the values of the stored nodes, ``grid.stored_nodes(kind)``, of a v2
-    or v1 file."""
-    hdr, f = _open(path, {"DYNACT-FIELD v2": 4, "DYNACT-FIELD v1": 3})
+    the values of the stored nodes, ``grid.stored_nodes(kind)``."""
+    hdr, f = _open(path, "DYNACT-FIELD v2", 4)
     with f:
-        nx, ny, k = (int(v) for v in hdr[:3])
-        per_snapshot = 16 * (int(hdr[3]) if len(hdr) == 4 else nx * ny)
-        _check_payload(f, (nx + ny) * 8 + nx * ny + k * (8 + per_snapshot))
+        nx, ny, k, n_stored = (int(v) for v in hdr)
+        _check_payload(f, (nx + ny) * 8 + nx * ny + k * (8 + 16 * n_stored))
         x = _fill(f, np.empty(nx, _F8))
         y = _fill(f, np.empty(ny, _F8))
         kind = _fill(f, np.empty((nx, ny), np.uint8))
-        stored = stored_nodes(kind)
-        times = np.empty(k, _F8)
-        values = np.empty((k, len(stored), 2), _F8)
-        if len(hdr) == 4:
-            if len(stored) != int(hdr[3]):
-                raise MismatchError(f"{path}: header stores {hdr[3]} nodes, the classification {len(stored)}")
-            _fill(f, times)
-            _fill(f, values)
-        else:
-            # one record per snapshot: its time, then the x and y components
-            # of every lattice node
-            snapshot = np.empty((2, nx * ny), _F8)
-            for i in range(k):
-                _fill(f, times[i : i + 1])
-                values[i] = np.take(_fill(f, snapshot), stored, axis=1).T
+        classified = len(stored_nodes(kind))
+        if classified != n_stored:
+            raise MismatchError(f"{path}: header stores {n_stored} nodes, the classification {classified}")
+        times = _fill(f, np.empty(k, _F8))
+        values = _fill(f, np.empty((k, n_stored, 2), _F8))
     return x, y, kind, times, values
 
 
@@ -187,7 +165,7 @@ def write_image(path: str, img: Image) -> None:
 
 
 def read_image(path: str) -> Image:
-    hdr, f = _open(path, {"DYNACT-IMG v1": 6})
+    hdr, f = _open(path, "DYNACT-IMG v1", 6)
     with f:
         nx, ny = int(hdr[0]), int(hdr[1])
         extent = tuple(float(v) for v in hdr[2:])

@@ -112,9 +112,8 @@ def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None
 
 def _load_sinogram_checked(cfg: PipelineConfig):
     """The stage's sinogram; MismatchError when its geometry or time map
-    (a v1 file has none and takes the config's) disagrees with the config."""
-    path = formats.require_file(_out(cfg, "sinogram.sino"))
-    sino = formats.read_sinogram(path, time_offset=cfg.scan.time_offset, time_scale=cfg.scan.time_scale)
+    disagrees with the config."""
+    sino = formats.read_sinogram(formats.require_file(_out(cfg, "sinogram.sino")))
     if sino.geometry != cfg.scan:
         raise MismatchError("sinogram.sino geometry or time map disagrees with the config scan")
     return sino

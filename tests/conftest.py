@@ -31,17 +31,3 @@ def ellipse_grid_65():
     coords = np.linspace(-1.0, 1.0, 65)
     return make_grid(coords, coords, Ellipse(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))
 
-
-@pytest.fixture(scope="session")
-def write_field_v1():
-    """Writes a DYNACT-FIELD v1 file: every lattice node, one record of
-    (t, x components, y components) per snapshot."""
-
-    def write(path, x, y, kind, times, fields):
-        with open(path, "wb") as f:
-            f.write(f"DYNACT-FIELD v1 {len(x)} {len(y)} {len(times)}\n".encode("ascii"))
-            f.write(np.asarray(x, "<f8").tobytes() + np.asarray(y, "<f8").tobytes() + np.asarray(kind, np.uint8).tobytes())
-            for t, u in zip(times, fields):
-                f.write(np.asarray([t], "<f8").tobytes() + np.ascontiguousarray(np.moveaxis(u, -1, 0), "<f8").tobytes())
-
-    return write

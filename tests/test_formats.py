@@ -23,7 +23,7 @@ class TestSinogramFormat:
     def test_roundtrip(self, tmp_path, sino_small):
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino_small)
-        back = formats.read_sinogram(p, time_offset=0.0, time_scale=sino_small.geometry.time_scale)
+        back = formats.read_sinogram(p)
         assert np.array_equal(back.values, sino_small.values)
         g0, g1 = sino_small.geometry, back.geometry
         assert (g0.num_angles, g0.num_detectors) == (g1.num_angles, g1.num_detectors)
@@ -36,18 +36,6 @@ class TestSinogramFormat:
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino)
         assert formats.read_sinogram(p).geometry == geometry
-        # the caller's time map is only for v1 files
-        assert formats.read_sinogram(p, time_offset=0.0, time_scale=1.0).geometry == geometry
-
-    def test_v1_takes_the_callers_time_map(self, tmp_path, sino_small):
-        p = str(tmp_path / "a.sino")
-        header = b"DYNACT-SINO v1 12 31 0.0 3.141592653589793 -1.0 1.0\n"
-        Path(p).write_bytes(header + sino_small.values.astype("<f8").tobytes())
-        back = formats.read_sinogram(p, time_offset=0.0, time_scale=sino_small.geometry.time_scale)
-        assert back.geometry == sino_small.geometry
-        assert np.array_equal(back.values, sino_small.values)
-        with pytest.raises(MismatchError, match="time map"):
-            formats.read_sinogram(p)
 
     def test_bitwise_stable(self, tmp_path, sino_small):
         p1, p2 = str(tmp_path / "a.sino"), str(tmp_path / "b.sino")
@@ -65,14 +53,14 @@ class TestSinogramFormat:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
-            formats.read_sinogram(str(tmp_path / "nope.sino"), time_offset=0.0, time_scale=1.0)
+            formats.read_sinogram(str(tmp_path / "nope.sino"))
 
     def test_truncated_payload(self, tmp_path, sino_small):
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino_small)
         Path(p).write_bytes(Path(p).read_bytes()[:-8])
         with pytest.raises(MismatchError):
-            formats.read_sinogram(p, time_offset=0.0, time_scale=1.0)
+            formats.read_sinogram(p)
 
     def test_long_payload(self, tmp_path, sino_small):
         p = str(tmp_path / "a.sino")
@@ -84,8 +72,16 @@ class TestSinogramFormat:
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "bad.sino")
         Path(p).write_bytes(b"NOPE v9 1 2 3\n")
-        with pytest.raises(MissingInputError):
-            formats.read_sinogram(p, time_offset=0.0, time_scale=1.0)
+        with pytest.raises(MissingInputError, match="found 'NOPE v9' with 3"):
+            formats.read_sinogram(p)
+
+    def test_older_version_is_rejected(self, tmp_path, sino_small):
+        # a v1 header, with no time map
+        p = str(tmp_path / "a.sino")
+        header = b"DYNACT-SINO v1 12 31 0.0 3.141592653589793 -1.0 1.0\n"
+        Path(p).write_bytes(header + sino_small.values.astype("<f8").tobytes())
+        with pytest.raises(MissingInputError, match="found 'DYNACT-SINO v1' with 6"):
+            formats.read_sinogram(p)
 
 
 class TestFieldFormat:
@@ -123,30 +119,23 @@ class TestFieldFormat:
         assert raw.startswith(header)
         assert len(raw) == len(header) + (65 + 65) * 8 + 65 * 65 + 3 * 8 + 3 * n_stored * 2 * 8
 
-    def test_v1_reads_as_its_v2_rewrite(self, tmp_path, ellipse_grid_65, write_field_v1):
-        # a v1 file stores every lattice node; its exterior values read as 0
-        g = ellipse_grid_65
-        hist = self.history(g)
-        v1, v2 = str(tmp_path / "v1.field"), str(tmp_path / "v2.field")
-        write_field_v1(v1, g.x_coords, g.y_coords, g.kind, hist.times, hist.fields)
-        formats.write_field(v2, hist)
-        for a, b in zip(formats.read_field(v1), formats.read_field(v2)):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_wrong_payload_size(self, tmp_path, ellipse_grid_65, write_field_v1, version):
-        g = ellipse_grid_65
-        hist = self.history(g)
+    def test_wrong_payload_size(self, tmp_path, ellipse_grid_65):
         p = str(tmp_path / "f.field")
-        if version == 1:
-            write_field_v1(p, g.x_coords, g.y_coords, g.kind, hist.times, hist.fields)
-        else:
-            formats.write_field(p, hist)
+        formats.write_field(p, self.history(ellipse_grid_65))
         raw = Path(p).read_bytes()
         for bad in (raw[:-8], raw + bytes(1)):
             Path(p).write_bytes(bad)
             with pytest.raises(MismatchError):
                 formats.read_field(p)
+
+    def test_older_version_is_rejected(self, tmp_path, ellipse_grid_65):
+        # a v1 header: every lattice node stored, no stored-node count
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, self.history(ellipse_grid_65))
+        rest = Path(p).read_bytes().split(b"\n", 1)[1]
+        Path(p).write_bytes(b"DYNACT-FIELD v1 65 65 3\n" + rest)
+        with pytest.raises(MissingInputError, match="found 'DYNACT-FIELD v1' with 3"):
+            formats.read_field_nodes(p)
 
     def test_stored_count_must_match_the_classification(self, tmp_path, ellipse_grid_65):
         g = ellipse_grid_65

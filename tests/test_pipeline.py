@@ -122,23 +122,6 @@ def test_field_on_shifted_lattice_is_mismatch(tmp_path):
         pipeline.load_field_provider(cfg, path)
 
 
-def test_v1_field_reconstructs_as_its_v2_rewrite(tmp_path, write_field_v1):
-    # a v1 field file, holding values at the exterior nodes too, gives the
-    # same image bytes as the v2 file of the same field
-    cfg = tiny_config(str(tmp_path))
-    stage_simulate(cfg)
-    stage_solve_motion(cfg, modes=("exact",))
-    path = str(tmp_path / "field_exact.field")
-    x, y, kind, times, fields = formats.read_field(path)
-    image = tmp_path / "recon_pde_exact.img"
-    stage_reconstruct(cfg)
-    v2_bytes = image.read_bytes()
-    fields[:, kind == 0] = np.random.default_rng(5).uniform(-1, 1, fields[:, kind == 0].shape)
-    write_field_v1(path, x, y, kind, times, fields)
-    stage_reconstruct(cfg)
-    assert image.read_bytes() == v2_bytes
-
-
 @pytest.mark.slow
 class TestStages:
     def test_full_pipeline(self, tmp_path):
@@ -264,6 +247,28 @@ class TestCli:
         field = Path(cfg.output_dir, "field_exact.field")
         field.write_bytes(field.read_bytes()[:-8])
         assert cli_main(["reconstruct", "--config", cfg_path]) == 5
+
+    def reconstruct_with_header(self, tmp_path, capsys, name, header):
+        """Exit code and stderr of `dynact reconstruct` after the header
+        line of artifact ``name`` is replaced by ``header``."""
+        cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
+        path = Path(cfg.output_dir, name)
+        path.write_bytes(header + path.read_bytes().split(b"\n", 1)[1])
+        code = cli_main(["reconstruct", "--config", cfg_path])
+        return code, capsys.readouterr().err
+
+    def test_v1_sinogram_is_missing_input(self, tmp_path, capsys):
+        # a v1 sinogram has no time map; it is not read with the config's
+        header = b"DYNACT-SINO v1 40 61 0.0 3.141592653589793 -1.0 1.0\n"
+        code, err = self.reconstruct_with_header(tmp_path, capsys, "sinogram.sino", header)
+        assert code == 3
+        assert "found 'DYNACT-SINO v1'" in err
+
+    def test_v1_field_is_missing_input(self, tmp_path, capsys):
+        header = b"DYNACT-FIELD v1 33 33 9\n"
+        code, err = self.reconstruct_with_header(tmp_path, capsys, "field_exact.field", header)
+        assert code == 3
+        assert "found 'DYNACT-FIELD v1'" in err
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "ignored"))
