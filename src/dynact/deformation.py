@@ -17,18 +17,18 @@ afresh on every call, or an evaluator from ``bind``. The reconstructor
 binds once per image, on the calling thread, and gives every block of
 views a twin, so every buffer an evaluator writes is allocated there.
 
-The field provider holds its snapshots in stored-node form, (K, n_stored,
-2): the values of the interior, boundary and ghost nodes only, as the
-field artifact stores them. It does its work in three parts. A
-`NodeMap`, which depends only on the grid and so can serve every field
-on it, gives every lattice node two stored source nodes and two weights:
-itself with weights (1, 0) inside the domain and on its boundary, the
-two arc-length neighbours of its closest boundary point outside.
-Binding to a point set folds the bilinear cell weights through the node
-map, so each point reads 8 snapshot values; twins share that point map.
-An evaluator maps snapshots to the bound points lazily, one gather per
-component into two snapshot slots, and blends the two slots in time
-with `boundary.lerp_in_time`.
+The field provider holds a history's snapshots as they are, (K,
+n_stored, 2): one row per interior, boundary and ghost node, as the
+solver returns them and the field artifact stores them. A `NodeMap`,
+which depends only on the grid and so serves every field on it, gives
+every lattice node two stored source nodes and two weights: itself with
+weights (1, 0) inside the domain and on its boundary, the two arc-length
+neighbours of its closest boundary point outside. Binding to a point set
+folds the bilinear cell weights through the node map, so each point
+reads 8 snapshot values; twins share that point map. An evaluator maps
+snapshots to the bound points lazily, one gather per component into two
+snapshot slots, and blends the two slots in time with
+`boundary.lerp_in_time`.
 """
 
 from __future__ import annotations
@@ -133,11 +133,9 @@ class _FieldAtPoints:
 
 
 class NodeMap:
-    """Where a field on ``grid`` is read at each lattice node.
-
-    ``stored`` lists the stored nodes (`grid.stored_nodes`), whose values
-    a field in stored-node form holds, one row each. Lattice node n reads
-    rows ``src[n]`` with weights ``wts[n]``: its own row with weights
+    """Where a field on ``grid``, one row per stored node
+    (`grid.stored_nodes`), is read at each lattice node. Lattice node n
+    reads rows ``src[n]`` with weights ``wts[n]``: its own row with weights
     (1, 0) inside the domain and on its boundary; outside it (exterior
     and ghost nodes) the rows of the two boundary nodes around its
     closest boundary point, interpolated in arc length: the clamped
@@ -148,10 +146,9 @@ class NodeMap:
         s_b = boundary_arclengths(grid)  # requires an elliptic solver domain
         kind = grid.kind.ravel()
         self.grid = grid
-        self.stored = stored_nodes(kind)
-        row = np.zeros(kind.size, dtype=np.intp)  # the row of each stored node
-        row[self.stored] = np.arange(len(self.stored))
-        self.src = np.repeat(row[:, None], 2, axis=1)
+        stored = stored_nodes(kind)
+        # the row of each stored node (outside nodes are set below)
+        self.src = np.repeat(np.searchsorted(stored, np.arange(kind.size))[:, None], 2, axis=1)
         self.wts = np.zeros((kind.size, 2))
         self.wts[:, 0] = 1.0
         outside = np.nonzero((kind == int(NodeKind.EXTERIOR)) | (kind == int(NodeKind.GHOST)))[0]
@@ -161,18 +158,14 @@ class NodeMap:
             closest = domain.closest_boundary_points(grid.pos.reshape(-1, 2)[outside])
             s_out = domain.arclength_of_angle(domain.param_angle(closest))
             lo, hi, w = arclength_weights(s_b, s_out, domain.perimeter())
-            b_row = row[grid.boundary_ij[:, 0] * grid.ny + grid.boundary_ij[:, 1]]
+            b_row = np.searchsorted(stored, grid.boundary_ij[:, 0] * grid.ny + grid.boundary_ij[:, 1])
             self.src[outside] = np.stack([b_row[lo], b_row[hi]], axis=1)
             self.wts[outside] = np.stack([1.0 - w, w], axis=1)
 
 
 class FieldDeformation:
-    """Deformation backed by a solved displacement history.
-
-    ``history.fields`` is either (K, nx, ny, 2) on the lattice or the
-    (K, n_stored, 2) values of the stored nodes, as
-    `formats.read_field_nodes` returns them; the provider keeps the
-    stored-node values, taking the latter without a copy. Nodes outside
+    """Deformation backed by a solved displacement history, whose
+    stored-node rows it keeps without a copy. Nodes outside
     the solver domain (exterior and ghost) take the boundary
     displacement at their closest boundary point through ``node_map``,
     which must be built for ``history.grid`` (built here when omitted).
@@ -188,10 +181,7 @@ class FieldDeformation:
         self.node_map = NodeMap(self.grid) if node_map is None else node_map
         if self.node_map.grid is not self.grid:
             raise ConfigError("the node map was built for another grid")
-        values = np.asarray(history.fields, dtype=float)
-        if values.ndim == 4:
-            values = np.take(values.reshape(len(values), -1, 2), self.node_map.stored, axis=1)
-        self.values = values
+        self.values = history.fields
 
     def bind(self, points: np.ndarray) -> _FieldAtPoints:
         """t -> x + u(t, x) at ``points`` (..., 2), t clamped to the snapshot

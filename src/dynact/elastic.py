@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError
-from .grid import Grid2D, NodeKind, fill_ghost
+from .grid import Grid2D, NodeKind, fill_ghost, stored_nodes
 
 # explicit scheme: a snapshot with max|u| above this multiple of the
 # largest boundary or initial displacement so far counts as diverged
@@ -112,18 +112,27 @@ class InitialData:
 
 @dataclass
 class DisplacementHistory:
-    """Displacement snapshots u(t_k) on the solver grid.
-
+    """Displacement snapshots u(t_k) on the solver grid, one row per
+    stored node (``grid.stored_nodes``), as the field artifact stores
+    them; a (K, nx, ny, 2) lattice array is taken to that form here.
     ``dt`` and ``num_steps`` are the explicit scheme's time step and step
-    count; the quasi-static solve reports dt = 0 and one step per
-    snapshot.
+    count; the quasi-static solve reports dt = 0 and one step per snapshot.
     """
 
     times: np.ndarray  # (K,)
-    fields: np.ndarray  # (K, nx, ny, 2), or (K, n_stored, 2) for a FieldDeformation
+    fields: np.ndarray  # (K, n_stored, 2)
     grid: Grid2D
     dt: float
     num_steps: int
+
+    def __post_init__(self):
+        stored = stored_nodes(self.grid.kind)
+        fields = np.asarray(self.fields, dtype=float)
+        if fields.shape[1:] == self.grid.shape + (2,):
+            fields = np.take(fields.reshape(len(fields), -1, 2), stored, axis=1)
+        if fields.shape != (len(self.times), len(stored), 2):
+            raise ConfigError(f"fields {fields.shape} are not {len(self.times)} snapshots of {len(stored)} stored nodes")
+        self.fields = fields
 
 
 def _min_rho(grid: Grid2D, rho0: np.ndarray) -> float:
@@ -679,18 +688,19 @@ class QuasiStaticSolver:
         # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
         edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
         self.edge_vals, self.edge_cols = op.vals[edge], op.cols[edge]
-        # the interior nodes of a lattice column x with consecutive y indices
-        # are one slice of the fields, both components interleaved
-        ii, jj = op.int_ij
-        cut = np.nonzero((np.diff(ii) != 0) | (np.diff(jj) != 1))[0] + 1
-        self.runs = [(ii[a], 2 * jj[a], 2 * (jj[a] + b - a), 2 * a, 2 * b) for a, b in zip(np.r_[0, cut], np.r_[cut, len(ii)])]
+        # the stored row of each interior node; x's slots in a flat snapshot
+        self.stored = stored_nodes(grid.kind)
+        rows = np.searchsorted(self.stored, op.int_ij[0] * grid.ny + op.int_ij[1])
+        self.slots = np.concatenate([2 * rows, 2 * rows + 1])
+        # a lattice column's run of interior nodes is one row slice r0:r1
+        cut = np.nonzero(np.diff(rows) != 1)[0] + 1
+        self.runs = [(rows[a], rows[a] + b - a, a, b) for a, b in zip(np.r_[0, cut], np.r_[cut, len(rows)])]
 
     def solve(self, boundary, output_times) -> DisplacementHistory:
-        """u(t_k) at each output time from the boundary data.
-
-        ``boundary`` is as for the explicit ``solve``. The unknowns are
-        the interior node values of both components; ghost values follow
-        from them and the boundary values.
+        """u(t_k) at each output time from the boundary data, solved
+        straight into stored-node rows. ``boundary`` is as for the explicit
+        ``solve``. The unknowns are the interior node values of both
+        components; ghost values follow from them and the boundary values.
 
         The solution is linear in psi, so the inverse is applied once per
         direction of the snapshot boundary data, not once per snapshot:
@@ -708,24 +718,22 @@ class QuasiStaticSolver:
         grid, op = self.grid, self.op
         psi = _boundary_evaluator(boundary, grid)
         times = np.array(output_times, dtype=float)
-        P = np.stack([psi(t) for t in times]).reshape(len(times), -1)
-        Q, C = _pivoted_basis(P)
-        del P
-        fields = np.zeros((len(times), grid.nx, grid.ny, 2))
-        rows = fields.reshape(len(times), grid.nx, -1)
+        Q, C = _pivoted_basis(np.stack([psi(t) for t in times]).reshape(len(times), -1))
+        fields = np.zeros((len(times), len(self.stored), 2))
+        flat = fields.reshape(len(times), -1)
         for i in range(0, len(Q), BATCH):
             ys = np.stack([self.precond(-op.apply(self.zero, q.reshape(-1, 2))) for q in Q[i : i + BATCH]])
             u = ys.reshape(len(ys), 2, -1).transpose(0, 2, 1).reshape(len(ys), -1)
-            for x, j0, j1, a, b in self.runs:
-                rows[:, x, j0:j1] += np.einsum("ik,ij->kj", C[i : i + BATCH], u[:, a:b])
+            for r0, r1, a, b in self.runs:
+                flat[:, 2 * r0 : 2 * r1] += np.einsum("ik,ij->kj", C[i : i + BATCH], u[:, 2 * a : 2 * b])
 
         for k, t in enumerate(times):
             p = psi(t)
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
             target = RELATIVE_TOLERANCE * _norm(np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols]))
-            x = op.interior(fields[k])
+            x = flat[k, self.slots]
             _refine(lambda x: -op.apply(x, p), self.precond, x, target)
-            fields[k] = op.field(x, p)
+            fields[k] = np.take(op.field(x, p).reshape(-1, 2), self.stored, axis=0)
 
         return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))

@@ -12,14 +12,15 @@ A sinogram's payload is its (num_angles, num_detectors) values; its
 header carries the view-to-time map, so a stage can tell a sinogram
 simulated under another one. A field's payload is x (nx), y (ny), the
 node classification (nx * ny bytes), the K snapshot times and then one
-(K, n_stored, 2) block: the displacement of every stored node
-(interior, boundary and ghost, `grid.stored_nodes`) in flat lattice
-order. Exterior nodes are not stored; the solver sets them to zero, and
-``read_field`` returns them as zero. An image's payload is its (nx, ny)
-values.
+(K, n_stored, 2) block, a history's fields as they are: the
+displacement of every stored node (interior, boundary and ghost,
+`grid.stored_nodes`) in flat lattice order. Exterior nodes are not
+stored; ``read_field`` returns them as zero. An image's payload is its
+(nx, ny) values.
 
 A file with any other header, an older version of the same format
-included, is a MissingInputError. Every reader checks the payload size
+included, or a header field that is not a number or a count that is
+not positive, is a MissingInputError. Every reader checks the payload size
 against the header before reading (MismatchError) and reads the payload
 straight into the arrays it returns.
 """
@@ -43,9 +44,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _open(path: str, magic: str, count: int):
+def _open(path: str, magic: str, converters: tuple):
     """(header fields, file positioned after the header line); the header
-    must be ``magic`` followed by ``count`` fields."""
+    must be ``magic`` followed by one field per converter: ``int`` for a
+    count, which must be positive, or ``float``."""
+    count = len(converters)
     try:
         f = open(path, "rb")
     except OSError as exc:
@@ -61,7 +64,15 @@ def _open(path: str, magic: str, count: int):
         raise MissingInputError(
             f"{path}: expected a '{magic}' header with {count} fields, found '{found}' with {len(parts) - 2}"
         )
-    return parts[2:], f
+    try:
+        fields = [convert(v) for convert, v in zip(converters, parts[2:])]
+        bad = [v for convert, v in zip(converters, fields) if convert is int and v <= 0]
+        if bad:
+            raise ValueError(f"non-positive count {bad[0]}")
+    except ValueError as exc:
+        f.close()
+        raise MissingInputError(f"{path}: malformed '{magic}' header: {exc}") from exc
+    return fields, f
 
 
 def _check_payload(f, expected: int) -> None:
@@ -91,10 +102,9 @@ def write_sinogram(path: str, sino: Sinogram) -> None:
 
 
 def read_sinogram(path: str) -> Sinogram:
-    hdr, f = _open(path, "DYNACT-SINO v2", 8)
+    hdr, f = _open(path, "DYNACT-SINO v2", (int,) * 2 + (float,) * 6)
     with f:
-        num_angles, num_detectors = int(hdr[0]), int(hdr[1])
-        angle_start, angle_end, det_min, det_max, time_offset, time_scale = (float(v) for v in hdr[2:])
+        num_angles, num_detectors, angle_start, angle_end, det_min, det_max, time_offset, time_scale = hdr
         _check_payload(f, num_angles * num_detectors * 8)
         values = _fill(f, np.empty((num_angles, num_detectors), _F8))
     geometry = ScanGeometry(
@@ -111,29 +121,23 @@ def read_sinogram(path: str) -> Sinogram:
 
 
 def write_field(path: str, history: DisplacementHistory) -> None:
-    """The v2 file of ``history``, written one snapshot at a time; the
-    values of exterior nodes are not stored."""
+    """The v2 file of ``history``, whose fields are in stored-node form."""
     grid = history.grid
-    nx, ny = grid.shape
-    stored = stored_nodes(grid.kind)
-    k = len(history.times)
     with open(path, "wb") as f:
-        f.write(f"DYNACT-FIELD v2 {nx} {ny} {k} {len(stored)}\n".encode("ascii"))
+        f.write("DYNACT-FIELD v2 {} {} {} {}\n".format(*grid.shape, *history.fields.shape[:2]).encode("ascii"))
         f.write(np.ascontiguousarray(grid.x_coords, dtype=_F8).tobytes())
         f.write(np.ascontiguousarray(grid.y_coords, dtype=_F8).tobytes())
         f.write(np.ascontiguousarray(grid.kind, dtype=np.uint8).tobytes())
         f.write(np.asarray(history.times, dtype=_F8).tobytes())
-        for u in history.fields:
-            # np.take: a fraction of the time of the equivalent u[stored]
-            f.write(np.take(np.asarray(u, dtype=_F8).reshape(-1, 2), stored, axis=0))
+        f.write(np.ascontiguousarray(history.fields, dtype=_F8))
 
 
 def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (x_coords, y_coords, kind, times, values[K, n_stored, 2]):
     the values of the stored nodes, ``grid.stored_nodes(kind)``."""
-    hdr, f = _open(path, "DYNACT-FIELD v2", 4)
+    hdr, f = _open(path, "DYNACT-FIELD v2", (int,) * 4)
     with f:
-        nx, ny, k, n_stored = (int(v) for v in hdr)
+        nx, ny, k, n_stored = hdr
         _check_payload(f, (nx + ny) * 8 + nx * ny + k * (8 + 16 * n_stored))
         x = _fill(f, np.empty(nx, _F8))
         y = _fill(f, np.empty(ny, _F8))
@@ -165,11 +169,10 @@ def write_image(path: str, img: Image) -> None:
 
 
 def read_image(path: str) -> Image:
-    hdr, f = _open(path, "DYNACT-IMG v1", 6)
+    hdr, f = _open(path, "DYNACT-IMG v1", (int,) * 2 + (float,) * 4)
     with f:
-        nx, ny = int(hdr[0]), int(hdr[1])
-        extent = tuple(float(v) for v in hdr[2:])
-        if extent != (-1.0, 1.0, -1.0, 1.0):
+        nx, ny, *extent = hdr
+        if extent != [-1.0, 1.0, -1.0, 1.0]:
             raise MismatchError(f"{path}: unsupported image extent {extent}")
         _check_payload(f, nx * ny * 8)
         values = _fill(f, np.empty((nx, ny), _F8))

@@ -103,9 +103,9 @@ def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None
     solver = motion_solver(cfg)
     written = []
     for mode in modes:
-        history = solve_motion(cfg, mode, solver=solver)
         name = f"field_{mode}.field"
-        formats.write_field(_out(cfg, name), history)
+        # solved into the write, so no history outlives it
+        formats.write_field(_out(cfg, name), solve_motion(cfg, mode, solver=solver))
         written.append(name)
     return written
 
@@ -131,8 +131,7 @@ def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None
         raise MismatchError(f"{path}: lattice {len(x)}x{len(y)} does not match the config's solver grid")
     if not np.array_equal(kind, grid.kind):
         raise MismatchError(f"{path}: stored node classification does not match the config domain")
-    history = DisplacementHistory(times=times, fields=values, grid=grid, dt=0.0, num_steps=0)
-    return FieldDeformation(history, node_map)
+    return FieldDeformation(DisplacementHistory(times=times, fields=values, grid=grid, dt=0.0, num_steps=0), node_map)
 
 
 def stage_reconstruct(cfg: PipelineConfig) -> list[str]:

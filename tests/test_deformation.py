@@ -3,7 +3,7 @@ import numpy as np
 from dynact.boundary import arclength_weights, boundary_arclengths, lerp_in_time, sample_boundary
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.elastic import DisplacementHistory
-from dynact.grid import NodeKind
+from dynact.grid import NodeKind, stored_nodes
 from dynact.motion import AffineMotion, identity_motion
 
 
@@ -25,7 +25,9 @@ def reference_eval(history, t, pts):
     interpolate bilinearly at the points."""
     g = history.grid
     outside = (g.kind == int(NodeKind.EXTERIOR)) | (g.kind == int(NodeKind.GHOST))
-    filled = np.array(history.fields, dtype=float)
+    filled = np.zeros((len(history.times), g.kind.size, 2))
+    filled[:, stored_nodes(g.kind)] = history.fields
+    filled = filled.reshape(len(history.times), *g.shape, 2)
     closest = g.domain.closest_boundary_points(g.pos[outside])
     s_out = g.domain.arclength_of_angle(g.domain.param_angle(closest))
     lo, hi, w = arclength_weights(boundary_arclengths(g), s_out, g.domain.perimeter())

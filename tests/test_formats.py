@@ -69,6 +69,23 @@ class TestSinogramFormat:
         with pytest.raises(MismatchError):
             formats.read_sinogram(p)
 
+    @pytest.mark.parametrize(
+        "counts, found",
+        [
+            (b"forty 31", "'forty'"),
+            (b"-2 -3", "non-positive count -2"),
+            (b"0 31", "non-positive count 0"),
+            (b"12 31.5", "'31.5'"),
+        ],
+    )
+    def test_malformed_header_is_missing_input(self, tmp_path, sino_small, counts, found):
+        p = str(tmp_path / "a.sino")
+        formats.write_sinogram(p, sino_small)
+        line, rest = Path(p).read_bytes().split(b"\n", 1)
+        Path(p).write_bytes(b"DYNACT-SINO v2 " + counts + b" " + b" ".join(line.split(b" ")[4:]) + b"\n" + rest)
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-SINO v2' header: .*{found}"):
+            formats.read_sinogram(p)
+
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "bad.sino")
         Path(p).write_bytes(b"NOPE v9 1 2 3\n")
@@ -86,10 +103,13 @@ class TestSinogramFormat:
 
 class TestFieldFormat:
     @staticmethod
-    def history(grid):
+    def lattice(grid):
+        return np.random.default_rng(1).uniform(-1, 1, (3,) + grid.shape + (2,))
+
+    @classmethod
+    def history(cls, grid):
         times = np.array([0.0, 1.5, 3.0])
-        fields = np.random.default_rng(1).uniform(-1, 1, (3,) + grid.shape + (2,))
-        return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.1, num_steps=30)
+        return DisplacementHistory(times=times, fields=cls.lattice(grid), grid=grid, dt=0.1, num_steps=30)
 
     def test_roundtrip(self, tmp_path, ellipse_grid_65):
         # v2 stores no exterior values: the stored nodes (interior, boundary
@@ -104,10 +124,11 @@ class TestFieldFormat:
         assert np.array_equal(kind, g.kind)
         assert np.array_equal(t_back, hist.times)
         exterior = g.kind == int(NodeKind.EXTERIOR)
-        assert np.array_equal(f_back[:, ~exterior], hist.fields[:, ~exterior])
+        assert np.array_equal(f_back[:, ~exterior], self.lattice(g)[:, ~exterior])
         assert np.all(f_back[:, exterior] == 0.0)
         values = formats.read_field_nodes(p)[4]
-        assert np.array_equal(values, hist.fields.reshape(3, -1, 2)[:, stored_nodes(g.kind)])
+        assert np.array_equal(values, hist.fields)
+        assert np.array_equal(values, self.lattice(g).reshape(3, -1, 2)[:, stored_nodes(g.kind)])
 
     def test_stores_only_the_non_exterior_nodes(self, tmp_path, ellipse_grid_65):
         g = ellipse_grid_65
@@ -135,6 +156,17 @@ class TestFieldFormat:
         rest = Path(p).read_bytes().split(b"\n", 1)[1]
         Path(p).write_bytes(b"DYNACT-FIELD v1 65 65 3\n" + rest)
         with pytest.raises(MissingInputError, match="found 'DYNACT-FIELD v1' with 3"):
+            formats.read_field_nodes(p)
+
+    @pytest.mark.parametrize("field, found", [(2, "'three'"), (3, "non-positive count 0")])
+    def test_malformed_header_is_missing_input(self, tmp_path, ellipse_grid_65, field, found):
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, self.history(ellipse_grid_65))
+        line, rest = Path(p).read_bytes().split(b"\n", 1)
+        parts = line.split(b" ")
+        parts[2 + field] = b"three" if field == 2 else b"0"
+        Path(p).write_bytes(b" ".join(parts) + b"\n" + rest)
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-FIELD v2' header: .*{found}"):
             formats.read_field_nodes(p)
 
     def test_stored_count_must_match_the_classification(self, tmp_path, ellipse_grid_65):
@@ -165,6 +197,15 @@ class TestImageFormat:
         formats.write_image(p, img)
         Path(p).write_bytes(Path(p).read_bytes()[:-1])
         with pytest.raises(MismatchError):
+            formats.read_image(p)
+
+    @pytest.mark.parametrize("header, found", [(b"5 4 -1.0 one -1.0 1.0", "'one'"), (b"5 -4 -1.0 1.0 -1.0 1.0", "-4")])
+    def test_malformed_header_is_missing_input(self, tmp_path, header, found):
+        p = str(tmp_path / "i.img")
+        formats.write_image(p, Image(ImageSpec(5, 4), np.ones((5, 4))))
+        rest = Path(p).read_bytes().split(b"\n", 1)[1]
+        Path(p).write_bytes(b"DYNACT-IMG v1 " + header + b"\n" + rest)
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-IMG v1' header: .*{found}"):
             formats.read_image(p)
 
     def test_pgm_window_comment(self, tmp_path):

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,7 +90,23 @@ def test_one_solver_for_all_modes(tmp_path, monkeypatch):
     stage_solve_motion(cfg, modes=PDE_MODES)
     assert len(builds) == 1
     for mode, fields in zip(PDE_MODES, fresh):
-        assert np.array_equal(formats.read_field(str(tmp_path / f"field_{mode}.field"))[4], fields)
+        assert np.array_equal(formats.read_field_nodes(str(tmp_path / f"field_{mode}.field"))[4], fields)
+
+
+def test_solve_stage_holds_no_earlier_history(tmp_path, monkeypatch):
+    # each mode's history is written and dropped before the next mode solves
+    cfg = tiny_config(str(tmp_path))
+    solved = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in solved)
+        history = solve_motion(*args, **kwargs)
+        solved.extend([weakref.ref(history), weakref.ref(history.fields)])
+        return history
+
+    monkeypatch.setattr(pipeline, "solve_motion", tracked)
+    stage_solve_motion(cfg, modes=PDE_MODES)
+    assert len(solved) == 2 * len(PDE_MODES)
 
 
 def test_reconstruct_builds_one_grid_and_node_map(tmp_path, monkeypatch):
@@ -269,6 +286,12 @@ class TestCli:
         code, err = self.reconstruct_with_header(tmp_path, capsys, "field_exact.field", header)
         assert code == 3
         assert "found 'DYNACT-FIELD v1'" in err
+
+    def test_malformed_sinogram_header_is_missing_input(self, tmp_path, capsys):
+        header = b"DYNACT-SINO v2 forty 61 0.0 3.141592653589793 -1.0 1.0 0.0 1.0\n"
+        code, err = self.reconstruct_with_header(tmp_path, capsys, "sinogram.sino", header)
+        assert code == 3
+        assert "malformed 'DYNACT-SINO v2' header" in err
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "ignored"))
