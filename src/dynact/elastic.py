@@ -42,12 +42,11 @@ Two solvers:
   boundary, where the operator is not the box's uniform stencil, and the
   two per-component constants, on which the periodic operator is
   singular. The equilibrium is linear in the boundary values, so the
-  solve runs in three passes: a pivoted Gram-Schmidt basis of the
-  snapshot boundary vectors psi(t_k) (rank 2 for exact and sparse data),
-  one inverse apply per basis direction, and per snapshot the
-  combination of the direction solutions, checked against the
-  snapshot's own right-hand side and refined (x += A^-1 r) where it
-  misses the tolerance.
+  inverse is applied to a few pivot snapshots only (2 for exact and
+  sparse data): every other snapshot's boundary vector psi(t_k) is a
+  combination of the pivots', and its field the same combination of
+  theirs. Every snapshot is then checked against its own right-hand
+  side and refined (x += A^-1 r) where it misses the tolerance.
 """
 
 from __future__ import annotations
@@ -68,14 +67,10 @@ GROWTH_BOUND = 10.0
 # snapshot
 RELATIVE_TOLERANCE = 1e-6
 MAX_ITERATIONS = 1000
-# snapshot boundary data: directions whose remainder is at most this
-# share of the largest snapshot norm are dropped (the exact and sparse
+# snapshot boundary data: a remainder of at most this share of the
+# largest snapshot norm is not taken as a pivot (the exact and sparse
 # data measure 1, 8.4e-3, then 4e-16 on the 33^2-257^2 thorax grids)
 RANK_TOLERANCE = 1e-12
-# direction solutions are added to the snapshots this many at a time (one
-# at a time, the adds stream the whole history per direction: 1.2 s of a
-# 1.8 s noisy solve at 81^2)
-BATCH = 16
 # _NavierInverse: a row of the operator whose weights differ from the
 # uniform stencil's by more than this share of the centre weight gets a
 # capacitance correction; the capacitance matrix is factored in blocks of
@@ -646,18 +641,21 @@ def _refine(residual, precond, x: np.ndarray, target: float) -> int:
 
 
 def _pivoted_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows Q (r, m) and coefficients C (r, K) such that
-    P[k] = C[:, k] @ Q up to RANK_TOLERANCE x the largest row norm of P.
+    """Pivot rows J (r,) and coefficients A (r, K), P[k] = A[:, k] @ P[J] up
+    to RANK_TOLERANCE x the largest row norm of P: an interpolative
+    decomposition (Cheng, Gimbutas, Martinsson & Rokhlin, SISC 2005).
 
-    Pivoted Gram-Schmidt: each step takes the row with the largest
-    remainder, orthogonalises it once more against Q, and subtracts its
-    component from every row. ``P`` is overwritten with the remainders.
-    einsum only, so the basis does not depend on the BLAS thread count.
+    Pivoted Gram-Schmidt, re-orthogonalised once: each pivot is the row
+    with the largest remainder, and its component C[i] is subtracted from
+    every row, so P = C^T Q with C[:, J] upper triangular, and
+    A = C[:, J]^-1 C by back-substitution. ``P`` is overwritten with the
+    remainders. einsum only, so A does not depend on the BLAS threads.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", P, P))
     stop = RANK_TOLERANCE * norms.max(initial=0.0)
     Q = np.empty((0, P.shape[1]))
     C = np.empty((0, len(P)))
+    J = []
     for _ in range(min(P.shape)):
         j = int(np.argmax(norms))
         if norms[j] <= stop:
@@ -668,8 +666,12 @@ def _pivoted_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P -= c[:, None] * q
         Q = np.vstack([Q, q])
         C = np.vstack([C, c])
+        J.append(j)
         norms = np.sqrt(np.einsum("ij,ij->i", P, P))
-    return Q, C
+    A = np.empty_like(C)
+    for i in reversed(range(len(J))):
+        A[i] = (C[i] - np.einsum("j,jk->k", C[i, J[i + 1 :]], A[i + 1 :])) / C[i, J[i]]
+    return np.array(J, dtype=int), A
 
 
 class QuasiStaticSolver:
@@ -686,15 +688,12 @@ class QuasiStaticSolver:
         self.precond = _NavierInverse(op, params.lame_lambda, params.lame_mu)
         self.zero = np.zeros(len(op.cols))
         # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
-        edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
-        self.edge_vals, self.edge_cols = op.vals[edge], op.cols[edge]
+        self.edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
+        self.edge_vals, self.edge_cols = op.vals[self.edge], op.cols[self.edge]
         # the stored row of each interior node; x's slots in a flat snapshot
         self.stored = stored_nodes(grid.kind)
         rows = np.searchsorted(self.stored, op.int_ij[0] * grid.ny + op.int_ij[1])
         self.slots = np.concatenate([2 * rows, 2 * rows + 1])
-        # a lattice column's run of interior nodes is one row slice r0:r1
-        cut = np.nonzero(np.diff(rows) != 1)[0] + 1
-        self.runs = [(rows[a], rows[a] + b - a, a, b) for a, b in zip(np.r_[0, cut], np.r_[cut, len(rows)])]
 
     def solve(self, boundary, output_times) -> DisplacementHistory:
         """u(t_k) at each output time from the boundary data, solved
@@ -702,38 +701,32 @@ class QuasiStaticSolver:
         ``solve``. The unknowns are the interior node values of both
         components; ghost values follow from them and the boundary values.
 
-        The solution is linear in psi, so the inverse is applied once per
-        direction of the snapshot boundary data, not once per snapshot:
-        ``_pivoted_basis`` reduces the K snapshot vectors psi(t_k) to r
-        orthonormal directions q_i (r = 2 for exact and sparse data, full
-        rank for noisy data), and y_i = A^-1 (-L(0, q_i)) solves
-        L(y_i, q_i) = 0. Each y_i is added to every snapshot, weighted by
-        C[i, k], as soon as its batch of BATCH directions is solved, so no
-        more than BATCH of them are kept. Each snapshot's combination
-        sum_i C[i, k] y_i is then checked against its own right-hand side:
-        one matvec when it meets RELATIVE_TOLERANCE, refinement steps
-        (``_refine``) when it does not. Raises InstabilityError when
-        refinement does not converge.
+        The solution is linear in psi: only the pivot snapshots J of
+        ``_pivoted_basis`` are solved, first, by one inverse apply to their
+        right-hand side b = -L(0, psi(t_k)); any other snapshot, with
+        psi(t_k) = A[:, k] @ psi(t_J), takes that combination of the
+        pivots' interior values. Each snapshot is then checked against its
+        own b: one matvec when it meets RELATIVE_TOLERANCE, refinement
+        steps (``_refine``) when not, InstabilityError when they fail.
         """
         grid, op = self.grid, self.op
         psi = _boundary_evaluator(boundary, grid)
         times = np.array(output_times, dtype=float)
-        Q, C = _pivoted_basis(np.stack([psi(t) for t in times]).reshape(len(times), -1))
+        J, A = _pivoted_basis(np.stack([psi(t) for t in times]).reshape(len(times), -1))
+        pivot = np.zeros(len(times), dtype=bool)
+        pivot[J] = True
         fields = np.zeros((len(times), len(self.stored), 2))
-        flat = fields.reshape(len(times), -1)
-        for i in range(0, len(Q), BATCH):
-            ys = np.stack([self.precond(-op.apply(self.zero, q.reshape(-1, 2))) for q in Q[i : i + BATCH]])
-            u = ys.reshape(len(ys), 2, -1).transpose(0, 2, 1).reshape(len(ys), -1)
-            for r0, r1, a, b in self.runs:
-                flat[:, 2 * r0 : 2 * r1] += np.einsum("ik,ij->kj", C[i : i + BATCH], u[:, 2 * a : 2 * b])
-
-        for k, t in enumerate(times):
-            p = psi(t)
+        X = None  # the pivots' interior values, once they are solved
+        for k in np.concatenate([J, np.nonzero(~pivot)[0]]):
+            p = psi(times[k])
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
-            target = RELATIVE_TOLERANCE * _norm(np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols]))
-            x = flat[k, self.slots]
-            _refine(lambda x: -op.apply(x, p), self.precond, x, target)
+            b = self.zero.copy()
+            b[self.edge] = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
+            if X is None and not pivot[k]:
+                X = fields.reshape(len(times), -1)[np.ix_(J, self.slots)]
+            x = self.precond(b) if pivot[k] else np.einsum("i,ij->j", A[:, k], X)
+            _refine(lambda x: -op.apply(x, p), self.precond, x, RELATIVE_TOLERANCE * _norm(b[self.edge]))
             fields[k] = np.take(op.field(x, p).reshape(-1, 2), self.stored, axis=0)
 
         return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))

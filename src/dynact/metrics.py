@@ -55,12 +55,12 @@ def evaluate(recon: Image, reference: Image, phantom: PhantomSpec | None = None)
         raise MismatchError(
             f"image dimensions differ: {recon.values.shape} vs {reference.values.shape}"
         )
-    a = recon.values
     b = reference.values
-    diff = a - b
+    diff = recon.values - b
     rmse = float(np.sqrt(np.mean(diff ** 2)))
-    norm_b = float(np.linalg.norm(b))
-    relative_l2 = float(np.linalg.norm(diff) / norm_b) if norm_b > 0 else float("inf")
+    # einsum sums do not depend on the BLAS thread count (np.linalg.norm's dot does)
+    norm_b = float(np.sqrt(np.einsum("ij,ij->", b, b)))
+    relative_l2 = float(np.sqrt(np.einsum("ij,ij->", diff, diff)) / norm_b) if norm_b > 0 else float("inf")
     rng = float(b.max() - b.min())
     if rmse == 0.0:
         psnr = float("inf")

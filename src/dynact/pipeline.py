@@ -77,13 +77,17 @@ def motion_solver(cfg: PipelineConfig) -> QuasiStaticSolver:
     return QuasiStaticSolver(solver_grid(cfg), params)
 
 
+def snapshot_times(cfg: PipelineConfig) -> np.ndarray:
+    return np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
+
+
 def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | None = None) -> DisplacementHistory:
     """Interior motion from the boundary data of ``mode``, solved at each
     snapshot time by ``solver`` (``motion_solver(cfg)`` when omitted)."""
     if solver is None:
         solver = motion_solver(cfg)
     bd = boundary_data_for_mode(cfg, solver.grid, mode)
-    return solve(solver, bd, np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots))
+    return solve(solver, bd, snapshot_times(cfg))
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
@@ -122,7 +126,7 @@ def _load_sinogram_checked(cfg: PipelineConfig):
 def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None = None) -> FieldDeformation:
     """The provider of a field file, in stored-node form. ``node_map`` is
     the one of ``solver_grid(cfg)`` (built when omitted); a file solved on
-    another lattice or domain is a MismatchError."""
+    another lattice, domain or snapshot times is a MismatchError."""
     if node_map is None:
         node_map = NodeMap(solver_grid(cfg))
     grid = node_map.grid
@@ -131,6 +135,8 @@ def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None
         raise MismatchError(f"{path}: lattice {len(x)}x{len(y)} does not match the config's solver grid")
     if not np.array_equal(kind, grid.kind):
         raise MismatchError(f"{path}: stored node classification does not match the config domain")
+    if not np.array_equal(times, snapshot_times(cfg)):
+        raise MismatchError(f"{path}: its {len(times)} snapshot times are not the config's {cfg.solver.num_snapshots} over [0, t_end]")
     return FieldDeformation(DisplacementHistory(times=times, fields=values, grid=grid, dt=0.0, num_steps=0), node_map)
 
 

@@ -266,7 +266,7 @@ def _thorax(n: int):
 def _count_solves(monkeypatch) -> tuple[list[int], list[int]]:
     """The step counts of every later ``elastic._refine`` call (one per
     snapshot, in call order), and a list that grows by one per
-    ``_NavierInverse`` apply: one per direction plus one per step."""
+    ``_NavierInverse`` apply: one per pivot snapshot plus one per step."""
     steps, applies = [], []
     refine, apply = elastic._refine, elastic._NavierInverse.__call__
 
@@ -290,6 +290,18 @@ def _relative_residuals(cfg, hist) -> np.ndarray:
         if rhs > 0:
             out.append(np.linalg.norm(op.apply(op.interior(u), psi)) / rhs)
     return np.array(out)
+
+
+@pytest.mark.parametrize("rank", [0, 2, 30])
+def test_pivoted_basis_interpolates_the_rows(rank):
+    # P[k] = A[:, k] @ P[J] for every row of a rank-r (45, 30) matrix, and
+    # the r pivots reproduce themselves; a zero matrix has no pivot
+    rng = np.random.default_rng(rank)
+    P = rng.standard_normal((45, rank)) @ rng.standard_normal((rank, 30))
+    J, A = elastic._pivoted_basis(P.copy())
+    assert len(J) == rank and A.shape == (rank, len(P))
+    assert np.abs(np.einsum("ik,ij->kj", A, P[J]) - P).max() <= 1e-12 * np.abs(P).max()
+    np.testing.assert_allclose(A[:, J], np.eye(rank), rtol=0, atol=1e-12)
 
 
 class TestQuasiStatic:
@@ -331,8 +343,8 @@ class TestQuasiStatic:
             np.testing.assert_array_equal(runs[0].fields[k][b], psi(t))
 
     def test_no_convergence_raises(self, ellipse_grid_65, monkeypatch):
-        # an inverse that maps everything to zero leaves the direction
-        # solutions and every refinement step at zero: the residual stalls
+        # an inverse that maps everything to zero leaves the pivot's
+        # solution and every refinement step at zero: the residual stalls
         # at the right-hand side until MAX_ITERATIONS
         monkeypatch.setattr(elastic._NavierInverse, "__call__", lambda self, r: np.zeros_like(r))
         g = ellipse_grid_65
@@ -357,8 +369,9 @@ class TestQuasiStatic:
         """Every snapshot of every mode on the 65^2 thorax grid meets the
         residual tolerance against its own right-hand side. For exact and
         sparse data the snapshot boundary vectors span two directions:
-        the inverse is applied to those two only, and each snapshot's
-        combination passes its check without a refinement step.
+        the inverse is applied to two pivot snapshots only, and each other
+        snapshot's combination of their fields passes its check without a
+        refinement step.
 
         With exact data the interior field is the affine motion
         phi(t, x) - x up to the stencil's own consistency error. That
@@ -403,32 +416,35 @@ class TestQuasiStatic:
             assert np.linalg.norm(op.apply(precond(b), 0.0) - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_one_preconditioner_apply_per_iteration(self, monkeypatch):
-        # one inverse apply per basis direction and one per refinement step
+        # one inverse apply per pivot snapshot and one per refinement step
         cfg = _thorax(33)
         steps, applies = _count_solves(monkeypatch)
-        ranks = []
+        pivots = []
         basis = elastic._pivoted_basis
 
         def recording(P):
-            Q, C = basis(P)
-            ranks.append(len(Q))
-            return Q, C
+            J, A = basis(P)
+            pivots.append(len(J))
+            return J, A
 
         monkeypatch.setattr(elastic, "_pivoted_basis", recording)
         solve_motion(cfg, "noisy")
-        assert len(applies) == sum(ranks) + sum(steps) > 0
+        assert len(applies) == sum(pivots) + sum(steps) > 0
 
     def test_noisy_data_has_full_rank(self, monkeypatch):
         # 133 snapshots of per-sample noise on the 33^2 grid's 60 boundary
-        # nodes span all 2 x 60 directions
+        # nodes span all 2 x 60 directions: 120 pivots are solved, and the
+        # other 13 snapshots, combinations of them, meet the tolerance too
         cfg = _thorax(33)
         steps, applies = _count_solves(monkeypatch)
         hist = solve_motion(cfg, "noisy")
         assert len(applies) - sum(steps) == 2 * len(hist.grid.boundary_ij) == 120
+        assert len(hist.times) - 120 == 13
+        assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
 
     def test_per_snapshot_pass_corrects_a_short_basis(self, monkeypatch):
-        # a rank tolerance that keeps one of the two exact-data directions:
-        # the per-snapshot pass refines to the tolerance instead
+        # a rank tolerance that keeps one of the two exact-data directions,
+        # so one pivot: the per-snapshot check refines to the tolerance
         monkeypatch.setattr(elastic, "RANK_TOLERANCE", 0.5)
         cfg = _thorax(33)
         steps, applies = _count_solves(monkeypatch)
@@ -438,9 +454,9 @@ class TestQuasiStatic:
         assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
 
     def test_solve_peak_below_one_lattice_history(self):
-        # the solve accumulates stored-node rows, a third of the lattice on
-        # the thorax grid: its peak allocation (noisy data, the full-rank
-        # case, measured 4.8 MB) stays below one (K, nx, ny, 2) history
+        # the solve writes stored-node rows, a third of the lattice on the
+        # thorax grid: its peak allocation (noisy data, the full-rank case,
+        # measured 3.5 MB) stays below one (K, nx, ny, 2) history
         # (9.0 MB), which the lattice form allocated on top of the rest
         cfg = _thorax(65)
         solver = QuasiStaticSolver(solver_grid(cfg), MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,3 +71,33 @@ def test_region_rmse_uses_labels():
     assert rep.region_rmse["tumour"] == pytest.approx(0.2, abs=1e-12)
     assert rep.region_rmse["lung"] == 0.0
 
+
+
+# a 257^2 recon and reference (the shipped image size), evaluated and
+# printed with every digit; run with numpy's BLAS thread count set by the
+# environment
+_EVALUATE_257 = """
+import numpy as np
+from dynact.metrics import evaluate
+from dynact.reconstruct import Image, ImageSpec
+rng = np.random.default_rng(5)
+spec = ImageSpec(nx=257, ny=257)
+ref = rng.uniform(0.0, 1.0, (257, 257))
+rep = evaluate(Image(spec, ref + rng.normal(0.0, 0.1, ref.shape)), Image(spec, ref))
+print(repr(rep.to_dict()))
+"""
+
+
+def test_evaluate_independent_of_blas_threads():
+    # above about 1e4 elements a BLAS dot product splits its sum across
+    # threads, so a norm taken through it changes in the last digits with
+    # the thread count; the count is read when numpy is imported
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+    def run(threads: str) -> bytes:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        return subprocess.run([sys.executable, "-c", _EVALUATE_257], env=env, check=True, capture_output=True).stdout
+
+    one = run("1")
+    assert b"relative_l2" in one
+    assert run("2") == one

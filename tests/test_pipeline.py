@@ -139,6 +139,21 @@ def test_field_on_shifted_lattice_is_mismatch(tmp_path):
         pipeline.load_field_provider(cfg, path)
 
 
+def test_field_at_other_snapshot_times_is_mismatch(tmp_path):
+    # a field written for 9 snapshots loads with that config and is stale
+    # once the config asks for 5
+    cfg = tiny_config(str(tmp_path))
+    grid = solver_grid(cfg)
+    times = pipeline.snapshot_times(cfg)
+    fields = np.zeros((len(times),) + grid.shape + (2,))
+    path = str(tmp_path / "field_exact.field")
+    formats.write_field(path, elastic.DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0))
+    assert np.array_equal(pipeline.load_field_provider(cfg, path).times, times)
+    cfg.solver.num_snapshots = 5
+    with pytest.raises(MismatchError, match="snapshot times"):
+        pipeline.load_field_provider(cfg, path)
+
+
 @pytest.mark.slow
 class TestStages:
     def test_full_pipeline(self, tmp_path):
@@ -256,6 +271,12 @@ class TestCli:
     def test_field_from_another_lattice_is_artifact_mismatch(self, tmp_path):
         cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
         cfg.solver.grid_nx = cfg.solver.grid_ny = 41  # the field was solved on 33^2
+        dump_config(cfg, cfg_path)
+        assert cli_main(["reconstruct", "--config", cfg_path]) == 5
+
+    def test_stale_field_is_artifact_mismatch(self, tmp_path):
+        cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
+        cfg.solver.num_snapshots = 5  # the field was solved at 9
         dump_config(cfg, cfg_path)
         assert cli_main(["reconstruct", "--config", cfg_path]) == 5
 
