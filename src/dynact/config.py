@@ -164,6 +164,10 @@ def validate_config(cfg: PipelineConfig) -> None:
         problems.append(str(exc))
     if cfg.solver.grid_nx < 9 or cfg.solver.grid_ny < 9:
         problems.append("solver grid must be at least 9x9")
+    if cfg.scan.time_scale <= 0:
+        problems.append("scan.time_scale must be positive")
+    if cfg.scan.t_end <= 0:
+        problems.append("scan.t_end = time_offset + time_scale * num_angles must be positive")
     if cfg.solver.num_snapshots < 2:
         problems.append("solver.num_snapshots must be >= 2")
     if cfg.boundary.num_sample_times < 2:

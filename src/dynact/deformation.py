@@ -18,7 +18,7 @@ binds once per image, on the calling thread, and gives every block of
 views a twin, so every buffer an evaluator writes is allocated there.
 
 The field provider holds a history's snapshots as they are, (K,
-n_stored, 2): one row per interior, boundary and ghost node, as the
+n_stored, 2): one row per interior and boundary node, as the
 solver returns them and the field artifact stores them. A `NodeMap`,
 which depends only on the grid and so serves every field on it, gives
 every lattice node two stored source nodes and two weights: itself with
@@ -38,7 +38,7 @@ import numpy as np
 from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
 from .elastic import DisplacementHistory
 from .errors import ConfigError
-from .grid import Grid2D, NodeKind, stored_nodes
+from .grid import Grid2D, stored_nodes
 
 
 def _evaluator(provider, points):
@@ -136,8 +136,8 @@ class NodeMap:
     """Where a field on ``grid``, one row per stored node
     (`grid.stored_nodes`), is read at each lattice node. Lattice node n
     reads rows ``src[n]`` with weights ``wts[n]``: its own row with weights
-    (1, 0) inside the domain and on its boundary; outside it (exterior
-    and ghost nodes) the rows of the two boundary nodes around its
+    (1, 0) inside the domain and on its boundary; outside it (the nodes
+    with no stored row) the rows of the two boundary nodes around its
     closest boundary point, interpolated in arc length: the clamped
     continuous extension.
     """
@@ -149,9 +149,8 @@ class NodeMap:
         stored = stored_nodes(kind)
         # the row of each stored node (outside nodes are set below)
         self.src = np.repeat(np.searchsorted(stored, np.arange(kind.size))[:, None], 2, axis=1)
-        self.wts = np.zeros((kind.size, 2))
-        self.wts[:, 0] = 1.0
-        outside = np.nonzero((kind == int(NodeKind.EXTERIOR)) | (kind == int(NodeKind.GHOST)))[0]
+        self.wts = np.repeat([[1.0, 0.0]], kind.size, axis=0)
+        outside = np.flatnonzero(np.bincount(stored, minlength=kind.size) == 0)  # no stored row
         if len(outside):
             # outside nodes keep their nominal lattice positions
             domain = grid.domain

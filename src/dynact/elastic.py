@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError
-from .grid import Grid2D, NodeKind, fill_ghost, stored_nodes
+from .grid import Grid2D, NodeKind, stored_nodes
 
 # explicit scheme: a snapshot with max|u| above this multiple of the
 # largest boundary or initial displacement so far counts as diverged
@@ -108,8 +108,8 @@ class InitialData:
 @dataclass
 class DisplacementHistory:
     """Displacement snapshots u(t_k) on the solver grid, one row per
-    stored node (``grid.stored_nodes``), as the field artifact stores
-    them; a (K, nx, ny, 2) lattice array is taken to that form here.
+    interior and boundary node (``grid.stored_nodes``), as the field
+    artifact stores them; a (K, nx, ny, 2) lattice array is cut to them.
     ``dt`` and ``num_steps`` are the explicit scheme's time step and step
     count; the quasi-static solve reports dt = 0 and one step per snapshot.
     """
@@ -202,8 +202,9 @@ class NavierOperator:
         self.boundary_ij = grid.boundary_ij
         n, nb = len(ii), len(self.boundary_ij)
         flat = ii * ny + jj
-        # the entry of each unknown of x in a flat (nx, ny, 2) field
-        self.slots = np.concatenate([2 * flat, 2 * flat + 1])
+        self.stored = stored_nodes(grid.kind)
+        self.slots = (2 * np.searchsorted(self.stored, flat) + np.arange(2)[:, None]).ravel()
+        self.boundary_rows = np.searchsorted(self.stored, self.boundary_ij[:, 0] * ny + self.boundary_ij[:, 1])
 
         px = grid.pos[..., 0].ravel()
         py = grid.pos[..., 1].ravel()
@@ -260,15 +261,14 @@ class NavierOperator:
 
     def interior(self, field: np.ndarray) -> np.ndarray:
         """The interior vector x of an (nx, ny, 2) field."""
-        return np.asarray(field, dtype=float).reshape(-1)[self.slots]
+        return field[self.int_ij].T.ravel()
 
-    def field(self, x: np.ndarray, psi) -> np.ndarray:
-        """The (nx, ny, 2) field of interior values x and boundary values
-        psi, ghosts filled; zero elsewhere."""
-        u = np.zeros(self.grid.shape + (2,))
-        u.reshape(-1)[self.slots] = x
-        u[self.boundary_ij[:, 0], self.boundary_ij[:, 1]] = psi
-        return fill_ghost(self.grid, u)
+    def rows(self, x: np.ndarray, psi, out: np.ndarray) -> np.ndarray:
+        """Writes interior values x at their ``slots`` and boundary values psi
+        at the ``boundary_rows`` of ``out``, a snapshot's (n_stored, 2) rows."""
+        out.reshape(-1)[self.slots] = x
+        out[self.boundary_rows] = psi
+        return out
 
 
 class ElasticModel:
@@ -326,12 +326,12 @@ def _boundary_evaluator(boundary, grid: Grid2D):
     return boundary.at_time
 
 
-def _check_bounded(u: np.ndarray, bound: float, step_no: int) -> None:
-    """InstabilityError when max|u| exceeds GROWTH_BOUND * bound."""
+def _check_bounded(op: NavierOperator, u: np.ndarray, bound: float, step_no: int) -> None:
+    """InstabilityError when max|u| over stored rows u exceeds GROWTH_BOUND * bound."""
     mag = np.abs(u).max(axis=-1)
-    k = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    k = int(np.argmax(mag))
     if mag[k] > GROWTH_BOUND * bound:
-        node = (int(k[0]), int(k[1]))
+        node = tuple(int(i) for i in np.unravel_index(op.stored[k], op.grid.shape))
         raise InstabilityError(
             f"max|u| = {mag[k]:.3g} at node {node}, step {step_no}, exceeds "
             f"{GROWTH_BOUND:g} x the largest boundary or initial displacement "
@@ -372,7 +372,7 @@ def solve(
     req = np.asarray(output_times, dtype=float)
     snap_steps = np.clip(np.rint(req / dt).astype(int), 0, num_steps)
     snap_times = snap_steps * dt
-    fields = np.zeros((len(req), grid.nx, grid.ny, 2))
+    fields = np.zeros((len(req), len(model.op.stored), 2))
 
     psi_prev, psi_cur = psi(0.0), psi(dt)
     guarded = params.forcing is None and not np.any(initial.theta1)
@@ -382,10 +382,10 @@ def solve(
     def capture(step_no: int, x: np.ndarray, p: np.ndarray) -> None:
         ks = np.nonzero(snap_steps == step_no)[0]
         if len(ks):
-            u = model.op.field(x, p)
+            u = model.op.rows(x, p, fields[ks[0]])
             if guarded:
-                _check_bounded(u, bound, step_no)
-            fields[ks] = u
+                _check_bounded(model.op, u, bound, step_no)
+            fields[ks[1:]] = u
 
     capture(0, x_prev, psi_prev)
     capture(1, x_cur, psi_cur)
@@ -690,16 +690,11 @@ class QuasiStaticSolver:
         # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
         self.edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
         self.edge_vals, self.edge_cols = op.vals[self.edge], op.cols[self.edge]
-        # the stored row of each interior node; x's slots in a flat snapshot
-        self.stored = stored_nodes(grid.kind)
-        rows = np.searchsorted(self.stored, op.int_ij[0] * grid.ny + op.int_ij[1])
-        self.slots = np.concatenate([2 * rows, 2 * rows + 1])
 
     def solve(self, boundary, output_times) -> DisplacementHistory:
         """u(t_k) at each output time from the boundary data, solved
         straight into stored-node rows. ``boundary`` is as for the explicit
-        ``solve``. The unknowns are the interior node values of both
-        components; ghost values follow from them and the boundary values.
+        ``solve``; the unknowns are the interior values of both components.
 
         The solution is linear in psi: only the pivot snapshots J of
         ``_pivoted_basis`` are solved, first, by one inverse apply to their
@@ -712,21 +707,21 @@ class QuasiStaticSolver:
         grid, op = self.grid, self.op
         psi = _boundary_evaluator(boundary, grid)
         times = np.array(output_times, dtype=float)
-        J, A = _pivoted_basis(np.stack([psi(t) for t in times]).reshape(len(times), -1))
-        pivot = np.zeros(len(times), dtype=bool)
-        pivot[J] = True
-        fields = np.zeros((len(times), len(self.stored), 2))
+        P = np.stack([psi(t) for t in times])
+        J, A = _pivoted_basis(P.reshape(len(times), -1).copy())
+        pivot = np.isin(np.arange(len(times)), J)
+        fields = np.zeros((len(times), len(op.stored), 2))
         X = None  # the pivots' interior values, once they are solved
         for k in np.concatenate([J, np.nonzero(~pivot)[0]]):
-            p = psi(times[k])
+            p = P[k]
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
             b = self.zero.copy()
             b[self.edge] = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
             if X is None and not pivot[k]:
-                X = fields.reshape(len(times), -1)[np.ix_(J, self.slots)]
+                X = fields.reshape(len(times), -1)[np.ix_(J, op.slots)]
             x = self.precond(b) if pivot[k] else np.einsum("i,ij->j", A[:, k], X)
             _refine(lambda x: -op.apply(x, p), self.precond, x, RELATIVE_TOLERANCE * _norm(b[self.edge]))
-            fields[k] = np.take(op.field(x, p).reshape(-1, 2), self.stored, axis=0)
+            op.rows(x, p, fields[k])
 
         return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))

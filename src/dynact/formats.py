@@ -5,7 +5,7 @@ bytes); headers are single ASCII lines with shortest round-trip float
 formatting, so identical data always produces identical bytes.
 
   DYNACT-SINO v2  <num_angles> <num_detectors> <angle_start> <angle_end> <det_min> <det_max> <time_offset> <time_scale>
-  DYNACT-FIELD v2 <nx> <ny> <num_snapshots> <n_stored>
+  DYNACT-FIELD v3 <nx> <ny> <num_snapshots> <n_stored>
   DYNACT-IMG v1   <nx> <ny> <xmin> <xmax> <ymin> <ymax>
 
 A sinogram's payload is its (num_angles, num_detectors) values; its
@@ -13,16 +13,16 @@ header carries the view-to-time map, so a stage can tell a sinogram
 simulated under another one. A field's payload is x (nx), y (ny), the
 node classification (nx * ny bytes), the K snapshot times and then one
 (K, n_stored, 2) block, a history's fields as they are: the
-displacement of every stored node (interior, boundary and ghost,
-`grid.stored_nodes`) in flat lattice order. Exterior nodes are not
-stored; ``read_field`` returns them as zero. An image's payload is its
-(nx, ny) values.
+displacement of every stored node (interior and boundary,
+`grid.stored_nodes`) in flat lattice order. Exterior and ghost nodes are
+not stored; ``read_field`` returns them as zero. An image's payload is
+its (nx, ny) values.
 
 A file with any other header, an older version of the same format
-included, or a header field that is not a number or a count that is
-not positive, is a MissingInputError. Every reader checks the payload size
-against the header before reading (MismatchError) and reads the payload
-straight into the arrays it returns.
+included (a v2 field stored the ghosts too), or a header field that is
+not a number or a count that is not positive, is a MissingInputError.
+Every reader checks the payload size against the header before reading
+(MismatchError) and reads the payload into the arrays it returns.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def read_sinogram(path: str) -> Sinogram:
 
 
 def write_field(path: str, history: DisplacementHistory) -> None:
-    """The v2 file of ``history``, whose fields are in stored-node form."""
+    """The v3 file of ``history``, whose fields are in stored-node form."""
     grid = history.grid
     with open(path, "wb") as f:
-        f.write("DYNACT-FIELD v2 {} {} {} {}\n".format(*grid.shape, *history.fields.shape[:2]).encode("ascii"))
+        f.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, *history.fields.shape[:2]).encode("ascii"))
         f.write(np.ascontiguousarray(grid.x_coords, dtype=_F8).tobytes())
         f.write(np.ascontiguousarray(grid.y_coords, dtype=_F8).tobytes())
         f.write(np.ascontiguousarray(grid.kind, dtype=np.uint8).tobytes())
@@ -135,7 +135,7 @@ def write_field(path: str, history: DisplacementHistory) -> None:
 def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (x_coords, y_coords, kind, times, values[K, n_stored, 2]):
     the values of the stored nodes, ``grid.stored_nodes(kind)``."""
-    hdr, f = _open(path, "DYNACT-FIELD v2", (int,) * 4)
+    hdr, f = _open(path, "DYNACT-FIELD v3", (int,) * 4)
     with f:
         nx, ny, k, n_stored = hdr
         _check_payload(f, (nx + ny) * 8 + nx * ny + k * (8 + 16 * n_stored))
@@ -153,7 +153,7 @@ def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (x_coords, y_coords, kind, times, fields[K, nx, ny, 2]): the
     stored values of ``read_field_nodes`` on the whole lattice, with 0 at
-    the exterior nodes."""
+    the exterior and ghost nodes."""
     x, y, kind, times, values = read_field_nodes(path)
     fields = np.zeros((len(times), kind.size, 2))
     fields[:, stored_nodes(kind)] = values

@@ -208,9 +208,8 @@ def make_grid(x_coords: np.ndarray, y_coords: np.ndarray, domain) -> Grid2D:
 
 
 def stored_nodes(kind: np.ndarray) -> np.ndarray:
-    """Flat lattice indices of the nodes a field artifact stores, all but
-    the exterior ones, ascending."""
-    return np.flatnonzero(np.asarray(kind).ravel() != int(NodeKind.EXTERIOR))
+    """Flat indices of the interior and boundary nodes, a history's rows."""
+    return np.flatnonzero(np.isin(np.ravel(kind), (int(NodeKind.INTERIOR), int(NodeKind.BOUNDARY))))
 
 
 def fill_ghost(grid: Grid2D, field: np.ndarray) -> np.ndarray:
@@ -220,7 +219,9 @@ def fill_ghost(grid: Grid2D, field: np.ndarray) -> np.ndarray:
     h_g = h_0 + (h_aux - h_0) * ((x_k)_g - (x_k)_0) / ((x_k)_aux - (x_k)_0)
     with the auxiliary value h_aux = (h_1 + h_2)/2. Affine fields are
     reproduced exactly when node0, aux and the ghost are collinear.
-    Mutates and returns the field.
+    Mutates and returns the field. The solvers fold the rule into their
+    operator instead: criterion 05 checks it, and the fold is checked
+    against it (``test_operator_matches_nine_node_formula``).
     """
     g = grid.ghosts
     if len(g) == 0:

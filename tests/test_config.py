@@ -164,6 +164,21 @@ def test_spec_error_names_its_location(path, value, expected):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("time_scale", 0.0, "scan.time_scale must be positive"),
+    ("time_scale", -0.1, "scan.time_scale must be positive"),
+    ("time_offset", -1e6, "scan.t_end = time_offset + time_scale * num_angles must be positive"),
+], ids=["time_scale=0", "time_scale<0", "t_end<0"])
+def test_scan_without_forward_time_rejected(key, value, expected):
+    # such a scan has no snapshot times to solve at: it is rejected at
+    # load, naming the key, rather than in solve-motion
+    raw = config_to_dict(default_config())
+    raw["scan"][key] = value
+    with pytest.raises(ConfigError, match=re.escape(expected)) as exc_info:
+        config_from_dict(raw)
+    assert exc_info.value.exit_code == 2
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
 def test_rng_seed_outside_u64_rejected(seed):
     # the noise generator masks its seed to 64 bits, so these would alias

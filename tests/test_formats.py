@@ -112,8 +112,8 @@ class TestFieldFormat:
         return DisplacementHistory(times=times, fields=cls.lattice(grid), grid=grid, dt=0.1, num_steps=30)
 
     def test_roundtrip(self, tmp_path, ellipse_grid_65):
-        # v2 stores no exterior values: the stored nodes (interior, boundary
-        # and ghost) come back bit-exactly, the exterior ones as 0
+        # v3 stores no exterior or ghost values: the stored nodes (interior
+        # and boundary) come back bit-exactly, the others as 0
         g = ellipse_grid_65
         hist = self.history(g)
         p = str(tmp_path / "f.field")
@@ -123,19 +123,19 @@ class TestFieldFormat:
         assert np.array_equal(y, g.y_coords)
         assert np.array_equal(kind, g.kind)
         assert np.array_equal(t_back, hist.times)
-        exterior = g.kind == int(NodeKind.EXTERIOR)
-        assert np.array_equal(f_back[:, ~exterior], self.lattice(g)[:, ~exterior])
-        assert np.all(f_back[:, exterior] == 0.0)
+        stored = (g.kind == int(NodeKind.INTERIOR)) | (g.kind == int(NodeKind.BOUNDARY))
+        assert np.array_equal(f_back[:, stored], self.lattice(g)[:, stored])
+        assert np.all(f_back[:, ~stored] == 0.0)
         values = formats.read_field_nodes(p)[4]
         assert np.array_equal(values, hist.fields)
         assert np.array_equal(values, self.lattice(g).reshape(3, -1, 2)[:, stored_nodes(g.kind)])
 
-    def test_stores_only_the_non_exterior_nodes(self, tmp_path, ellipse_grid_65):
+    def test_stores_only_the_interior_and_boundary_nodes(self, tmp_path, ellipse_grid_65):
         g = ellipse_grid_65
         p = str(tmp_path / "f.field")
         formats.write_field(p, self.history(g))
-        n_stored = int(np.count_nonzero(g.kind != int(NodeKind.EXTERIOR)))
-        header = f"DYNACT-FIELD v2 65 65 3 {n_stored}\n".encode("ascii")
+        n_stored = int(np.count_nonzero((g.kind == int(NodeKind.INTERIOR)) | (g.kind == int(NodeKind.BOUNDARY))))
+        header = f"DYNACT-FIELD v3 65 65 3 {n_stored}\n".encode("ascii")
         raw = Path(p).read_bytes()
         assert raw.startswith(header)
         assert len(raw) == len(header) + (65 + 65) * 8 + 65 * 65 + 3 * 8 + 3 * n_stored * 2 * 8
@@ -149,13 +149,18 @@ class TestFieldFormat:
             with pytest.raises(MismatchError):
                 formats.read_field(p)
 
-    def test_older_version_is_rejected(self, tmp_path, ellipse_grid_65):
-        # a v1 header: every lattice node stored, no stored-node count
+    @pytest.mark.parametrize("header, found", [
+        # v1: every lattice node stored, no stored-node count
+        (b"DYNACT-FIELD v1 65 65 3", "'DYNACT-FIELD v1' with 3"),
+        # v2: the ghost nodes stored too
+        (b"DYNACT-FIELD v2 65 65 3 1441", "'DYNACT-FIELD v2' with 4"),
+    ], ids=["v1", "v2"])
+    def test_older_version_is_rejected(self, tmp_path, ellipse_grid_65, header, found):
         p = str(tmp_path / "f.field")
         formats.write_field(p, self.history(ellipse_grid_65))
         rest = Path(p).read_bytes().split(b"\n", 1)[1]
-        Path(p).write_bytes(b"DYNACT-FIELD v1 65 65 3\n" + rest)
-        with pytest.raises(MissingInputError, match="found 'DYNACT-FIELD v1' with 3"):
+        Path(p).write_bytes(header + b"\n" + rest)
+        with pytest.raises(MissingInputError, match=f"found {found}"):
             formats.read_field_nodes(p)
 
     @pytest.mark.parametrize("field, found", [(2, "'three'"), (3, "non-positive count 0")])
@@ -166,7 +171,7 @@ class TestFieldFormat:
         parts = line.split(b" ")
         parts[2 + field] = b"three" if field == 2 else b"0"
         Path(p).write_bytes(b" ".join(parts) + b"\n" + rest)
-        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-FIELD v2' header: .*{found}"):
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-FIELD v3' header: .*{found}"):
             formats.read_field_nodes(p)
 
     def test_stored_count_must_match_the_classification(self, tmp_path, ellipse_grid_65):

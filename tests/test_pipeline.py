@@ -308,6 +308,13 @@ class TestCli:
         assert code == 3
         assert "found 'DYNACT-FIELD v1'" in err
 
+    def test_v2_field_is_missing_input(self, tmp_path, capsys):
+        # a v2 field also stored the ghost nodes
+        header = b"DYNACT-FIELD v2 33 33 9 395\n"
+        code, err = self.reconstruct_with_header(tmp_path, capsys, "field_exact.field", header)
+        assert code == 3
+        assert "found 'DYNACT-FIELD v2'" in err
+
     def test_malformed_sinogram_header_is_missing_input(self, tmp_path, capsys):
         header = b"DYNACT-SINO v2 forty 61 0.0 3.141592653589793 -1.0 1.0 0.0 1.0\n"
         code, err = self.reconstruct_with_header(tmp_path, capsys, "sinogram.sino", header)
