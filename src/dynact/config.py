@@ -164,6 +164,8 @@ def validate_config(cfg: PipelineConfig) -> None:
         problems.append(str(exc))
     if cfg.solver.grid_nx < 9 or cfg.solver.grid_ny < 9:
         problems.append("solver grid must be at least 9x9")
+    if cfg.scan.time_offset < 0:
+        problems.append("scan.time_offset must be >= 0: the solved snapshots start at t = 0")
     if cfg.scan.time_scale <= 0:
         problems.append("scan.time_scale must be positive")
     if cfg.scan.t_end <= 0:

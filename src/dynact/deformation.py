@@ -24,11 +24,13 @@ which depends only on the grid and so serves every field on it, gives
 every lattice node two stored source nodes and two weights: itself with
 weights (1, 0) inside the domain and on its boundary, the two arc-length
 neighbours of its closest boundary point outside. Binding to a point set
-folds the bilinear cell weights through the node map, so each point
-reads 8 snapshot values; twins share that point map. An evaluator maps
-snapshots to the bound points lazily, one gather per component into two
-snapshot slots, and blends the two slots in time with
-`boundary.lerp_in_time`.
+folds the bilinear cell weights through the node map and merges each
+point's repeated rows, so a point reads only the rows it weighs: 1 or 2
+where the points are lattice nodes, up to 4 elsewhere on the grids and
+rasters measured, of 8 before the merge; twins share that point map. An evaluator maps
+snapshots to the bound points lazily, one gather of both components per
+column of the map into two snapshot slots, and blends the two slots in
+time with `boundary.lerp_in_time`.
 """
 
 from __future__ import annotations
@@ -78,18 +80,22 @@ class AnalyticDeformation:
 
 class _SnapshotsAtPoints:
     """The snapshot displacements at one bound point set, as a sequence
-    for `lerp_in_time`: component c of snapshot k at point p is
-    sum_j wts[p, j] * values[k].ravel()[idx[p, j] + c], computed into one
-    of two slots on first access. The slots hold the two snapshots most
-    recently read, which are the ones bracketing the last requested time.
+    for `lerp_in_time`: snapshot k at point p is
+    sum_j wts[j, p] * values[k, rows[j, p]], computed into one of two
+    slots on first access. ``values`` is the (K, n_stored) complex view
+    of the stored rows, so one take reads both components of a row, and
+    ``wts`` (W, P, 2) holds each weight once per component, so a column
+    multiplies the gathered (P, 2) values elementwise. The slots hold the
+    two snapshots most recently read, which are the ones bracketing the
+    last requested time.
     """
 
-    def __init__(self, values: np.ndarray, idx: np.ndarray, wts: np.ndarray):
+    def __init__(self, values: np.ndarray, rows: np.ndarray, wts: np.ndarray):
         self.values = values
-        self.idx = idx
+        self.rows = rows
         self.wts = wts
-        self.gather = np.empty(idx.shape)
-        self.slots = [np.empty((len(idx), 2)) for _ in range(2)]
+        self.gather = np.empty(rows.shape[1], dtype=complex)
+        self.slots = [np.empty((rows.shape[1], 2)) for _ in range(2)]
         self.held = [-1, -1]  # the snapshot in each slot, the most recently read last
 
     def __getitem__(self, k: int) -> np.ndarray:
@@ -98,11 +104,13 @@ class _SnapshotsAtPoints:
             self.slots.reverse()
             if k != self.held[1]:
                 self.held[1] = k
-                flat = self.values[k].reshape(-1)
-                for c in range(2):
-                    # one flat take per component: far cheaper than a row gather
-                    np.take(flat[c:], self.idx, out=self.gather, mode="clip")
-                    np.einsum("pj,pj->p", self.wts, self.gather, out=self.slots[1][:, c])
+                slot, gather = self.slots[1], self.gather.view(float).reshape(-1, 2)
+                # mode="clip" writes straight into out; "raise" buffers it
+                np.take(self.values[k], self.rows[0], out=slot.view(complex)[:, 0], mode="clip")
+                slot *= self.wts[0]
+                for r, w in zip(self.rows[1:], self.wts[1:]):
+                    np.take(self.values[k], r, out=self.gather, mode="clip")
+                    slot += np.multiply(gather, w, out=gather)
         return self.slots[1]
 
 
@@ -129,7 +137,7 @@ class _FieldAtPoints:
         """An evaluator at the same points sharing the point map, with
         snapshot slots and buffers of its own."""
         s = self.snapshots
-        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.values, s.idx, s.wts))
+        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.values, s.rows, s.wts))
 
 
 class NodeMap:
@@ -180,15 +188,19 @@ class FieldDeformation:
         self.node_map = NodeMap(self.grid) if node_map is None else node_map
         if self.node_map.grid is not self.grid:
             raise ConfigError("the node map was built for another grid")
-        self.values = history.fields
+        self.values = np.ascontiguousarray(history.fields)
 
     def bind(self, points: np.ndarray) -> _FieldAtPoints:
         """t -> x + u(t, x) at ``points`` (..., 2), t clamped to the snapshot
-        range. Per-point source weights and flat indices of the first
-        component into a snapshot's stored-node values, (P, 8): the four
-        bilinear cell corners, clamped at the lattice edges, each read
-        through the node map. The evaluator reads ``points`` when called:
-        bind again after changing them."""
+        range. The point map: each point's stored rows (W, P) and weights
+        (W, P, 2, one per component), from the four bilinear cell corners,
+        clamped at the lattice edges, each read through the node map. A row
+        reached twice has its weights summed and a zero weight is dropped,
+        so a NaN in a row that a point reads only with weight 0 does not
+        reach it. W is the widest point's count (at most 2 where the points
+        are lattice nodes); a shorter point repeats its first row with weight
+        0. The evaluator reads ``points`` when called: bind again after
+        changing them."""
         points = np.asarray(points, dtype=float)
         xc, yc = self.grid.x_coords, self.grid.y_coords
         pts = points.reshape(-1, 2)
@@ -200,15 +212,28 @@ class FieldDeformation:
         node = ix * self.grid.ny + iy
         corners = np.stack([node, node + 1, node + self.grid.ny, node + self.grid.ny + 1], axis=1)
         corner_wts = np.stack([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1)
-        src, src_wts = self.node_map.src, self.node_map.wts
-        idx = 2 * src[corners].reshape(len(pts), 8)
-        wts = (corner_wts[:, :, None] * src_wts[corners]).reshape(len(pts), 8)
-        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(self.values, idx, wts))
+        src_rows = self.node_map.src[corners].reshape(len(pts), 8)
+        src_wts = (corner_wts[:, :, None] * self.node_map.wts[corners]).reshape(len(pts), 8)
+        rows, wts = [np.full(len(pts), -1)], [np.zeros(len(pts))]  # columns; row -1: an unused entry
+        for r, w in zip(src_rows.T, src_wts.T):
+            new = w != 0
+            for col_r, col_w in zip(rows, wts):
+                hit = new & ((col_r == r) | (col_r < 0))  # the row's entry or the point's first free one
+                np.add(col_w, w, out=col_w, where=hit)
+                np.copyto(col_r, r, where=hit)
+                new ^= hit
+            if new.any():
+                rows.append(np.where(new, r, -1))
+                wts.append(np.where(new, w, 0.0))
+        rows = np.array([np.where(col_r < 0, rows[0], col_r) for col_r in rows])
+        wts = np.repeat(np.array(wts)[..., None], 2, axis=2)
+        values = self.values.view(complex)[..., 0]
+        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(values, rows, wts))
 
     def eval(self, t: float, points) -> np.ndarray:
         """x + u(t, x) at ``points``; t clamped to the snapshot range.
 
-        An array (..., 2) of points is bound afresh, a (P, 8) point map,
-        on every call; over many times, bind once and pass the evaluator.
+        An array (..., 2) of points is bound afresh, a new point map, on
+        every call; over many times, bind once and pass the evaluator.
         """
         return _evaluator(self, points)(t)

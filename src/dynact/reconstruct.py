@@ -221,8 +221,7 @@ def backproject_static(filtered: np.ndarray, geometry: ScanGeometry, image_spec:
     dets = geometry.detectors
     weights = _angle_weights(angles)
     pts = image_spec.pixel_points().reshape(-1, 2)
-    px = pts[:, 0]
-    py = pts[:, 1]
+    px, py = np.ascontiguousarray(pts.T)  # contiguous coordinate rows
 
     def run_block(b: int, views: range, acc: np.ndarray) -> None:
         for n in views:

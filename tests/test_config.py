@@ -168,10 +168,12 @@ def test_spec_error_names_its_location(path, value, expected):
     ("time_scale", 0.0, "scan.time_scale must be positive"),
     ("time_scale", -0.1, "scan.time_scale must be positive"),
     ("time_offset", -1e6, "scan.t_end = time_offset + time_scale * num_angles must be positive"),
-], ids=["time_scale=0", "time_scale<0", "t_end<0"])
+    ("time_offset", -40.0, "scan.time_offset must be >= 0: the solved snapshots start at t = 0"),
+], ids=["time_scale=0", "time_scale<0", "t_end<0", "time_offset<0"])
 def test_scan_without_forward_time_rejected(key, value, expected):
-    # such a scan has no snapshot times to solve at: it is rejected at
-    # load, naming the key, rather than in solve-motion
+    # such a scan has no snapshot times to solve at, or views before the
+    # first snapshot (which would read it, clamped): it is rejected at
+    # load, naming the key, rather than in solve-motion or not at all
     raw = config_to_dict(default_config())
     raw["scan"][key] = value
     with pytest.raises(ConfigError, match=re.escape(expected)) as exc_info:

@@ -208,7 +208,7 @@ class TestAgainstWholeLatticeReference:
         pts = self.raster()
         move = FieldDeformation(hist).bind(pts)
         twin = move.twin()
-        assert twin.snapshots.idx is move.snapshots.idx and twin.snapshots.wts is move.snapshots.wts
+        assert twin.snapshots.rows is move.snapshots.rows and twin.snapshots.wts is move.snapshots.wts
         assert not np.shares_memory(twin.out, move.out)
         assert not np.shares_memory(twin.snapshots.slots[0], move.snapshots.slots[0])
         for t0, t1 in ((0.2, 3.5), (0.9, 3.7), (1.6, 4.2)):
@@ -226,3 +226,68 @@ class TestAgainstWholeLatticeReference:
         move = prov.bind(pts)
         for t in (-1.0, 0.7, 2.2, 9.0):
             assert np.array_equal(prov.eval(t, move), prov.bind(pts)(t))
+
+
+def eight_wide_fold(prov, pts):
+    """Each point's 8 (stored row, weight) pairs before merging: the four
+    bilinear cell corners, each read through the node map as 2 rows."""
+    g = prov.grid
+    xc, yc = g.x_coords, g.y_coords
+    ix = np.clip(np.searchsorted(xc, pts[:, 0], side="right") - 1, 0, len(xc) - 2)
+    iy = np.clip(np.searchsorted(yc, pts[:, 1], side="right") - 1, 0, len(yc) - 2)
+    fx = np.clip((pts[:, 0] - xc[ix]) / (xc[ix + 1] - xc[ix]), 0.0, 1.0)
+    fy = np.clip((pts[:, 1] - yc[iy]) / (yc[iy + 1] - yc[iy]), 0.0, 1.0)
+    node = ix * g.ny + iy
+    corners = np.stack([node, node + 1, node + g.ny, node + g.ny + 1], axis=1)
+    corner_wts = np.stack([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1)
+    src, src_wts = prov.node_map.src[corners], prov.node_map.wts[corners]
+    return src.reshape(len(pts), 8), (corner_wts[:, :, None] * src_wts).reshape(len(pts), 8)
+
+
+class TestCompactPointMap:
+    """A bound point reads each stored row it weighs once, and no other."""
+
+    def test_lattice_nodes_are_bitwise_and_at_most_2_wide(self, ellipse_grid_65):
+        # at lattice nodes every mapped value is 1.0 * v or (1 - w) * a + w * b,
+        # the whole-lattice formula's arithmetic, so the two agree bit for bit
+        g = ellipse_grid_65
+        hist = TestAgainstWholeLatticeReference.history(g)
+        pts = np.stack(np.meshgrid(g.x_coords, g.y_coords, indexing="ij"), axis=-1).reshape(-1, 2)
+        move = FieldDeformation(hist).bind(pts)
+        assert move.snapshots.rows.shape == (2, len(pts))
+        for t in (-1.0, 0.0, 0.35, 1.5, 2.9, 4.0, 9.0):
+            assert np.array_equal(move(t), reference_eval(hist, t, pts))
+
+    def test_rows_are_merged_and_weights_kept(self, ellipse_grid_65):
+        hist = TestAgainstWholeLatticeReference.history(ellipse_grid_65)
+        pts = TestAgainstWholeLatticeReference.raster()
+        prov = FieldDeformation(hist)
+        snapshots = prov.bind(pts).snapshots
+        rows, wts = snapshots.rows, snapshots.wts
+        assert rows.shape == wts.shape[:2] == (4, len(pts))
+        assert np.array_equal(wts[..., 0], wts[..., 1])
+        wts = wts[..., 0]
+        # no point lists a row twice among the rows it weighs, and a padded
+        # entry repeats the point's first row
+        for i in range(len(rows)):
+            for j in range(i):
+                assert not np.any((rows[i] == rows[j]) & (wts[i] != 0) & (wts[j] != 0))
+        assert np.array_equal(np.where(wts != 0, rows, rows[0]), rows)
+        # each (point, row) weight is the sum of the 8-wide fold's weights on it
+        fold_rows, fold_wts = eight_wide_fold(prov, pts)
+        n = len(hist.fields[0])
+        point = np.arange(len(pts))[:, None]
+        fold = np.bincount((point * n + fold_rows).ravel(), fold_wts.ravel(), minlength=len(pts) * n)
+        merged = np.bincount((point * n + rows.T).ravel(), wts.T.ravel(), minlength=len(pts) * n)
+        np.testing.assert_allclose(merged, fold, rtol=0, atol=1e-15)
+        assert np.array_equal(merged != 0, fold != 0)
+
+    def test_nan_read_with_weight_0_does_not_reach_the_point(self, ellipse_grid_65):
+        g = ellipse_grid_65
+        hist = TestAgainstWholeLatticeReference.history(g)
+        inside = np.argwhere(g.kind == int(NodeKind.INTERIOR))[100]
+        p = np.array([[g.x_coords[inside[0]], g.y_coords[inside[1]]]])
+        expect = FieldDeformation(hist).eval(1.0, p)
+        # the node's cell neighbour is a corner of its bilinear cell with weight 0
+        hist.fields[:, stored_nodes(g.kind) == (inside[0] + 1) * g.ny + inside[1]] = np.nan
+        assert np.array_equal(FieldDeformation(hist).eval(1.0, p), expect)
