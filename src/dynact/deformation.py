@@ -25,15 +25,17 @@ every lattice node two stored source nodes and two weights: itself with
 weights (1, 0) inside the domain and on its boundary, the two arc-length
 neighbours of its closest boundary point outside. Binding to a point set
 folds the bilinear cell weights through the node map and merges each
-point's repeated rows, so a point reads only the rows it weighs: 1 or 2
-where the points are lattice nodes, up to 4 elsewhere on the grids and
-rasters measured, of 8 before the merge; twins share that point map. An evaluator maps
-snapshots to the bound points lazily, one gather of both components per
-column of the map into two snapshot slots, and blends the two slots in
-time with `boundary.lerp_in_time`.
+point's repeated rows, so a point reads only the rows it weighs (of 8
+before the merge): 1 or 2 where the points are lattice nodes, up to 4
+elsewhere on the grids and rasters measured. Twins share that point
+map. An evaluator maps snapshots to the bound points lazily, one gather
+of both components per column of the map into two snapshot slots, and
+blends the two slots in time with `boundary.lerp_in_time`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -210,22 +212,23 @@ class FieldDeformation:
         fx = np.clip((px - xc[ix]) / (xc[ix + 1] - xc[ix]), 0.0, 1.0)
         fy = np.clip((py - yc[iy]) / (yc[iy + 1] - yc[iy]), 0.0, 1.0)
         node = ix * self.grid.ny + iy
-        corners = np.stack([node, node + 1, node + self.grid.ny, node + self.grid.ny + 1], axis=1)
-        corner_wts = np.stack([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1)
-        src_rows = self.node_map.src[corners].reshape(len(pts), 8)
-        src_wts = (corner_wts[:, :, None] * self.node_map.wts[corners]).reshape(len(pts), 8)
+        src, src_wts = self.node_map.src, self.node_map.wts
         rows, wts = [np.full(len(pts), -1)], [np.zeros(len(pts))]  # columns; row -1: an unused entry
-        for r, w in zip(src_rows.T, src_wts.T):
-            new = w != 0
-            for col_r, col_w in zip(rows, wts):
-                hit = new & ((col_r == r) | (col_r < 0))  # the row's entry or the point's first free one
-                np.add(col_w, w, out=col_w, where=hit)
-                np.copyto(col_r, r, where=hit)
-                new ^= hit
-            if new.any():
-                rows.append(np.where(new, r, -1))
-                wts.append(np.where(new, w, 0.0))
-        rows = np.array([np.where(col_r < 0, rows[0], col_r) for col_r in rows])
+        for (cx, wx), (cy, wy) in itertools.product([(0, 1 - fx), (self.grid.ny, fx)], [(0, 1 - fy), (1, fy)]):
+            corner = node + cx + cy
+            for r, w in zip(src[corner].T, wx * wy * src_wts[corner].T):
+                new = w != 0
+                for col_r, col_w in zip(rows, wts):
+                    hit = new & ((col_r == r) | (col_r < 0))  # the row's entry or the point's first free one
+                    np.add(col_w, w, out=col_w, where=hit)
+                    np.copyto(col_r, r, where=hit)
+                    new ^= hit
+                if new.any():
+                    rows.append(np.where(new, r, -1))
+                    wts.append(np.where(new, w, 0.0))
+        for col_r in rows[1:]:
+            np.copyto(col_r, rows[0], where=col_r < 0)
+        rows = np.array(rows)
         wts = np.repeat(np.array(wts)[..., None], 2, axis=2)
         values = self.values.view(complex)[..., 0]
         return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(values, rows, wts))
