@@ -275,10 +275,11 @@ class TestCompactPointMap:
         assert np.array_equal(np.where(wts != 0, rows, rows[0]), rows)
         # each (point, row) weight is the sum of the 8-wide fold's weights on it
         fold_rows, fold_wts = eight_wide_fold(prov, pts)
-        n = len(hist.fields[0])
         point = np.arange(len(pts))[:, None]
-        fold = np.bincount((point * n + fold_rows).ravel(), fold_wts.ravel(), minlength=len(pts) * n)
-        merged = np.bincount((point * n + rows.T).ravel(), wts.T.ravel(), minlength=len(pts) * n)
+        keys = np.concatenate([(point * len(hist.fields[0]) + r).ravel() for r in (fold_rows, rows.T)])
+        pairs, pair = np.unique(keys, return_inverse=True)
+        fold = np.bincount(pair[: fold_rows.size], fold_wts.ravel(), minlength=len(pairs))
+        merged = np.bincount(pair[fold_rows.size :], wts.T.ravel(), minlength=len(pairs))
         np.testing.assert_allclose(merged, fold, rtol=0, atol=1e-15)
         assert np.array_equal(merged != 0, fold != 0)
 
@@ -288,6 +289,8 @@ class TestCompactPointMap:
         inside = np.argwhere(g.kind == int(NodeKind.INTERIOR))[100]
         p = np.array([[g.x_coords[inside[0]], g.y_coords[inside[1]]]])
         expect = FieldDeformation(hist).eval(1.0, p)
-        # the node's cell neighbour is a corner of its bilinear cell with weight 0
-        hist.fields[:, stored_nodes(g.kind) == (inside[0] + 1) * g.ny + inside[1]] = np.nan
+        # the node's neighbour in x is a corner of its bilinear cell, with weight 0
+        neighbour = np.flatnonzero(stored_nodes(g.kind) == (inside[0] + 1) * g.ny + inside[1])
+        assert len(neighbour) == 1
+        hist.fields[:, neighbour] = np.nan
         assert np.array_equal(FieldDeformation(hist).eval(1.0, p), expect)
