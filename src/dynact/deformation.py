@@ -96,7 +96,7 @@ class _SnapshotsAtPoints:
         self.values = values
         self.rows = rows
         self.wts = wts
-        self.gather = np.empty(rows.shape[1], dtype=complex)
+        self.gather = np.empty((rows.shape[1], 2))
         self.slots = [np.empty((rows.shape[1], 2)) for _ in range(2)]
         self.held = [-1, -1]  # the snapshot in each slot, the most recently read last
 
@@ -106,12 +106,12 @@ class _SnapshotsAtPoints:
             self.slots.reverse()
             if k != self.held[1]:
                 self.held[1] = k
-                slot, gather = self.slots[1], self.gather.view(float).reshape(-1, 2)
+                slot, gather = self.slots[1], self.gather
                 # mode="clip" writes straight into out; "raise" buffers it
                 np.take(self.values[k], self.rows[0], out=slot.view(complex)[:, 0], mode="clip")
                 slot *= self.wts[0]
                 for r, w in zip(self.rows[1:], self.wts[1:]):
-                    np.take(self.values[k], r, out=self.gather, mode="clip")
+                    np.take(self.values[k], r, out=gather.view(complex)[:, 0], mode="clip")
                     slot += np.multiply(gather, w, out=gather)
         return self.slots[1]
 
