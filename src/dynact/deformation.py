@@ -17,9 +17,10 @@ afresh on every call, or an evaluator from ``bind``. The reconstructor
 binds once per image, on the calling thread, and gives every block of
 views a twin, so every buffer an evaluator writes is allocated there.
 
-The field provider holds a history's snapshots as they are, (K,
-n_stored, 2): one row per interior and boundary node, as the
-solver returns them and the field artifact stores them. A `NodeMap`,
+The field provider reads a history's snapshots, (n_stored, 2) rows of
+the interior and boundary nodes as the solver and the field artifact
+hold them, one at a time from a `DisplacementHistory` or an open
+`formats.FieldFile`, so it holds no whole history. A `NodeMap`,
 which depends only on the grid and so serves every field on it, gives
 every lattice node two stored source nodes and two weights: itself with
 weights (1, 0) inside the domain and on its boundary, the two arc-length
@@ -28,9 +29,10 @@ folds the bilinear cell weights through the node map and merges each
 point's repeated rows, so a point reads only the rows it weighs (of 8
 before the merge): 1 or 2 where the points are lattice nodes, up to 4
 elsewhere on the grids and rasters measured. Twins share that point
-map. An evaluator maps snapshots to the bound points lazily, one gather
-of both components per column of the map into two snapshot slots, and
-blends the two slots in time with `boundary.lerp_in_time`.
+map and the source. An evaluator maps snapshots to the bound points
+lazily, one gather of both components per column of the map into two
+snapshot slots, and blends the two slots in time with
+`boundary.lerp_in_time`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import itertools
 import numpy as np
 
 from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
-from .elastic import DisplacementHistory
 from .errors import ConfigError
 from .grid import Grid2D, stored_nodes
 
@@ -83,19 +84,20 @@ class AnalyticDeformation:
 class _SnapshotsAtPoints:
     """The snapshot displacements at one bound point set, as a sequence
     for `lerp_in_time`: snapshot k at point p is
-    sum_j wts[j, p] * values[k, rows[j, p]], computed into one of two
-    slots on first access. ``values`` is the (K, n_stored) complex view
-    of the stored rows, so one take reads both components of a row, and
-    ``wts`` (W, P, 2) holds each weight once per component, so a column
-    multiplies the gathered (P, 2) values elementwise. The slots hold the
-    two snapshots most recently read, which are the ones bracketing the
-    last requested time.
+    sum_j wts[j, p] * u_k[rows[j, p]], computed into one of two slots on
+    first access. u_k, the rows of snapshot k, is read by ``source.read``
+    into this object's own buffer and gathered through its complex view,
+    so one take reads both components of a row; ``wts`` (W, P, 2) holds
+    each weight once per component, so a column multiplies the gathered
+    (P, 2) values elementwise. The slots hold the two snapshots most
+    recently read, which are the ones bracketing the last requested time.
     """
 
-    def __init__(self, values: np.ndarray, rows: np.ndarray, wts: np.ndarray):
-        self.values = values
+    def __init__(self, source, rows: np.ndarray, wts: np.ndarray, n_stored: int):
+        self.source = source
         self.rows = rows
         self.wts = wts
+        self.snapshot = np.empty((n_stored, 2))
         self.gather = np.empty((rows.shape[1], 2))
         self.slots = [np.empty((rows.shape[1], 2)) for _ in range(2)]
         self.held = [-1, -1]  # the snapshot in each slot, the most recently read last
@@ -107,11 +109,12 @@ class _SnapshotsAtPoints:
             if k != self.held[1]:
                 self.held[1] = k
                 slot, gather = self.slots[1], self.gather
+                values = self.source.read(k, self.snapshot).view(complex)[:, 0]
                 # mode="clip" writes straight into out; "raise" buffers it
-                np.take(self.values[k], self.rows[0], out=slot.view(complex)[:, 0], mode="clip")
+                np.take(values, self.rows[0], out=slot.view(complex)[:, 0], mode="clip")
                 slot *= self.wts[0]
                 for r, w in zip(self.rows[1:], self.wts[1:]):
-                    np.take(self.values[k], r, out=gather.view(complex)[:, 0], mode="clip")
+                    np.take(values, r, out=gather.view(complex)[:, 0], mode="clip")
                     slot += np.multiply(gather, w, out=gather)
         return self.slots[1]
 
@@ -136,10 +139,10 @@ class _FieldAtPoints:
         return np.add(self.points, u, out=self.out).reshape(self.shape)
 
     def twin(self) -> "_FieldAtPoints":
-        """An evaluator at the same points sharing the point map, with
-        snapshot slots and buffers of its own."""
+        """An evaluator at the same points sharing the point map and the
+        source, with a snapshot buffer, slots and buffers of its own."""
         s = self.snapshots
-        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.values, s.rows, s.wts))
+        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.source, s.rows, s.wts, len(s.snapshot)))
 
 
 class NodeMap:
@@ -173,16 +176,17 @@ class NodeMap:
 
 
 class FieldDeformation:
-    """Deformation backed by a solved displacement history, whose
-    stored-node rows it keeps without a copy. Nodes outside
-    the solver domain (exterior and ghost) take the boundary
+    """Deformation backed by a solved displacement history with ``grid``,
+    ``times`` and ``read(k, out)``: a `DisplacementHistory`, or a
+    `formats.FieldFile` kept open while the evaluators are called. Nodes
+    outside the solver domain (exterior and ghost) take the boundary
     displacement at their closest boundary point through ``node_map``,
     which must be built for ``history.grid`` (built here when omitted).
-    ``bind`` maps the node map to a point set; its evaluator maps each
-    snapshot to the points when a call first needs it.
+    ``bind`` maps the node map to a point set; its evaluator reads each
+    snapshot and maps it to the points when a call first needs it.
     """
 
-    def __init__(self, history: DisplacementHistory, node_map: NodeMap | None = None):
+    def __init__(self, history, node_map: NodeMap | None = None):
         self.grid = history.grid
         self.times = np.asarray(history.times, dtype=float)
         if np.any(np.diff(self.times) <= 0):
@@ -190,7 +194,7 @@ class FieldDeformation:
         self.node_map = NodeMap(self.grid) if node_map is None else node_map
         if self.node_map.grid is not self.grid:
             raise ConfigError("the node map was built for another grid")
-        self.values = np.ascontiguousarray(history.fields)
+        self.source = history
 
     def bind(self, points: np.ndarray) -> _FieldAtPoints:
         """t -> x + u(t, x) at ``points`` (..., 2), t clamped to the snapshot
@@ -230,8 +234,7 @@ class FieldDeformation:
             np.copyto(col_r, rows[0], where=col_r < 0)
         rows = np.array(rows)
         wts = np.repeat(np.array(wts)[..., None], 2, axis=2)
-        values = self.values.view(complex)[..., 0]
-        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(values, rows, wts))
+        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(self.source, rows, wts, len(stored_nodes(self.grid.kind))))
 
     def eval(self, t: float, points) -> np.ndarray:
         """x + u(t, x) at ``points``; t clamped to the snapshot range.

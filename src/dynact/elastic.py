@@ -129,6 +129,11 @@ class DisplacementHistory:
             raise ConfigError(f"fields {fields.shape} are not {len(self.times)} snapshots of {len(stored)} stored nodes")
         self.fields = fields
 
+    def read(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Snapshot k copied into ``out`` (n_stored, 2), as `formats.FieldFile` reads it."""
+        np.copyto(out, self.fields[k])
+        return out
+
 
 def _min_rho(grid: Grid2D, rho0: np.ndarray) -> float:
     active = grid.kind != int(NodeKind.EXTERIOR)

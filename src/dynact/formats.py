@@ -15,14 +15,16 @@ node classification (nx * ny bytes), the K snapshot times and then one
 (K, n_stored, 2) block, a history's fields as they are: the
 displacement of every stored node (interior and boundary,
 `grid.stored_nodes`) in flat lattice order. Exterior and ghost nodes are
-not stored; ``read_field`` returns them as zero. An image's payload is
-its (nx, ny) values.
+not stored; ``read_field`` returns them as zero. `FieldFile` reads a
+field's header arrays at open and then one (n_stored, 2) snapshot per
+``read``, so no history is held. An image's payload is its (nx, ny) values.
 
 A file with any other header, an older version of the same format
 included (a v2 field stored the ghosts too), or a header field that is
 not a number or a count that is not positive, is a MissingInputError.
-Every reader checks the payload size against the header before reading
-(MismatchError) and reads the payload into the arrays it returns.
+Every reader checks the payload size against the header before reading,
+and a read that comes back short (a file cut after it was opened) is a
+MismatchError.
 """
 
 from __future__ import annotations
@@ -132,22 +134,56 @@ def write_field(path: str, history: DisplacementHistory) -> None:
         f.write(np.ascontiguousarray(history.fields, dtype=_F8))
 
 
+class FieldFile:
+    """An open field file: the header arrays ``x``, ``y``, ``kind`` and
+    ``times``, read at open, and ``read`` for the snapshots. With ``grid``,
+    the file must be on that lattice and classification (MismatchError).
+    """
+
+    def __init__(self, path: str, grid=None):
+        hdr, self.file = _open(path, "DYNACT-FIELD v3", (int,) * 4)
+        nx, ny, k, self.n_stored = hdr
+        try:
+            _check_payload(self.file, (nx + ny) * 8 + nx * ny + k * (8 + 16 * self.n_stored))
+            self.x = _fill(self.file, np.empty(nx, _F8))
+            self.y = _fill(self.file, np.empty(ny, _F8))
+            self.kind = _fill(self.file, np.empty((nx, ny), np.uint8))
+            classified = len(stored_nodes(self.kind))
+            if classified != self.n_stored:
+                raise MismatchError(f"{path}: header stores {self.n_stored} nodes, the classification {classified}")
+            if grid is not None and not all(map(np.array_equal, (self.x, self.y, self.kind), (grid.x_coords, grid.y_coords, grid.kind))):
+                raise MismatchError(f"{path}: lattice {nx}x{ny} or its node classification does not match the solver grid")
+            self.times = _fill(self.file, np.empty(k, _F8))
+        except BaseException:
+            self.file.close()
+            raise
+        self.grid = grid
+        self.offset = self.file.tell()
+
+    def read(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Snapshot k read into ``out``, a C-contiguous (n_stored, 2) float64
+        array that the next read into it overwrites, and returned. The read
+        is positional, so threads with buffers of their own read at once."""
+        buf = memoryview(out).cast("B")
+        if os.preadv(self.file.fileno(), [buf], self.offset + k * buf.nbytes) != buf.nbytes:
+            raise MismatchError(f"{self.file.name}: payload ends before the end of snapshot {k}")
+        return out
+
+    def __enter__(self) -> "FieldFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+
+
 def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (x_coords, y_coords, kind, times, values[K, n_stored, 2]):
     the values of the stored nodes, ``grid.stored_nodes(kind)``."""
-    hdr, f = _open(path, "DYNACT-FIELD v3", (int,) * 4)
-    with f:
-        nx, ny, k, n_stored = hdr
-        _check_payload(f, (nx + ny) * 8 + nx * ny + k * (8 + 16 * n_stored))
-        x = _fill(f, np.empty(nx, _F8))
-        y = _fill(f, np.empty(ny, _F8))
-        kind = _fill(f, np.empty((nx, ny), np.uint8))
-        classified = len(stored_nodes(kind))
-        if classified != n_stored:
-            raise MismatchError(f"{path}: header stores {n_stored} nodes, the classification {classified}")
-        times = _fill(f, np.empty(k, _F8))
-        values = _fill(f, np.empty((k, n_stored, 2), _F8))
-    return x, y, kind, times, values
+    with FieldFile(path) as field:
+        values = np.empty((len(field.times), field.n_stored, 2), _F8)
+        for k, snapshot in enumerate(values):
+            field.read(k, snapshot)
+    return field.x, field.y, field.kind, field.times, values
 
 
 def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -199,14 +199,13 @@ def rasterize_f0(spec: PhantomSpec, nx: int, ny: int, supersample: int = 4) -> n
 def check_support_in_unit_disk(spec: PhantomSpec, motion, times: np.ndarray, n_boundary: int = 128) -> float:
     """Max radius reached by any ellipse boundary under the motion.
 
-    Samples boundary points of every ellipse, maps them through the motion
-    at each time, and returns the largest norm (must stay < 1 for valid
-    scan configurations).
+    Samples boundary points of every ellipse, maps all of them through the
+    motion at each time in one call, and returns the largest norm (must
+    stay < 1 for valid scan configurations).
     """
+    pts = np.concatenate([e.boundary_points(n_boundary) for e in spec.ellipses] or [np.empty((0, 2))])
     r_max = 0.0
-    for e in spec.ellipses:
-        pts = e.boundary_points(n_boundary)
-        for t in np.asarray(times, dtype=float).ravel():
-            moved = motion.phi(t, pts)
-            r_max = max(r_max, float(np.max(np.hypot(moved[..., 0], moved[..., 1]))))
+    for t in np.asarray(times, dtype=float).ravel():
+        moved = motion.phi(t, pts)
+        r_max = max(r_max, float(np.max(np.hypot(moved[..., 0], moved[..., 1]), initial=0.0)))
     return r_max

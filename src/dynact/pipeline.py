@@ -7,6 +7,7 @@ bit-identical artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import os
@@ -123,21 +124,17 @@ def _load_sinogram_checked(cfg: PipelineConfig):
     return sino
 
 
-def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None = None) -> FieldDeformation:
-    """The provider of a field file, in stored-node form. ``node_map`` is
-    the one of ``solver_grid(cfg)`` (built when omitted); a file solved on
-    another lattice, domain or snapshot times is a MismatchError."""
+@contextlib.contextmanager
+def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None = None):
+    """The provider of a field file, open for the ``with`` block. ``node_map``
+    is the one of ``solver_grid(cfg)`` (built when omitted); a file solved
+    on another lattice, domain or snapshot times is a MismatchError."""
     if node_map is None:
         node_map = NodeMap(solver_grid(cfg))
-    grid = node_map.grid
-    x, y, kind, times, values = formats.read_field_nodes(formats.require_file(path))
-    if not (np.array_equal(x, grid.x_coords) and np.array_equal(y, grid.y_coords)):
-        raise MismatchError(f"{path}: lattice {len(x)}x{len(y)} does not match the config's solver grid")
-    if not np.array_equal(kind, grid.kind):
-        raise MismatchError(f"{path}: stored node classification does not match the config domain")
-    if not np.array_equal(times, snapshot_times(cfg)):
-        raise MismatchError(f"{path}: its {len(times)} snapshot times are not the config's {cfg.solver.num_snapshots} over [0, t_end]")
-    return FieldDeformation(DisplacementHistory(times=times, fields=values, grid=grid, dt=0.0, num_steps=0), node_map)
+    with formats.FieldFile(formats.require_file(path), node_map.grid) as field:
+        if not np.array_equal(field.times, snapshot_times(cfg)):
+            raise MismatchError(f"{path}: its {len(field.times)} snapshot times are not the config's {cfg.solver.num_snapshots} over [0, t_end]")
+        yield FieldDeformation(field, node_map)
 
 
 def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
@@ -158,9 +155,8 @@ def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
         path = _out(cfg, f"field_{mode}.field")
         if os.path.isfile(path):
             node_map = node_map or NodeMap(solver_grid(cfg))
-            provider = load_field_provider(cfg, path, node_map)
-            emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, provider, cfg.image))
-            del provider  # its values go before the next field is read
+            with load_field_provider(cfg, path, node_map) as provider:
+                emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, provider, cfg.image))
     return written
 
 

@@ -1,5 +1,9 @@
+import threading
+import tracemalloc
+
 import numpy as np
 
+from dynact import formats
 from dynact.boundary import arclength_weights, boundary_arclengths, lerp_in_time, sample_boundary
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.elastic import DisplacementHistory
@@ -294,3 +298,67 @@ class TestCompactPointMap:
         assert len(neighbour) == 1
         hist.fields[:, neighbour] = np.nan
         assert np.array_equal(FieldDeformation(hist).eval(1.0, p), expect)
+
+
+class TestFileBackedProvider:
+    """A provider reading its snapshots from an open field file is the
+    in-memory provider, bit for bit, without holding the history."""
+
+    @staticmethod
+    def history(grid, num_snapshots):
+        times = np.linspace(0.0, 4.0, num_snapshots)
+        rng = np.random.default_rng(5)
+        fields = 0.1 * rng.standard_normal((num_snapshots, len(stored_nodes(grid.kind)), 2))
+        return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0)
+
+    def test_equals_in_memory_with_twins_on_two_threads(self, ellipse_grid_65, tmp_path):
+        g = ellipse_grid_65
+        hist = self.history(g, 33)
+        path = str(tmp_path / "f.field")
+        formats.write_field(path, hist)
+        pts = TestAgainstWholeLatticeReference.raster()
+        view_times = np.linspace(-0.1, 4.1, 90)
+        expect = [FieldDeformation(hist).bind(pts)(t).copy() for t in view_times]
+        with formats.FieldFile(path, g) as field:
+            first = FieldDeformation(field).bind(pts)
+            movers = [first, first.twin()]
+            blocks = np.array_split(np.arange(len(view_times)), 2)
+            got = [None] * len(view_times)
+            start = threading.Barrier(2)
+
+            def run(b):
+                start.wait()
+                for n in blocks[b]:
+                    got[n] = movers[b](view_times[n]).copy()
+
+            threads = [threading.Thread(target=run, args=(b,)) for b in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+
+    def test_peak_below_one_history(self, ellipse_grid_65, tmp_path):
+        # loading, binding and evaluating at every snapshot holds one
+        # snapshot per evaluator, not the (K, n_stored, 2) history: 0.84 MB
+        # against the history's 2.96 MB (3.77 MB when the history is read
+        # whole and provided from memory)
+        g = ellipse_grid_65
+        hist = self.history(g, 133)
+        history_bytes = hist.fields.nbytes
+        path = str(tmp_path / "f.field")
+        formats.write_field(path, hist)
+        del hist
+        c = np.linspace(-1.2, 1.2, 49)
+        pts = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            with formats.FieldFile(path, g) as field:
+                move = FieldDeformation(field).bind(pts)
+                for t in field.times:
+                    move(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < history_bytes

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,33 @@ class TestFieldFormat:
         Path(p).write_bytes(b" ".join(head + [b"%d" % (int(n) + 1)]) + b"\n" + rest + bytes(3 * 16))
         with pytest.raises(MismatchError, match="classification"):
             formats.read_field_nodes(p)
+
+
+    def test_whole_readers_return_every_snapshot(self, tmp_path, ellipse_grid_65):
+        # each snapshot is read into an array of its own, not into one
+        # buffer that the next read overwrites
+        g = ellipse_grid_65
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, self.history(g))
+        values = formats.read_field_nodes(p)[4]
+        fields = formats.read_field(p)[4]
+        for k in range(3):
+            for j in range(k):
+                assert not np.array_equal(values[j], values[k])
+                assert not np.array_equal(fields[j], fields[k])
+        assert np.array_equal(values, self.history(g).fields)
+
+    def test_file_cut_after_open_fails_on_the_read(self, tmp_path, ellipse_grid_65):
+        g = ellipse_grid_65
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, self.history(g))
+        with formats.FieldFile(p, g) as field:
+            out = np.empty((field.n_stored, 2))
+            os.truncate(p, os.path.getsize(p) - 8)
+            # snapshots before the cut still read
+            assert np.array_equal(field.read(1, out), self.history(g).fields[1])
+            with pytest.raises(MismatchError, match="payload ends before the end of snapshot 2"):
+                field.read(2, out)
 
 
 class TestImageFormat:

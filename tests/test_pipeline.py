@@ -136,7 +136,8 @@ def test_field_on_shifted_lattice_is_mismatch(tmp_path):
     path = str(tmp_path / "field_exact.field")
     formats.write_field(path, history)
     with pytest.raises(MismatchError, match="lattice"):
-        pipeline.load_field_provider(cfg, path)
+        with pipeline.load_field_provider(cfg, path):
+            pass
 
 
 def test_field_at_other_snapshot_times_is_mismatch(tmp_path):
@@ -148,10 +149,12 @@ def test_field_at_other_snapshot_times_is_mismatch(tmp_path):
     fields = np.zeros((len(times),) + grid.shape + (2,))
     path = str(tmp_path / "field_exact.field")
     formats.write_field(path, elastic.DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0))
-    assert np.array_equal(pipeline.load_field_provider(cfg, path).times, times)
+    with pipeline.load_field_provider(cfg, path) as provider:
+        assert np.array_equal(provider.times, times)
     cfg.solver.num_snapshots = 5
     with pytest.raises(MismatchError, match="snapshot times"):
-        pipeline.load_field_provider(cfg, path)
+        with pipeline.load_field_provider(cfg, path):
+            pass
 
 
 @pytest.mark.slow
