@@ -20,7 +20,7 @@ views a twin, so every buffer an evaluator writes is allocated there.
 The field provider reads a history's snapshots, (n_stored, 2) rows of
 the interior and boundary nodes as the solver and the field artifact
 hold them, one at a time from a `DisplacementHistory` or an open
-`formats.FieldFile`, so it holds no whole history. A `NodeMap`,
+`formats.FieldFile`; on a file it holds no whole history. A `NodeMap`,
 which depends only on the grid and so serves every field on it, gives
 every lattice node two stored source nodes and two weights: itself with
 weights (1, 0) inside the domain and on its boundary, the two arc-length

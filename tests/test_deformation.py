@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -311,31 +312,41 @@ class TestFileBackedProvider:
         fields = 0.1 * rng.standard_normal((num_snapshots, len(stored_nodes(grid.kind)), 2))
         return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0)
 
-    def test_equals_in_memory_with_twins_on_two_threads(self, ellipse_grid_65, tmp_path):
+    def test_equals_in_memory_with_twins_on_threads(self, ellipse_grid_65, tmp_path):
+        # an evaluator and three twins, each on a thread of its own (more
+        # threads than the two view blocks, and than cores), with the
+        # interpreter handing the lock over often so that reads interleave;
+        # 133 snapshots over 330 views, as the benchmark's scan reads them
         g = ellipse_grid_65
-        hist = self.history(g, 33)
+        hist = self.history(g, 133)
         path = str(tmp_path / "f.field")
         formats.write_field(path, hist)
         pts = TestAgainstWholeLatticeReference.raster()
-        view_times = np.linspace(-0.1, 4.1, 90)
+        view_times = np.linspace(-0.1, 4.1, 330)
         expect = [FieldDeformation(hist).bind(pts)(t).copy() for t in view_times]
+        got = [None] * len(view_times)
         with formats.FieldFile(path, g) as field:
             first = FieldDeformation(field).bind(pts)
-            movers = [first, first.twin()]
-            blocks = np.array_split(np.arange(len(view_times)), 2)
-            got = [None] * len(view_times)
-            start = threading.Barrier(2)
+            movers = [first] + [first.twin() for _ in range(3)]
+            blocks = np.array_split(np.arange(len(view_times)), len(movers))
+            start = threading.Barrier(len(movers))
 
             def run(b):
-                start.wait()
+                start.wait(timeout=60)
                 for n in blocks[b]:
                     got[n] = movers[b](view_times[n]).copy()
 
-            threads = [threading.Thread(target=run, args=(b,)) for b in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            threads = [threading.Thread(target=run, args=(b,)) for b in range(len(movers))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
         for a, b in zip(got, expect):
             assert np.array_equal(a, b)
 

@@ -186,7 +186,6 @@ class TestFieldFormat:
         with pytest.raises(MismatchError, match="classification"):
             formats.read_field_nodes(p)
 
-
     def test_whole_readers_return_every_snapshot(self, tmp_path, ellipse_grid_65):
         # each snapshot is read into an array of its own, not into one
         # buffer that the next read overwrites
