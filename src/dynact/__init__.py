@@ -41,7 +41,6 @@ from .reconstruct import (
     ImageSpec,
     backproject,
     backproject_static,
-    filter_projection,
     filter_sinogram,
     reconstruct,
     static_fbp,

@@ -72,9 +72,9 @@ def lerp_in_time(times: np.ndarray, values, t: float, out=None, scratch=None) ->
     time t; clamped to the first and last sample outside their range.
 
     ``values`` needs only indexing by 0 <= k < len(times); a call reads
-    at most two samples, k before k + 1. With ``out`` and ``scratch``
-    (arrays of a sample's shape) a blend is written into ``out``, with the
-    same bits, and nothing is allocated; a clamped t returns the sample.
+    at most two samples, k before k + 1. A blend is written into ``out``
+    and uses ``scratch`` (arrays of a sample's shape), each allocated when
+    None; a clamped t returns the sample.
     """
     last = len(times) - 1
     if t <= times[0]:
@@ -83,9 +83,7 @@ def lerp_in_time(times: np.ndarray, values, t: float, out=None, scratch=None) ->
         return values[last]
     k = int(np.searchsorted(times, t, side="right")) - 1
     w = (t - times[k]) / (times[k + 1] - times[k])
-    if out is None:
-        return (1.0 - w) * values[k] + w * values[k + 1]
-    np.multiply(values[k], 1.0 - w, out=out)
+    out = np.multiply(values[k], 1.0 - w, out=out)
     return np.add(out, np.multiply(values[k + 1], w, out=scratch), out=out)
 
 

@@ -12,10 +12,10 @@ continuous on the whole image extent.
 Both providers have ``bind(points)``, which returns an evaluator: Phi_t
 at that point set as a function of t, for use on one thread. An
 evaluator's ``twin()`` is another evaluator at the same points, with
-buffers of its own. ``eval(t, points)`` takes an array of points, bound
-afresh on every call, or an evaluator from ``bind``. The reconstructor
-binds once per image, on the calling thread, and gives every block of
-views a twin, so every buffer an evaluator writes is allocated there.
+buffers of its own. ``eval(t, evaluator)``, the one call form, returns
+``evaluator(t)``. The reconstructor binds once per image, on the calling
+thread, and gives every block of views a twin, so every buffer an
+evaluator writes is allocated there.
 
 The field provider reads a history's snapshots, (n_stored, 2) rows of
 the interior and boundary nodes as the solver and the field artifact
@@ -46,11 +46,6 @@ from .errors import ConfigError
 from .grid import Grid2D, stored_nodes
 
 
-def _evaluator(provider, points):
-    """``points`` if it is an evaluator (callable), else ``provider.bind(points)``."""
-    return points if callable(points) else provider.bind(points)
-
-
 class _MotionAtPoints:
     """phi(t, points) as a function of t. It writes no buffer, so it is
     its own twin."""
@@ -76,24 +71,31 @@ class AnalyticDeformation:
         """t -> phi(t, points)."""
         return _MotionAtPoints(self.motion.phi, points)
 
-    def eval(self, t: float, points) -> np.ndarray:
-        """phi(t, x) at ``points``, an array (..., 2) or an evaluator from ``bind``."""
-        return _evaluator(self, points)(t)
+    def eval(self, t: float, evaluator: _MotionAtPoints) -> np.ndarray:
+        """``evaluator(t)``, for an evaluator from ``bind``; see
+        `FieldDeformation.eval`."""
+        return evaluator(t)
 
 
-class _SnapshotsAtPoints:
-    """The snapshot displacements at one bound point set, as a sequence
-    for `lerp_in_time`: snapshot k at point p is
-    sum_j wts[j, p] * u_k[rows[j, p]], computed into one of two slots on
-    first access. u_k, the rows of snapshot k, is read by ``source.read``
-    into this object's own buffer and gathered through its complex view,
-    so one take reads both components of a row; ``wts`` (W, P, 2) holds
-    each weight once per component, so a column multiplies the gathered
-    (P, 2) values elementwise. The slots hold the two snapshots most
-    recently read, which are the ones bracketing the last requested time.
+class _FieldAtPoints:
+    """x + u(t, x) at one bound point set, as a function of t, with u
+    blended by `boundary.lerp_in_time` (clamped to the first and last
+    snapshot) from the snapshots at the points, which it reads by index:
+    snapshot k at point p is sum_j wts[j, p] * u_k[rows[j, p]], computed
+    into one of two slots on first access. u_k, the rows of snapshot k, is
+    read by ``source.read`` into this object's own buffer and gathered
+    through its complex view, so one take reads both components of a row;
+    ``wts`` (W, P, 2) holds each weight once per component, so a column
+    multiplies the gathered (P, 2) values elementwise. The slots hold the
+    two snapshots most recently read, which are the ones bracketing the
+    last requested time. A call returns the evaluator's own buffer,
+    overwritten by the next call.
     """
 
-    def __init__(self, source, rows: np.ndarray, wts: np.ndarray, n_stored: int):
+    def __init__(self, times: np.ndarray, points: np.ndarray, source, rows: np.ndarray, wts: np.ndarray, n_stored: int):
+        self.times = times
+        self.shape = points.shape
+        self.points = points.reshape(-1, 2)
         self.source = source
         self.rows = rows
         self.wts = wts
@@ -101,6 +103,8 @@ class _SnapshotsAtPoints:
         self.gather = np.empty((rows.shape[1], 2))
         self.slots = [np.empty((rows.shape[1], 2)) for _ in range(2)]
         self.held = [-1, -1]  # the snapshot in each slot, the most recently read last
+        self.out = np.empty(self.points.shape)
+        self.scratch = np.empty(self.points.shape)
 
     def __getitem__(self, k: int) -> np.ndarray:
         if k != self.held[1]:
@@ -118,31 +122,14 @@ class _SnapshotsAtPoints:
                     slot += np.multiply(gather, w, out=gather)
         return self.slots[1]
 
-
-class _FieldAtPoints:
-    """x + u(t, x) at one bound point set, as a function of t, with u
-    blended by `boundary.lerp_in_time` (clamped to the first and last
-    snapshot). A call returns the evaluator's own buffer, overwritten by
-    the next call.
-    """
-
-    def __init__(self, times: np.ndarray, points: np.ndarray, snapshots: _SnapshotsAtPoints):
-        self.times = times
-        self.shape = points.shape
-        self.points = points.reshape(-1, 2)
-        self.snapshots = snapshots
-        self.out = np.empty(self.points.shape)
-        self.scratch = np.empty(self.points.shape)
-
     def __call__(self, t: float) -> np.ndarray:
-        u = lerp_in_time(self.times, self.snapshots, t, out=self.out, scratch=self.scratch)
+        u = lerp_in_time(self.times, self, t, out=self.out, scratch=self.scratch)
         return np.add(self.points, u, out=self.out).reshape(self.shape)
 
     def twin(self) -> "_FieldAtPoints":
         """An evaluator at the same points sharing the point map and the
         source, with a snapshot buffer, slots and buffers of its own."""
-        s = self.snapshots
-        return _FieldAtPoints(self.times, self.points.reshape(self.shape), _SnapshotsAtPoints(s.source, s.rows, s.wts, len(s.snapshot)))
+        return _FieldAtPoints(self.times, self.points.reshape(self.shape), self.source, self.rows, self.wts, len(self.snapshot))
 
 
 class NodeMap:
@@ -234,12 +221,11 @@ class FieldDeformation:
             np.copyto(col_r, rows[0], where=col_r < 0)
         rows = np.array(rows)
         wts = np.repeat(np.array(wts)[..., None], 2, axis=2)
-        return _FieldAtPoints(self.times, points, _SnapshotsAtPoints(self.source, rows, wts, len(stored_nodes(self.grid.kind))))
+        return _FieldAtPoints(self.times, points, self.source, rows, wts, len(stored_nodes(self.grid.kind)))
 
-    def eval(self, t: float, points) -> np.ndarray:
-        """x + u(t, x) at ``points``; t clamped to the snapshot range.
-
-        An array (..., 2) of points is bound afresh, a new point map, on
-        every call; over many times, bind once and pass the evaluator.
-        """
-        return _evaluator(self, points)(t)
+    def eval(self, t: float, evaluator: _FieldAtPoints) -> np.ndarray:
+        """``evaluator(t)``, for an evaluator from ``bind``. It exists so that
+        ``reconstruct.backproject`` routes every view through the provider,
+        where a wrapper of it (perfbench/tracing.py's, which times each
+        call) sees the view; other callers call the evaluator."""
+        return evaluator(t)

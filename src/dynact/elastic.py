@@ -322,15 +322,6 @@ class ElasticModel:
         return x0, 0.5 * self.step(x_mirror, x0, psi0, 0.0, 1)
 
 
-def _boundary_evaluator(boundary, grid: Grid2D):
-    if boundary is None:
-        nb = len(grid.boundary_ij)
-        return lambda t: np.zeros((nb, 2))
-    if callable(boundary):
-        return boundary
-    return boundary.at_time
-
-
 def _check_bounded(op: NavierOperator, u: np.ndarray, bound: float, step_no: int) -> None:
     """InstabilityError when max|u| over stored rows u exceeds GROWTH_BOUND * bound."""
     mag = np.abs(u).max(axis=-1)
@@ -350,15 +341,16 @@ def solve(
     grid: Grid2D,
     params: MaterialParams,
     initial: InitialData | None,
-    boundary,
+    psi,
     t_end: float,
     output_times,
     safety: float = 0.9,
 ) -> DisplacementHistory:
     """Run the explicit scheme to t_end and capture snapshots.
 
-    ``boundary`` is a BoundaryData (or any ``t -> (B, 2)`` callable giving
-    displacements at grid.boundary_ij order). ``output_times`` are mapped
+    ``psi`` is the boundary data, a ``t -> (B, 2)`` callable giving
+    displacements in grid.boundary_ij order (such as
+    ``BoundaryData.at_time``). ``output_times`` are mapped
     to the nearest completed step. dt is the CFL bound reduced so that
     t_end is an integer number of steps. Without forcing and initial
     velocity, each snapshot is checked against GROWTH_BOUND x the largest
@@ -372,7 +364,6 @@ def solve(
     num_steps = int(np.ceil(t_end / dt_max - 1e-12))
     dt = t_end / num_steps
     model = ElasticModel(grid, params, dt)
-    psi = _boundary_evaluator(boundary, grid)
 
     req = np.asarray(output_times, dtype=float)
     snap_steps = np.clip(np.rint(req / dt).astype(int), 0, num_steps)
@@ -696,10 +687,11 @@ class QuasiStaticSolver:
         self.edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
         self.edge_vals, self.edge_cols = op.vals[self.edge], op.cols[self.edge]
 
-    def solve(self, boundary, output_times) -> DisplacementHistory:
-        """u(t_k) at each output time from the boundary data, solved
-        straight into stored-node rows. ``boundary`` is as for the explicit
-        ``solve``; the unknowns are the interior values of both components.
+    def solve(self, psi, output_times) -> DisplacementHistory:
+        """u(t_k) at each output time from the boundary data ``psi``, a
+        ``t -> (B, 2)`` callable as for the explicit ``solve``, solved
+        straight into stored-node rows; the unknowns are the interior values
+        of both components.
 
         The solution is linear in psi: only the pivot snapshots J of
         ``_pivoted_basis`` are solved, first, by one inverse apply to their
@@ -710,7 +702,6 @@ class QuasiStaticSolver:
         steps (``_refine``) when not, InstabilityError when they fail.
         """
         grid, op = self.grid, self.op
-        psi = _boundary_evaluator(boundary, grid)
         times = np.array(output_times, dtype=float)
         P = np.stack([psi(t) for t in times])
         J, A = _pivoted_basis(P.reshape(len(times), -1).copy())

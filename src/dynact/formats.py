@@ -17,7 +17,8 @@ displacement of every stored node (interior and boundary,
 `grid.stored_nodes`) in flat lattice order. Exterior and ghost nodes are
 not stored; ``read_field`` returns them as zero. `FieldFile` reads a
 field's header arrays at open and then one (n_stored, 2) snapshot per
-``read``, so no history is held. An image's payload is its (nx, ny) values.
+``read``, so no history is held; ``read_field`` reads through it into
+its lattice result. An image's payload is its (nx, ny) values.
 
 A file with any other header, an older version of the same format
 included (a v2 field stored the ghosts too), or a header field that is
@@ -176,24 +177,17 @@ class FieldFile:
         self.file.close()
 
 
-def read_field_nodes(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (x_coords, y_coords, kind, times, values[K, n_stored, 2]):
-    the values of the stored nodes, ``grid.stored_nodes(kind)``."""
-    with FieldFile(path) as field:
-        values = np.empty((len(field.times), field.n_stored, 2), _F8)
-        for k, snapshot in enumerate(values):
-            field.read(k, snapshot)
-    return field.x, field.y, field.kind, field.times, values
-
-
 def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (x_coords, y_coords, kind, times, fields[K, nx, ny, 2]): the
-    stored values of ``read_field_nodes`` on the whole lattice, with 0 at
-    the exterior and ghost nodes."""
-    x, y, kind, times, values = read_field_nodes(path)
-    fields = np.zeros((len(times), kind.size, 2))
-    fields[:, stored_nodes(kind)] = values
-    return x, y, kind, times, fields.reshape(len(times), *kind.shape, 2)
+    stored values on the whole lattice, with 0 at the exterior and ghost
+    nodes. Each snapshot is read through one (n_stored, 2) buffer."""
+    with FieldFile(path) as field:
+        snapshot = np.empty((field.n_stored, 2), _F8)
+        rows = stored_nodes(field.kind)
+        fields = np.zeros((len(field.times), field.kind.size, 2))
+        for k, lattice in enumerate(fields):
+            lattice[rows] = field.read(k, snapshot)
+    return field.x, field.y, field.kind, field.times, fields.reshape(len(field.times), *field.kind.shape, 2)
 
 
 def write_image(path: str, img: Image) -> None:

@@ -88,7 +88,7 @@ def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | Non
     if solver is None:
         solver = motion_solver(cfg)
     bd = boundary_data_for_mode(cfg, solver.grid, mode)
-    return solve(solver, bd, snapshot_times(cfg))
+    return solve(solver, bd.at_time, snapshot_times(cfg))
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
@@ -125,12 +125,11 @@ def _load_sinogram_checked(cfg: PipelineConfig):
 
 
 @contextlib.contextmanager
-def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap | None = None):
+def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap):
     """The provider of a field file, open for the ``with`` block. ``node_map``
-    is the one of ``solver_grid(cfg)`` (built when omitted); a file solved
-    on another lattice, domain or snapshot times is a MismatchError."""
-    if node_map is None:
-        node_map = NodeMap(solver_grid(cfg))
+    is the one of ``solver_grid(cfg)``, which every field of the config
+    shares; a file solved on another lattice, domain or snapshot times is a
+    MismatchError."""
     with formats.FieldFile(formats.require_file(path), node_map.grid) as field:
         if not np.array_equal(field.times, snapshot_times(cfg)):
             raise MismatchError(f"{path}: its {len(field.times)} snapshot times are not the config's {cfg.solver.num_snapshots} over [0, t_end]")

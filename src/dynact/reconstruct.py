@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,15 +121,6 @@ def filter_sinogram(sino: Sinogram, filter_spec: FilterSpec) -> np.ndarray:
         padded = np.fft.rfft(sino.values[i : i + FILTER_ROWS], n=n, axis=1) * multiplier
         rows[i : i + FILTER_ROWS] = np.fft.irfft(padded, n=n, axis=1)[:, : geo.num_detectors]
     return rows
-
-
-def filter_projection(row: np.ndarray, geometry: ScanGeometry, filter_spec: FilterSpec) -> np.ndarray:
-    """Apply the ramp-Gaussian filter to one detector row."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (geometry.num_detectors,):
-        raise ConfigError("row length must equal num_detectors")
-    one_view = replace(geometry, num_angles=1)
-    return filter_sinogram(Sinogram(one_view, row[None, :]), filter_spec)[0]
 
 
 def _angle_weights(angles: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ class TestAnalytic:
         prov = AnalyticDeformation(m)
         pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
         t = 30.0
-        assert np.array_equal(prov.eval(t, pts), m.phi(t, pts))
+        assert np.array_equal(prov.bind(pts)(t), m.phi(t, pts))
 
     def test_bind_matches_phi(self):
         m = AffineMotion()
@@ -79,7 +79,7 @@ class TestAnalytic:
     def test_identity_is_bitwise(self):
         prov = AnalyticDeformation(identity_motion())
         pts = np.array([[0.3, -0.7], [0.0, 0.0]])
-        assert np.array_equal(prov.eval(42.0, pts), pts)
+        assert np.array_equal(prov.bind(pts)(42.0), pts)
 
 
 class TestFieldDeformation:
@@ -87,7 +87,7 @@ class TestFieldDeformation:
         hist = make_history(ellipse_grid_65, [0.0, 1.0], lambda t, X, Y: np.zeros(X.shape + (2,)))
         prov = FieldDeformation(hist)
         pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.9, 0.9], [-1.0, 1.0]])
-        np.testing.assert_allclose(prov.eval(0.5, pts), pts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prov.bind(pts)(0.5), pts, rtol=0, atol=1e-12)
 
     def test_grid_node_snapshot_time_exact(self, ellipse_grid_65):
         g = ellipse_grid_65
@@ -100,7 +100,7 @@ class TestFieldDeformation:
         # an interior lattice node, exactly at a snapshot time
         ii = np.argwhere(g.kind == int(NodeKind.INTERIOR))[50]
         p = np.array([g.x_coords[ii[0]], g.y_coords[ii[1]]])
-        out = prov.eval(2.0, p)
+        out = prov.bind(p)(2.0)
         np.testing.assert_allclose(out, p + [0.02, 0.04], rtol=0, atol=1e-14)
 
     def test_affine_field_time_midpoint(self, ellipse_grid_65):
@@ -115,7 +115,7 @@ class TestFieldDeformation:
         # affine-in-space, linear-in-time data
         pts = np.array([[0.05, 0.025], [-0.21, 0.12], [0.3, -0.17]])
         expect = pts + 0.5 * (fn(0.0, pts[:, 0], pts[:, 1]) + fn(2.0, pts[:, 0], pts[:, 1]))
-        np.testing.assert_allclose(prov.eval(1.0, pts), expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prov.bind(pts)(1.0), expect, rtol=0, atol=1e-12)
 
     def test_time_clamping(self, ellipse_grid_65):
         hist = make_history(
@@ -125,7 +125,7 @@ class TestFieldDeformation:
         )
         prov = FieldDeformation(hist)
         p = np.array([0.1, 0.0])
-        np.testing.assert_allclose(prov.eval(5.0, p), prov.eval(1.0, p), atol=1e-15)
+        np.testing.assert_allclose(prov.bind(p)(5.0), prov.bind(p)(1.0), atol=1e-15)
 
     def test_continuity_across_cell_edges(self, ellipse_grid_65):
         g = ellipse_grid_65
@@ -140,8 +140,8 @@ class TestFieldDeformation:
         edge_x = g.x_coords[40]
         y = rng.uniform(-0.2, 0.2, 20)
         for eps in (1e-5, 1e-8):
-            a = prov.eval(0.5, np.stack([np.full(20, edge_x - eps), y], axis=-1))
-            b = prov.eval(0.5, np.stack([np.full(20, edge_x + eps), y], axis=-1))
+            a = prov.bind(np.stack([np.full(20, edge_x - eps), y], axis=-1))(0.5)
+            b = prov.bind(np.stack([np.full(20, edge_x + eps), y], axis=-1))(0.5)
             assert np.abs(a - b).max() < 50 * eps + 1e-12
 
     def test_outside_points_use_boundary_values(self, ellipse_grid_65):
@@ -161,7 +161,7 @@ class TestFieldDeformation:
         p = np.array([1.4, 0.0])
         closest = g.domain.closest_boundary_points(p)
         expect = p + (motion.phi(t1, closest) - closest)
-        got = prov.eval(t1, p)
+        got = prov.bind(p)(t1)
         assert np.abs(got - expect).max() < 5e-3  # boundary-node spacing scale
         del bd
 
@@ -213,9 +213,9 @@ class TestAgainstWholeLatticeReference:
         pts = self.raster()
         move = FieldDeformation(hist).bind(pts)
         twin = move.twin()
-        assert twin.snapshots.rows is move.snapshots.rows and twin.snapshots.wts is move.snapshots.wts
+        assert twin.rows is move.rows and twin.wts is move.wts
         assert not np.shares_memory(twin.out, move.out)
-        assert not np.shares_memory(twin.snapshots.slots[0], move.snapshots.slots[0])
+        assert not np.shares_memory(twin.slots[0], move.slots[0])
         for t0, t1 in ((0.2, 3.5), (0.9, 3.7), (1.6, 4.2)):
             a, b = move(t0), twin(t1)
             np.testing.assert_allclose(a, reference_eval(hist, t0, pts), rtol=0, atol=1e-14)
@@ -225,12 +225,10 @@ class TestAgainstWholeLatticeReference:
         hist = self.history(ellipse_grid_65)
         pts = self.raster().reshape(97, 97, 2)
         prov = FieldDeformation(hist)
-        for t in (-1.0, 0.7, 2.2, 9.0):
-            assert np.array_equal(prov.eval(t, pts), prov.bind(pts)(t))
-            assert prov.eval(t, pts).shape == pts.shape
         move = prov.bind(pts)
         for t in (-1.0, 0.7, 2.2, 9.0):
             assert np.array_equal(prov.eval(t, move), prov.bind(pts)(t))
+            assert prov.eval(t, move).shape == pts.shape
 
 
 def eight_wide_fold(prov, pts):
@@ -259,7 +257,7 @@ class TestCompactPointMap:
         hist = TestAgainstWholeLatticeReference.history(g)
         pts = np.stack(np.meshgrid(g.x_coords, g.y_coords, indexing="ij"), axis=-1).reshape(-1, 2)
         move = FieldDeformation(hist).bind(pts)
-        assert move.snapshots.rows.shape == (2, len(pts))
+        assert move.rows.shape == (2, len(pts))
         for t in (-1.0, 0.0, 0.35, 1.5, 2.9, 4.0, 9.0):
             assert np.array_equal(move(t), reference_eval(hist, t, pts))
 
@@ -267,8 +265,8 @@ class TestCompactPointMap:
         hist = TestAgainstWholeLatticeReference.history(ellipse_grid_65)
         pts = TestAgainstWholeLatticeReference.raster()
         prov = FieldDeformation(hist)
-        snapshots = prov.bind(pts).snapshots
-        rows, wts = snapshots.rows, snapshots.wts
+        move = prov.bind(pts)
+        rows, wts = move.rows, move.wts
         assert rows.shape == wts.shape[:2] == (4, len(pts))
         assert np.array_equal(wts[..., 0], wts[..., 1])
         wts = wts[..., 0]
@@ -293,12 +291,12 @@ class TestCompactPointMap:
         hist = TestAgainstWholeLatticeReference.history(g)
         inside = np.argwhere(g.kind == int(NodeKind.INTERIOR))[100]
         p = np.array([[g.x_coords[inside[0]], g.y_coords[inside[1]]]])
-        expect = FieldDeformation(hist).eval(1.0, p)
+        expect = FieldDeformation(hist).bind(p)(1.0)
         # the node's neighbour in x is a corner of its bilinear cell, with weight 0
         neighbour = np.flatnonzero(stored_nodes(g.kind) == (inside[0] + 1) * g.ny + inside[1])
         assert len(neighbour) == 1
         hist.fields[:, neighbour] = np.nan
-        assert np.array_equal(FieldDeformation(hist).eval(1.0, p), expect)
+        assert np.array_equal(FieldDeformation(hist).bind(p)(1.0), expect)
 
 
 class TestFileBackedProvider:

@@ -116,7 +116,8 @@ def test_operator_matches_nine_node_formula(grid_name, has_ghosts, request):
 class TestStepProperties:
     def test_quiescence(self, unit_square_grid):
         g = unit_square_grid
-        hist = solve(g, unit_params(g), None, None, t_end=1.0, output_times=[0.3, 1.0])
+        nb = len(g.boundary_ij)
+        hist = solve(g, unit_params(g), None, lambda t: np.zeros((nb, 2)), t_end=1.0, output_times=[0.3, 1.0])
         assert np.abs(hist.fields).max() == 0.0
 
     def test_constant_state_is_fixed_point(self, unit_square_grid):
@@ -337,7 +338,8 @@ def test_explicit_solve_peak_below_one_lattice_history(ellipse_grid_65):
 class TestQuasiStatic:
     def test_zero_data_gives_zero_field(self, ellipse_grid_65):
         g = ellipse_grid_65
-        hist = QuasiStaticSolver(g, unit_params(g)).solve(None, output_times=[0.0, 1.0])
+        nb = len(g.boundary_ij)
+        hist = QuasiStaticSolver(g, unit_params(g)).solve(lambda t: np.zeros((nb, 2)), output_times=[0.0, 1.0])
         assert np.abs(hist.fields).max() == 0.0
         assert hist.num_steps == 2 and hist.dt == 0.0
 
@@ -495,7 +497,7 @@ class TestQuasiStatic:
         bd = boundary_data_for_mode(cfg, solver.grid, "noisy")
         tracemalloc.start()
         try:
-            hist = solver.solve(bd, times)
+            hist = solver.solve(bd.at_time, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,7 +520,7 @@ def test_explicit_divergence_raises():
     bd = boundary_data_for_mode(cfg, g, "exact")
     times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
     with pytest.raises(InstabilityError, match="diverged") as exc_info:
-        solve(g, params, None, bd, cfg.scan.t_end, times)
+        solve(g, params, None, bd.at_time, cfg.scan.t_end, times)
     assert exc_info.value.step is not None and exc_info.value.node is not None
     # the check reads the stored rows, so it names an interior or boundary node
     assert g.kind[exc_info.value.node] in (NodeKind.INTERIOR, NodeKind.BOUNDARY)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,8 @@ class TestFieldFormat:
         stored = (g.kind == int(NodeKind.INTERIOR)) | (g.kind == int(NodeKind.BOUNDARY))
         assert np.array_equal(f_back[:, stored], self.lattice(g)[:, stored])
         assert np.all(f_back[:, ~stored] == 0.0)
-        values = formats.read_field_nodes(p)[4]
+        with formats.FieldFile(p) as field:
+            values = np.stack([field.read(k, np.empty((field.n_stored, 2))) for k in range(3)])
         assert np.array_equal(values, hist.fields)
         assert np.array_equal(values, self.lattice(g).reshape(3, -1, 2)[:, stored_nodes(g.kind)])
 
@@ -162,7 +164,7 @@ class TestFieldFormat:
         rest = Path(p).read_bytes().split(b"\n", 1)[1]
         Path(p).write_bytes(header + b"\n" + rest)
         with pytest.raises(MissingInputError, match=f"found {found}"):
-            formats.read_field_nodes(p)
+            formats.FieldFile(p)
 
     @pytest.mark.parametrize("field, found", [(2, "'three'"), (3, "non-positive count 0")])
     def test_malformed_header_is_missing_input(self, tmp_path, ellipse_grid_65, field, found):
@@ -173,7 +175,7 @@ class TestFieldFormat:
         parts[2 + field] = b"three" if field == 2 else b"0"
         Path(p).write_bytes(b" ".join(parts) + b"\n" + rest)
         with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-FIELD v3' header: .*{found}"):
-            formats.read_field_nodes(p)
+            formats.FieldFile(p)
 
     def test_stored_count_must_match_the_classification(self, tmp_path, ellipse_grid_65):
         g = ellipse_grid_65
@@ -184,7 +186,7 @@ class TestFieldFormat:
         *head, n = line.split(b" ")
         Path(p).write_bytes(b" ".join(head + [b"%d" % (int(n) + 1)]) + b"\n" + rest + bytes(3 * 16))
         with pytest.raises(MismatchError, match="classification"):
-            formats.read_field_nodes(p)
+            formats.FieldFile(p)
 
     def test_whole_readers_return_every_snapshot(self, tmp_path, ellipse_grid_65):
         # each snapshot is read into an array of its own, not into one
@@ -192,13 +194,32 @@ class TestFieldFormat:
         g = ellipse_grid_65
         p = str(tmp_path / "f.field")
         formats.write_field(p, self.history(g))
-        values = formats.read_field_nodes(p)[4]
         fields = formats.read_field(p)[4]
         for k in range(3):
             for j in range(k):
-                assert not np.array_equal(values[j], values[k])
                 assert not np.array_equal(fields[j], fields[k])
-        assert np.array_equal(values, self.history(g).fields)
+        assert np.array_equal(fields.reshape(3, -1, 2)[:, stored_nodes(g.kind)], self.history(g).fields)
+
+    def test_read_field_holds_no_history(self, tmp_path, ellipse_grid_65):
+        # the lattice result is filled one snapshot at a time through one
+        # (n_stored, 2) buffer: no (K, n_stored, 2) history is held next
+        # to it (reading the history whole peaked about 11 snapshots above
+        # the result, this reader about 2)
+        g = ellipse_grid_65
+        times = np.linspace(0.0, 4.0, 9)
+        n_stored = len(stored_nodes(g.kind))
+        fields = np.random.default_rng(4).uniform(-1, 1, (len(times), n_stored, 2))
+        p = str(tmp_path / "f.field")
+        formats.write_field(p, DisplacementHistory(times=times, fields=fields, grid=g, dt=0.0, num_steps=0))
+        del fields
+        tracemalloc.start()
+        try:
+            lattice = formats.read_field(p)[4]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lattice.shape == (len(times), 65, 65, 2)
+        assert peak <= lattice.nbytes + 3 * n_stored * 16
 
     def test_file_cut_after_open_fails_on_the_read(self, tmp_path, ellipse_grid_65):
         g = ellipse_grid_65

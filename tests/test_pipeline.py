@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import subprocess
 import sys
 import weakref
 from dataclasses import replace
@@ -13,6 +14,7 @@ from dynact import deformation, elastic, formats, pipeline
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
 from dynact.errors import ConfigError, MismatchError, MissingInputError
+from dynact.grid import stored_nodes
 from dynact.pipeline import (
     PDE_MODES,
     run,
@@ -67,6 +69,24 @@ def test_benchmark_hooks_exist(monkeypatch):
         pass
 
 
+def test_numpy_is_the_only_third_party_import():
+    # numpy is the one declared dependency: importing dynact in a fresh
+    # interpreter loads no other module from outside the standard library
+    # (modules that the interpreter's start-up loads are not counted)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import dynact\n"
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    src = str(Path(deformation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "dynact" in loaded
+    assert loaded - {"dynact", "numpy"} <= set(sys.stdlib_module_names)
+
+
 def test_artifacts_independent_of_workers(tmp_path, monkeypatch):
     # next to criterion 10's BLAS thread counts: every artifact of `all`
     # has the same bytes whether the view blocks run on 1 or 2 threads
@@ -90,7 +110,8 @@ def test_one_solver_for_all_modes(tmp_path, monkeypatch):
     stage_solve_motion(cfg, modes=PDE_MODES)
     assert len(builds) == 1
     for mode, fields in zip(PDE_MODES, fresh):
-        assert np.array_equal(formats.read_field_nodes(str(tmp_path / f"field_{mode}.field"))[4], fields)
+        _, _, kind, _, lattice = formats.read_field(str(tmp_path / f"field_{mode}.field"))
+        assert np.array_equal(lattice.reshape(len(fields), -1, 2)[:, stored_nodes(kind)], fields)
 
 
 def test_solve_stage_holds_no_earlier_history(tmp_path, monkeypatch):
@@ -136,7 +157,7 @@ def test_field_on_shifted_lattice_is_mismatch(tmp_path):
     path = str(tmp_path / "field_exact.field")
     formats.write_field(path, history)
     with pytest.raises(MismatchError, match="lattice"):
-        with pipeline.load_field_provider(cfg, path):
+        with pipeline.load_field_provider(cfg, path, deformation.NodeMap(grid)):
             pass
 
 
@@ -149,11 +170,12 @@ def test_field_at_other_snapshot_times_is_mismatch(tmp_path):
     fields = np.zeros((len(times),) + grid.shape + (2,))
     path = str(tmp_path / "field_exact.field")
     formats.write_field(path, elastic.DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0))
-    with pipeline.load_field_provider(cfg, path) as provider:
+    node_map = deformation.NodeMap(grid)
+    with pipeline.load_field_provider(cfg, path, node_map) as provider:
         assert np.array_equal(provider.times, times)
     cfg.solver.num_snapshots = 5
     with pytest.raises(MismatchError, match="snapshot times"):
-        with pipeline.load_field_provider(cfg, path):
+        with pipeline.load_field_provider(cfg, path, node_map):
             pass
 
 

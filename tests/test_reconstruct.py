@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from dynact.reconstruct import (
     ImageSpec,
     backproject,
     backproject_static,
-    filter_projection,
     filter_sinogram,
     reconstruct,
     static_fbp,
@@ -32,10 +32,15 @@ def small_filter(geometry=GEO_SMALL, **kw):
     return FilterSpec.for_geometry(geometry, **kw)
 
 
+def filter_one_view(row, geometry, filter_spec):
+    """``row`` filtered as the one view of a sinogram on ``geometry``'s detector."""
+    return filter_sinogram(Sinogram(replace(geometry, num_angles=1), row[None, :]), filter_spec)[0]
+
+
 class TestFilterProjection:
     def test_zero_row(self):
         fs = small_filter()
-        out = filter_projection(np.zeros(101), GEO_SMALL, fs)
+        out = filter_one_view(np.zeros(101), GEO_SMALL, fs)
         assert np.all(out == 0.0)
 
     def test_constant_row_dc_annihilated(self):
@@ -60,7 +65,7 @@ class TestFilterProjection:
         fs = FilterSpec(gamma=h, dft_size=16384)
         row = np.zeros(101)
         row[50] = 1.0
-        out = filter_projection(row, geo, fs) / h
+        out = filter_one_view(row, geo, fs) / h
 
         sig_max = np.pi / h
         m = 400000
@@ -77,7 +82,7 @@ class TestFilterProjection:
         rng = np.random.default_rng(3)
         half = rng.uniform(0, 1, 50)
         row = np.concatenate([half, [0.7], half[::-1]])
-        out = filter_projection(row, GEO_SMALL, small_filter())
+        out = filter_one_view(row, GEO_SMALL, small_filter())
         np.testing.assert_allclose(out, out[::-1], rtol=0, atol=1e-12)
 
     def test_monotone_regularization(self):
@@ -116,7 +121,7 @@ class TestFilterProjection:
             assert np.abs(reference.imag).max() < 1e-10
             np.testing.assert_allclose(batched[n], reference.real[: GEO_SMALL.num_detectors], rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                batched[n], filter_projection(sino.values[n], GEO_SMALL, fs), rtol=0, atol=1e-12
+                batched[n], filter_one_view(sino.values[n], GEO_SMALL, fs), rtol=0, atol=1e-12
             )
 
 
