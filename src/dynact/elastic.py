@@ -134,6 +134,10 @@ class DisplacementHistory:
         np.copyto(out, self.fields[k])
         return out
 
+    def write(self, k: int, rows: np.ndarray) -> None:
+        """Snapshot k copied from ``rows`` (n_stored, 2), as `formats.FieldWriter` writes it."""
+        self.fields[k] = rows
+
 
 def _min_rho(grid: Grid2D, rho0: np.ndarray) -> float:
     active = grid.kind != int(NodeKind.EXTERIOR)
@@ -687,37 +691,40 @@ class QuasiStaticSolver:
         self.edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
         self.edge_vals, self.edge_cols = op.vals[self.edge], op.cols[self.edge]
 
-    def solve(self, psi, output_times) -> DisplacementHistory:
+    def solve(self, psi, output_times, out=None):
         """u(t_k) at each output time from the boundary data ``psi``, a
         ``t -> (B, 2)`` callable as for the explicit ``solve``, solved
         straight into stored-node rows; the unknowns are the interior values
-        of both components.
+        of both components. Each snapshot goes to ``out.write(k, rows)`` from
+        one reused buffer; ``out``, in memory when omitted, is returned.
 
         The solution is linear in psi: only the pivot snapshots J of
         ``_pivoted_basis`` are solved, first, by one inverse apply to their
         right-hand side b = -L(0, psi(t_k)); any other snapshot, with
         psi(t_k) = A[:, k] @ psi(t_J), takes that combination of the
-        pivots' interior values. Each snapshot is then checked against its
-        own b: one matvec when it meets RELATIVE_TOLERANCE, refinement
-        steps (``_refine``) when not, InstabilityError when they fail.
+        pivots' interior values, kept only if such a snapshot exists. Each
+        is then checked against its own b: one matvec when it meets
+        RELATIVE_TOLERANCE, ``_refine`` steps when not, InstabilityError
+        when they fail.
         """
         grid, op = self.grid, self.op
         times = np.array(output_times, dtype=float)
+        if out is None:
+            out = DisplacementHistory(times=times, fields=np.zeros((len(times), len(op.stored), 2)), grid=grid, dt=0.0, num_steps=len(times))
         P = np.stack([psi(t) for t in times])
         J, A = _pivoted_basis(P.reshape(len(times), -1).copy())
-        pivot = np.isin(np.arange(len(times)), J)
-        fields = np.zeros((len(times), len(op.stored), 2))
-        X = None  # the pivots' interior values, once they are solved
-        for k in np.concatenate([J, np.nonzero(~pivot)[0]]):
+        rest = np.setdiff1d(np.arange(len(times)), J)
+        X = np.empty((len(J) if len(rest) else 0, len(op.slots)))  # the pivots' interior values
+        row = np.empty((len(op.stored), 2))
+        for i, k in enumerate(np.concatenate([J, rest])):
             p = P[k]
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
             b = self.zero.copy()
             b[self.edge] = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
-            if X is None and not pivot[k]:
-                X = fields.reshape(len(times), -1)[np.ix_(J, op.slots)]
-            x = self.precond(b) if pivot[k] else np.einsum("i,ij->j", A[:, k], X)
+            x = self.precond(b) if i < len(J) else np.einsum("i,ij->j", A[:, k], X)
             _refine(lambda x: -op.apply(x, p), self.precond, x, RELATIVE_TOLERANCE * _norm(b[self.edge]))
-            op.rows(x, p, fields[k])
-
-        return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=len(times))
+            if i < len(X):
+                X[i] = x
+            out.write(k, op.rows(x, p, row))
+        return out

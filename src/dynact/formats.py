@@ -15,10 +15,10 @@ node classification (nx * ny bytes), the K snapshot times and then one
 (K, n_stored, 2) block, a history's fields as they are: the
 displacement of every stored node (interior and boundary,
 `grid.stored_nodes`) in flat lattice order. Exterior and ghost nodes are
-not stored; ``read_field`` returns them as zero. `FieldFile` reads a
-field's header arrays at open and then one (n_stored, 2) snapshot per
-``read``, so no history is held; ``read_field`` reads through it into
-its lattice result. An image's payload is its (nx, ny) values.
+not stored; ``read_field`` returns them as zero. `FieldWriter` writes a
+field's header arrays at open and one (n_stored, 2) snapshot per ``write``,
+at its offset and in any order; `FieldFile` reads them the same way, so
+neither holds a history. An image's payload is its (nx, ny) values.
 
 A file with any other header, an older version of the same format
 included (a v2 field stored the ghosts too), or a header field that is
@@ -123,16 +123,41 @@ def read_sinogram(path: str) -> Sinogram:
     return Sinogram(geometry, values)
 
 
+class FieldWriter:
+    """The v3 file of a field on ``grid`` at ``times``, written a snapshot per
+    ``write``; it carries ``times`` and ``num_steps``, as a history does. A
+    ``with`` block that raises deletes the file: no partial or stale field."""
+
+    def __init__(self, path: str, grid, times):
+        self.times = np.asarray(times, dtype=_F8)
+        self.num_steps = len(self.times)
+        self.file = open(path, "wb")
+        self.file.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, self.num_steps, len(stored_nodes(grid.kind))).encode("ascii"))
+        for values, dtype in ((grid.x_coords, _F8), (grid.y_coords, _F8), (grid.kind, np.uint8), (self.times, _F8)):
+            self.file.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        self.file.flush()
+        self.offset = self.file.tell()
+
+    def write(self, k: int, rows: np.ndarray) -> None:
+        """Snapshot k, (n_stored, 2) float64, written where `FieldFile.read` reads it."""
+        buf = memoryview(np.ascontiguousarray(rows, dtype=_F8)).cast("B")
+        if os.pwrite(self.file.fileno(), buf, self.offset + k * buf.nbytes) != buf.nbytes:
+            raise OSError(f"{self.file.name}: short write of snapshot {k}")
+
+    def __enter__(self) -> "FieldWriter":
+        return self
+
+    def __exit__(self, failed, *exc) -> None:
+        self.file.close()
+        if failed is not None:
+            os.remove(self.file.name)
+
+
 def write_field(path: str, history: DisplacementHistory) -> None:
     """The v3 file of ``history``, whose fields are in stored-node form."""
-    grid = history.grid
-    with open(path, "wb") as f:
-        f.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, *history.fields.shape[:2]).encode("ascii"))
-        f.write(np.ascontiguousarray(grid.x_coords, dtype=_F8).tobytes())
-        f.write(np.ascontiguousarray(grid.y_coords, dtype=_F8).tobytes())
-        f.write(np.ascontiguousarray(grid.kind, dtype=np.uint8).tobytes())
-        f.write(np.asarray(history.times, dtype=_F8).tobytes())
-        f.write(np.ascontiguousarray(history.fields, dtype=_F8))
+    with FieldWriter(path, history.grid, history.times) as out:
+        for k, rows in enumerate(history.fields):
+            out.write(k, rows)
 
 
 class FieldFile:

@@ -19,7 +19,7 @@ from . import formats
 from .boundary import BoundaryData, perturb, sample_boundary, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation, NodeMap
-from .elastic import DisplacementHistory, MaterialParams, QuasiStaticSolver
+from .elastic import MaterialParams, QuasiStaticSolver
 from .errors import ConfigError, MismatchError
 from .grid import Grid2D, make_grid
 from .metrics import evaluate
@@ -82,13 +82,14 @@ def snapshot_times(cfg: PipelineConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
 
 
-def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | None = None) -> DisplacementHistory:
+def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | None = None, out=None):
     """Interior motion from the boundary data of ``mode``, solved at each
-    snapshot time by ``solver`` (``motion_solver(cfg)`` when omitted)."""
+    snapshot time by ``solver`` (``motion_solver(cfg)`` when omitted) into
+    ``out`` (an in-memory history when omitted), which is returned."""
     if solver is None:
         solver = motion_solver(cfg)
     bd = boundary_data_for_mode(cfg, solver.grid, mode)
-    return solve(solver, bd.at_time, snapshot_times(cfg))
+    return solve(solver, bd.at_time, snapshot_times(cfg), out)
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
@@ -109,8 +110,9 @@ def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None
     written = []
     for mode in modes:
         name = f"field_{mode}.field"
-        # solved into the write, so no history outlives it
-        formats.write_field(_out(cfg, name), solve_motion(cfg, mode, solver=solver))
+        # each snapshot is written as it is solved; a failed solve deletes the file
+        with formats.FieldWriter(_out(cfg, name), solver.grid, snapshot_times(cfg)) as field:
+            solve_motion(cfg, mode, solver=solver, out=field)
         written.append(name)
     return written
 

@@ -14,6 +14,7 @@ import numpy as np
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_BLOCK = 1 << 14  # normal pairs per block
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -31,26 +32,31 @@ class StableRng:
         self._base = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
         self._counter = np.uint64(0)
 
-    def _raw(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            idx = self._counter + np.arange(n, dtype=np.uint64)
-            self._counter += np.uint64(n)
-            return _splitmix64(self._base + idx)
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        """The doubles strictly inside (0, 1) at counters ``idx``."""
+        bits = _splitmix64(self._base + idx) >> np.uint64(11)
+        return (bits.astype(np.float64) + 0.5) * 2.0 ** -53
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles strictly inside (0, 1)."""
-        bits = self._raw(n) >> np.uint64(11)
-        return (bits.astype(np.float64) + 0.5) * 2.0 ** -53
+        with np.errstate(over="ignore"):
+            idx = self._counter + np.arange(n, dtype=np.uint64)
+            self._counter += np.uint64(n)
+        return self._at(idx)
 
     def normals(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller, C-order over shape."""
+        """Standard normal draws via Box-Muller, C-order over shape; pair j
+        reads counters start + j (u1) and start + pairs + j (u2), in blocks."""
         n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)
         pairs = (n + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(ang)
-        out[1::2] = r * np.sin(ang)
-        return out[:n].reshape(shape)
+        start = self._counter
+        with np.errstate(over="ignore"):
+            self._counter += np.uint64(2 * pairs)
+        out = np.empty((pairs, 2))
+        for lo in range(0, pairs, _BLOCK):
+            idx = start + np.arange(lo, min(lo + _BLOCK, pairs), dtype=np.uint64)
+            r = np.sqrt(-2.0 * np.log(self._at(idx)))
+            ang = 2.0 * np.pi * self._at(idx + np.uint64(pairs))
+            out[lo : lo + len(idx), 0] = r * np.cos(ang)
+            out[lo : lo + len(idx), 1] = r * np.sin(ang)
+        return out.reshape(-1)[:n].reshape(shape)

@@ -39,6 +39,26 @@ class TestStableRng:
         b = StableRng(5).uniforms(30)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(661, 480, 2), (100001,), 7])
+    def test_blocked_normals_match_one_shot_box_muller(self, shape):
+        # normals draws in blocks of pairs; the bits and the counter after
+        # it are those of the whole draw at once: u1 and u2 from two
+        # consecutive uniforms(pairs) calls
+        n = int(np.prod(shape))
+        pairs = (n + 1) // 2
+        ref = StableRng(3)
+        ref.uniforms(5)
+        u1, u2 = ref.uniforms(pairs), ref.uniforms(pairs)
+        expected = np.empty(2 * pairs)
+        expected[0::2] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        expected[1::2] = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
+        rng = StableRng(3)
+        rng.uniforms(5)
+        z = rng.normals(shape)
+        assert z.shape == np.empty(shape).shape
+        assert np.array_equal(z.reshape(-1).view(np.uint64), expected[:n].view(np.uint64))
+        assert np.array_equal(rng.uniforms(3), ref.uniforms(3))
+
 
 class TestSampleBoundary:
     def test_zero_at_t0(self, ellipse_grid_65):

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import pytest
 from dynact import deformation, elastic, formats, pipeline
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
-from dynact.errors import ConfigError, MismatchError, MissingInputError
+from dynact.errors import ConfigError, InstabilityError, MismatchError, MissingInputError
 from dynact.grid import stored_nodes
 from dynact.pipeline import (
     PDE_MODES,
@@ -114,20 +114,53 @@ def test_one_solver_for_all_modes(tmp_path, monkeypatch):
         assert np.array_equal(lattice.reshape(len(fields), -1, 2)[:, stored_nodes(kind)], fields)
 
 
-def test_solve_stage_holds_no_earlier_history(tmp_path, monkeypatch):
-    # each mode's history is written and dropped before the next mode solves
-    cfg = tiny_config(str(tmp_path))
-    solved = []
+def test_solve_stage_memory_does_not_grow_with_snapshots(tmp_path):
+    # each snapshot goes to the field file as it is solved, so 100 more
+    # snapshots add far less than their bytes to the stage's peak
+    peaks = []
+    for k in (33, 33, 133):  # the first run warms up
+        cfg = tiny_config(str(tmp_path / f"{len(peaks)}"))
+        cfg.solver.grid_nx = cfg.solver.grid_ny = 65
+        cfg.solver.num_snapshots = k
+        tracemalloc.start()
+        try:
+            stage_solve_motion(cfg, modes=("exact",))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    added = 100 * len(stored_nodes(solver_grid(cfg).kind)) * 16
+    assert peaks[2] - peaks[1] < added / 4
 
-    def tracked(*args, **kwargs):
-        assert all(ref() is None for ref in solved)
-        history = solve_motion(*args, **kwargs)
-        solved.extend([weakref.ref(history), weakref.ref(history.fields)])
-        return history
 
-    monkeypatch.setattr(pipeline, "solve_motion", tracked)
-    stage_solve_motion(cfg, modes=PDE_MODES)
-    assert len(solved) == 2 * len(PDE_MODES)
+def test_failed_solve_deletes_its_field_file(tmp_path, monkeypatch):
+    # a solve that raises at snapshot 5 leaves no partial field, and no
+    # stale field of an earlier run either
+    cfg = tiny_config(str(tmp_path / "out"))
+    cfg_path = str(tmp_path / "cfg.json")
+    dump_config(cfg, cfg_path)
+    path = os.path.join(cfg.output_dir, "field_exact.field")
+    refine, calls = elastic._refine, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise InstabilityError("diverged")
+        return refine(*args)
+
+    def valid_field_then_failing_solves():
+        monkeypatch.undo()
+        stage_solve_motion(cfg, modes=("exact",))
+        assert os.path.isfile(path)
+        calls.clear()
+        monkeypatch.setattr(elastic, "_refine", failing)
+
+    valid_field_then_failing_solves()
+    with pytest.raises(InstabilityError):
+        stage_solve_motion(cfg, modes=("exact",))
+    assert len(calls) == 5 and not os.path.exists(path)
+    valid_field_then_failing_solves()
+    assert cli_main(["solve-motion", "--config", cfg_path]) == 4
+    assert len(calls) == 5 and not os.path.exists(path)
 
 
 def test_reconstruct_builds_one_grid_and_node_map(tmp_path, monkeypatch):
