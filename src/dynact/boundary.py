@@ -1,11 +1,15 @@
 """Boundary displacement data: exact sampling, noise, and sparsification.
 
-Boundary displacements psi(t, x) = phi(t, x) - x are sampled at a finite
-list of observation times (by default one per scan view) for the snapped
-boundary nodes of a grid; the solver interpolates linearly in time
-between samples. The clamped time interpolation (`lerp_in_time`) and
-the periodic arc-length interpolation along the boundary
-(`arclength_weights`) live here once; the field provider in
+Boundary displacements psi(t, x) = phi(t, x) - x are observed at a
+finite schedule of sample times (by default one per scan view) for the
+snapped boundary nodes of a grid, and blended linearly in time to the
+times a solver needs (`BoundaryData.at_times`). Noise and
+sparsification act on each sample time alone, so only the samples that
+the blend reads (`samples_read`: at most two per time) are sampled,
+perturbed or sparsified; a sample's noise is the one it gets when the
+whole schedule is perturbed. The clamped time interpolation
+(`lerp_in_time`) and the periodic arc-length interpolation along the
+boundary (`arclength_weights`) live here once; the field provider in
 `deformation` uses both.
 """
 
@@ -66,6 +70,15 @@ class BoundaryData:
     def at_time(self, t: float) -> np.ndarray:
         return lerp_in_time(self.times, self.values, t)
 
+    def at_times(self, times) -> "BoundaryData":
+        """The data blended to each of ``times`` (ascending), as ``at_time``."""
+        times = np.asarray(times, dtype=float)
+        values = np.empty((len(times),) + self.values.shape[1:])
+        scratch = np.empty(self.values.shape[1:])
+        for k, t in enumerate(times):
+            values[k] = lerp_in_time(self.times, self.values, t, out=values[k], scratch=scratch)
+        return BoundaryData(times=times, values=values)
+
 
 def lerp_in_time(times: np.ndarray, values, t: float, out=None, scratch=None) -> np.ndarray:
     """Linear interpolation of values[k], sampled at ascending times[k], at
@@ -87,6 +100,24 @@ def lerp_in_time(times: np.ndarray, values, t: float, out=None, scratch=None) ->
     return np.add(out, np.multiply(values[k + 1], w, out=scratch), out=out)
 
 
+def samples_read(sample_times: np.ndarray, times) -> np.ndarray:
+    """Mask over ``sample_times`` of the samples that ``lerp_in_time`` reads
+    at ``times``: the one at or before each time, and the next one too when
+    the time lies strictly between two samples.
+
+    A blend from these samples alone has the bits of one from the whole
+    schedule: at a sample time the blend adds 0 x the next sample read,
+    which leaves every entry but a -0.0 as it is.
+    """
+    times = np.asarray(times, dtype=float)
+    last = len(sample_times) - 1
+    k = np.clip(np.searchsorted(sample_times, times, side="right") - 1, 0, last)
+    read = np.zeros(len(sample_times), dtype=bool)
+    read[k] = True
+    read[k[(times > sample_times[k]) & (k < last)] + 1] = True
+    return read
+
+
 def sample_boundary(motion, grid: Grid2D, times) -> BoundaryData:
     """Exact boundary displacements psi(t_k, x) = phi(t_k, x) - x."""
     times = np.asarray(times, dtype=float)
@@ -97,21 +128,27 @@ def sample_boundary(motion, grid: Grid2D, times) -> BoundaryData:
     return BoundaryData(times=times, values=values)
 
 
-def perturb(bd: BoundaryData, spec: BoundarySpec) -> BoundaryData:
+def perturb(bd: BoundaryData, spec: BoundarySpec, taken=None) -> BoundaryData:
     """Add i.i.d. N(0, noise_std^2) to every (time, node, component) entry.
 
     With time_constant_noise one draw per (node, component) is reused for
     all times. Seeded and reproducible: same spec gives identical bytes.
+    ``taken``, a mask over a schedule of sample times, marks the ones ``bd``
+    holds: each gets the noise it gets when the whole schedule is perturbed.
     """
     spec.validate()
     if spec.mode != "noisy":
         raise ConfigError("perturb requires boundary mode 'noisy'")
     rng = StableRng(spec.rng_seed)
+    shape = bd.values.shape
     if spec.time_constant_noise:
-        noise = np.broadcast_to(rng.normals(bd.values.shape[1:]), bd.values.shape)
+        noise = rng.normals(shape[1:])  # broadcast over the times
+    elif taken is None:
+        noise = rng.normals(shape)
     else:
-        noise = rng.normals(bd.values.shape)
-    return BoundaryData(times=bd.times.copy(), values=bd.values + spec.noise_std * noise)
+        noise = rng.normals((len(taken),) + shape[1:], rows=np.flatnonzero(taken))
+    noise *= spec.noise_std
+    return BoundaryData(times=bd.times.copy(), values=bd.values + noise)
 
 
 def boundary_arclengths(grid: Grid2D) -> np.ndarray:

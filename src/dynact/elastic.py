@@ -79,6 +79,8 @@ RANK_TOLERANCE = 1e-12
 EDGE_TOLERANCE = 1e-10
 LU_BLOCK = 64
 CHUNK = 1 << 16
+# NavierOperator.apply gathers z[cols] in blocks of this many rows
+APPLY_ROWS = 2048
 
 
 @dataclass
@@ -262,11 +264,16 @@ class NavierOperator:
 
     def apply(self, x: np.ndarray, psi) -> np.ndarray:
         """L u for interior values x (2n) and boundary values psi ((B, 2) or
-        a scalar). einsum runs its own loop, not BLAS, so the result does not
-        depend on the thread count. Callers check finiteness."""
+        a scalar), in blocks of APPLY_ROWS rows. einsum runs its own loop,
+        not BLAS, so the result does not depend on the thread count. Callers
+        check finiteness."""
         nb = len(self.boundary_ij)
         z = np.concatenate([x, np.broadcast_to(np.transpose(psi), (2, nb)).ravel()])
-        return np.einsum("ij,ij->i", self.vals, z[self.cols])
+        out = np.empty(len(self.cols))
+        for lo in range(0, len(out), APPLY_ROWS):
+            hi = lo + APPLY_ROWS
+            np.einsum("ij,ij->i", self.vals[lo:hi], z[self.cols[lo:hi]], out=out[lo:hi])
+        return out
 
     def interior(self, field: np.ndarray) -> np.ndarray:
         """The interior vector x of an (nx, ny, 2) field."""
@@ -573,7 +580,15 @@ class _NavierInverse:
         # nodes, then summed with the weights of each row
         g = np.tile(np.fft.irfft2(np.stack([self.i11, self.i12, self.i22]), s=self.shape), (1, 2, 2)).ravel()
         qc, qn = np.divmod(self.acol, size)
-        entries, where = np.unique(qc * 4 * size + (qn // my + mx) * 2 * my + (qn % my + my), return_inverse=True)
+        keys = (qc * 4 * size + (qn // my + mx) * 2 * my + (qn % my + my)).ravel()
+        # distinct by sort, as np.unique(return_inverse=True) gives them: its
+        # first call leaves about 0.17 MB more resident than this
+        order = np.argsort(keys, kind="stable")
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[order[1:]] != keys[order[:-1]]
+        entries = keys[order[new]]
+        where = np.empty(len(keys), dtype=int)
+        where[order] = np.cumsum(new) - 1
         where = where.reshape(qc.shape)
         node = self.edge_comp * 4 * size - bx[self.edge] * 2 * my - by[self.edge]
         cap = np.zeros((m + 2, m + 2))
@@ -692,11 +707,12 @@ class QuasiStaticSolver:
         self.edge_vals, self.edge_cols = op.vals[self.edge], op.cols[self.edge]
 
     def solve(self, psi, output_times, out=None):
-        """u(t_k) at each output time from the boundary data ``psi``, a
-        ``t -> (B, 2)`` callable as for the explicit ``solve``, solved
-        straight into stored-node rows; the unknowns are the interior values
-        of both components. Each snapshot goes to ``out.write(k, rows)`` from
-        one reused buffer; ``out``, in memory when omitted, is returned.
+        """u(t_k) at each output time from the boundary values ``psi``, a
+        (K, B, 2) array of the K output times' displacements in
+        grid.boundary_ij order, solved straight into stored-node rows; the
+        unknowns are the interior values of both components. Each snapshot
+        goes to ``out.write(k, rows)`` from one reused buffer; ``out``, in
+        memory when omitted, is returned.
 
         The solution is linear in psi: only the pivot snapshots J of
         ``_pivoted_basis`` are solved, first, by one inverse apply to their
@@ -709,15 +725,20 @@ class QuasiStaticSolver:
         """
         grid, op = self.grid, self.op
         times = np.array(output_times, dtype=float)
+        psi = np.asarray(psi, dtype=float)
+        if psi.shape != (len(times), len(op.boundary_ij), 2):
+            raise ConfigError(f"boundary values {psi.shape} are not {len(times)} times of {len(op.boundary_ij)} nodes")
         if out is None:
             out = DisplacementHistory(times=times, fields=np.zeros((len(times), len(op.stored), 2)), grid=grid, dt=0.0, num_steps=len(times))
-        P = np.stack([psi(t) for t in times])
-        J, A = _pivoted_basis(P.reshape(len(times), -1).copy())
-        rest = np.setdiff1d(np.arange(len(times)), J)
+        J, A = _pivoted_basis(psi.reshape(len(times), -1).copy())
+        # the other snapshots by mask: np.setdiff1d imports numpy.ma on first use
+        unsolved = np.ones(len(times), dtype=bool)
+        unsolved[J] = False
+        rest = np.flatnonzero(unsolved)
         X = np.empty((len(J) if len(rest) else 0, len(op.slots)))  # the pivots' interior values
         row = np.empty((len(op.stored), 2))
         for i, k in enumerate(np.concatenate([J, rest])):
-            p = P[k]
+            p = psi[k]
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
             b = self.zero.copy()

@@ -102,7 +102,11 @@ def _nearest(key: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """For each distinct key, in key order, the index of its smallest
     distance; of equal distances the earliest index wins."""
     order = np.lexsort((dist, key))
-    _, first = np.unique(key[order], return_index=True)
+    key = key[order]
+    # first of each key by sort, as np.unique(return_index=True) gives it
+    # with more of numpy loaded on its first call
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
     return order[first]
 
 

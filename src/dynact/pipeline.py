@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import formats
-from .boundary import BoundaryData, perturb, sample_boundary, sparsify
+from .boundary import BoundaryData, perturb, sample_boundary, samples_read, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation, NodeMap
 from .elastic import MaterialParams, QuasiStaticSolver
@@ -55,16 +55,21 @@ def check_prior_region(cfg: PipelineConfig) -> None:
 
 
 def boundary_data_for_mode(cfg: PipelineConfig, grid: Grid2D, mode: str) -> BoundaryData:
-    times = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
-    bd = sample_boundary(cfg.motion, grid, times)
-    if mode == "exact":
-        return bd
+    """The boundary data of ``mode`` at the snapshot times, blended from the
+    config's sample times. Only the samples the blend reads, at most two
+    per snapshot, are sampled and then perturbed or sparsified."""
+    samples = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
+    times = snapshot_times(cfg)
+    read = samples_read(samples, times)
+    bd = sample_boundary(cfg.motion, grid, samples[read])
     spec = replace(cfg.boundary.spec, mode=mode)
     if mode == "noisy":
-        return perturb(bd, spec)
-    if mode == "sparse":
-        return sparsify(bd, spec, grid)
-    raise ConfigError(f"unknown boundary mode {mode!r}")
+        bd = perturb(bd, spec, taken=read)
+    elif mode == "sparse":
+        bd = sparsify(bd, spec, grid)
+    elif mode != "exact":
+        raise ConfigError(f"unknown boundary mode {mode!r}")
+    return bd.at_times(times)
 
 
 def motion_solver(cfg: PipelineConfig) -> QuasiStaticSolver:
@@ -89,7 +94,7 @@ def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | Non
     if solver is None:
         solver = motion_solver(cfg)
     bd = boundary_data_for_mode(cfg, solver.grid, mode)
-    return solve(solver, bd.at_time, snapshot_times(cfg), out)
+    return solve(solver, bd.values, bd.times, out)
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:

@@ -44,19 +44,35 @@ class StableRng:
             self._counter += np.uint64(n)
         return self._at(idx)
 
-    def normals(self, shape) -> np.ndarray:
+    def normals(self, shape, rows=None) -> np.ndarray:
         """Standard normal draws via Box-Muller, C-order over shape; pair j
-        reads counters start + j (u1) and start + pairs + j (u2), in blocks."""
+        reads counters start + j (u1) and start + pairs + j (u2), in blocks.
+
+        With ``rows``, indices along the first axis of ``shape`` whose rows
+        each hold an even number of draws, only those rows of the draw are
+        computed, at their own counters, and returned in that order. The
+        counter moves past the whole draw either way."""
         n = int(np.prod(shape, dtype=np.int64)) if np.ndim(shape) else int(shape)
         pairs = (n + 1) // 2
         start = self._counter
         with np.errstate(over="ignore"):
             self._counter += np.uint64(2 * pairs)
-        out = np.empty((pairs, 2))
-        for lo in range(0, pairs, _BLOCK):
-            idx = start + np.arange(lo, min(lo + _BLOCK, pairs), dtype=np.uint64)
+        if rows is None:
+            count = pairs
+        else:
+            row_pairs, odd = divmod(n // shape[0], 2)
+            if odd:
+                raise ValueError(f"the rows of a {tuple(shape)} draw hold an odd number of draws")
+            sel = (np.asarray(rows, dtype=np.uint64)[:, None] * np.uint64(row_pairs) + np.arange(row_pairs, dtype=np.uint64)).ravel()
+            count = len(sel)
+        out = np.empty((count, 2))
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            idx = start + (np.arange(lo, hi, dtype=np.uint64) if rows is None else sel[lo:hi])
             r = np.sqrt(-2.0 * np.log(self._at(idx)))
             ang = 2.0 * np.pi * self._at(idx + np.uint64(pairs))
-            out[lo : lo + len(idx), 0] = r * np.cos(ang)
-            out[lo : lo + len(idx), 1] = r * np.sin(ang)
-        return out.reshape(-1)[:n].reshape(shape)
+            out[lo:hi, 0] = r * np.cos(ang)
+            out[lo:hi, 1] = r * np.sin(ang)
+        if rows is None:
+            return out.reshape(-1)[:n].reshape(shape)
+        return out.reshape((-1,) + tuple(shape[1:]))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dynact import pipeline
 from dynact.boundary import (
     BoundaryData,
     BoundarySpec,
@@ -8,8 +11,10 @@ from dynact.boundary import (
     lerp_in_time,
     perturb,
     sample_boundary,
+    samples_read,
     sparsify,
 )
+from dynact.config import default_config
 from dynact.errors import ConfigError
 from dynact.motion import AffineMotion, identity_motion
 from dynact.rng import StableRng
@@ -58,6 +63,24 @@ class TestStableRng:
         assert z.shape == np.empty(shape).shape
         assert np.array_equal(z.reshape(-1).view(np.uint64), expected[:n].view(np.uint64))
         assert np.array_equal(rng.uniforms(3), ref.uniforms(3))
+
+    @pytest.mark.parametrize("rows", [np.arange(0, 661, 5), np.array([660, 3, 3, 0]), np.array([], dtype=int)])
+    def test_row_draws_equal_rows_of_the_whole_draw(self, rows):
+        # rows of a (661, 240, 2) draw, each computed at its own counters,
+        # have the bits of those rows of the whole draw, and the counter
+        # ends past the whole draw
+        full = StableRng(9)
+        whole = full.normals((661, 240, 2))
+        part = StableRng(9)
+        z = part.normals((661, 240, 2), rows=rows)
+        assert z.shape == (len(rows), 240, 2)
+        assert np.array_equal(z.view(np.uint64), whole[rows].view(np.uint64))
+        assert np.array_equal(part.uniforms(3), full.uniforms(3))
+
+    def test_rows_of_an_odd_count_rejected(self):
+        # a normal pair would straddle two rows of 3 draws
+        with pytest.raises(ValueError, match="odd"):
+            StableRng(1).normals((4, 3), rows=[1])
 
 
 class TestSampleBoundary:
@@ -140,6 +163,67 @@ class TestLerpInTime:
             read.clear()
             assert np.array_equal(lerp_in_time(self.TIMES, Samples(), t), lerp_in_time(self.TIMES, self.VALUES, t))
             assert read == keys
+
+
+class TestSamplesRead:
+    SAMPLES = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def test_a_sample_time_reads_one_sample_and_a_time_between_two(self):
+        # 1.0 and 3.0 are sample times, 0.5 lies between samples 0 and 1, and
+        # a time outside the schedule reads its first or last sample
+        assert samples_read(self.SAMPLES, [1.0, 3.0]).tolist() == [False, True, False, True, False]
+        assert samples_read(self.SAMPLES, [0.5]).tolist() == [True, True, False, False, False]
+        assert samples_read(self.SAMPLES, [-1.0, 9.0]).tolist() == [True, False, False, False, True]
+
+    def test_blend_from_the_samples_read_has_the_whole_schedules_bits(self):
+        values = np.random.default_rng(4).standard_normal((5, 6, 2))
+        times = [0.0, 0.25, 1.0, 2.0, 3.5, 4.0]
+        read = samples_read(self.SAMPLES, times)
+        whole = BoundaryData(self.SAMPLES, values)
+        part = BoundaryData(self.SAMPLES[read], values[read]).at_times(times)
+        assert np.array_equal(part.times, times)
+        assert part.values.tobytes() == np.stack([whole.at_time(t) for t in times]).tobytes()
+
+
+class TestBoundaryDataForMode:
+    """The pipeline samples, perturbs and sparsifies only the samples that
+    the blend to the snapshot times reads; its data has the bits of the
+    whole schedule's, blended by ``at_time``."""
+
+    @staticmethod
+    def _config(num_samples: int, time_constant: bool):
+        cfg = default_config()
+        cfg.solver.grid_nx = cfg.solver.grid_ny = 33
+        cfg.boundary.num_sample_times = num_samples
+        cfg.boundary.spec.time_constant_noise = time_constant
+        return cfg
+
+    @staticmethod
+    def _reference(cfg, grid, mode: str) -> np.ndarray:
+        samples = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
+        bd = sample_boundary(cfg.motion, grid, samples)
+        spec = replace(cfg.boundary.spec, mode=mode)
+        if mode == "noisy":
+            bd = perturb(bd, spec)
+        elif mode == "sparse":
+            bd = sparsify(bd, spec, grid)
+        return np.stack([bd.at_time(t) for t in pipeline.snapshot_times(cfg)])
+
+    # 661: every snapshot time is a sample time; 41 and 300: most are not
+    @pytest.mark.parametrize("num_samples", [661, 41, 300])
+    @pytest.mark.parametrize("mode, time_constant", [("exact", False), ("noisy", False), ("noisy", True), ("sparse", False)])
+    def test_matches_the_whole_schedule(self, num_samples, mode, time_constant, monkeypatch):
+        cfg = self._config(num_samples, time_constant)
+        grid = pipeline.solver_grid(cfg)
+        sampled = []
+        monkeypatch.setattr(pipeline, "sample_boundary", lambda motion, g, times: sampled.append(len(times)) or sample_boundary(motion, g, times))
+        bd = pipeline.boundary_data_for_mode(cfg, grid, mode)
+        assert np.array_equal(bd.times, pipeline.snapshot_times(cfg))
+        assert bd.values.tobytes() == self._reference(cfg, grid, mode).tobytes()
+        k = cfg.solver.num_snapshots
+        assert len(sampled) == 1 and sampled[0] <= min(2 * k, num_samples)
+        if num_samples == 661:
+            assert sampled == [k]
 
 
 class TestPerturb:

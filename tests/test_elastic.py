@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynact import elastic
+from dynact.boundary import sample_boundary
 from dynact.config import default_config
 from dynact.domain import RectangleDomain
 from dynact.elastic import (
@@ -307,7 +308,7 @@ def test_history_has_interior_and_boundary_rows_only(method, ellipse_grid_65):
     if method == "explicit":
         hist = solve(g, unit_params(g), None, psi, t_end=0.1, output_times=[0.05, 0.1])
     else:
-        hist = QuasiStaticSolver(g, unit_params(g)).solve(psi, output_times=[0.05, 0.1])
+        hist = QuasiStaticSolver(g, unit_params(g)).solve(np.stack([psi(0.05), psi(0.1)]), output_times=[0.05, 0.1])
     stored = (g.kind == int(NodeKind.INTERIOR)) | (g.kind == int(NodeKind.BOUNDARY))
     assert hist.fields.shape == (2, np.count_nonzero(stored), 2)
     b = stored_rows(g, g.mask(NodeKind.BOUNDARY))
@@ -339,7 +340,7 @@ class TestQuasiStatic:
     def test_zero_data_gives_zero_field(self, ellipse_grid_65):
         g = ellipse_grid_65
         nb = len(g.boundary_ij)
-        hist = QuasiStaticSolver(g, unit_params(g)).solve(lambda t: np.zeros((nb, 2)), output_times=[0.0, 1.0])
+        hist = QuasiStaticSolver(g, unit_params(g)).solve(np.zeros((2, nb, 2)), output_times=[0.0, 1.0])
         assert np.abs(hist.fields).max() == 0.0
         assert hist.num_steps == 2 and hist.dt == 0.0
 
@@ -351,7 +352,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([0.05 * pos[:, 0] * pos[:, 1], 0.02 * pos[:, 0] ** 2 - 0.03 * pos[:, 1] ** 2], axis=-1)
         p = unit_params(g, lam=3460.0, mu=1480.0, rho=1050.0)
-        hist = QuasiStaticSolver(g, p).solve(lambda t: psi, output_times=[1.0])
+        hist = QuasiStaticSolver(g, p).solve(psi[None], output_times=[1.0])
         u = hist.fields[0]
         dt = cfl_dt(p, g, 0.9)
         model = ElasticModel(g, p, dt)
@@ -369,11 +370,20 @@ class TestQuasiStatic:
         g = ellipse_grid_65
         nb = len(g.boundary_ij)
         psi = lambda t: np.tile([0.01 * np.sin(t), 0.02 * t], (nb, 1))
-        runs = [QuasiStaticSolver(g, unit_params(g)).solve(psi, output_times=[0.5, 1.0]) for _ in range(2)]
+        runs = [QuasiStaticSolver(g, unit_params(g)).solve(np.stack([psi(0.5), psi(1.0)]), output_times=[0.5, 1.0]) for _ in range(2)]
         assert np.array_equal(runs[0].fields, runs[1].fields)
         b = stored_rows(g, g.mask(NodeKind.BOUNDARY))
         for k, t in enumerate(runs[0].times):
             np.testing.assert_array_equal(runs[0].fields[k][b], psi(t))
+
+    def test_boundary_values_of_another_shape_rejected(self, ellipse_grid_65):
+        # one (B, 2) row of boundary values per output time
+        g = ellipse_grid_65
+        nb = len(g.boundary_ij)
+        solver = QuasiStaticSolver(g, unit_params(g))
+        for shape in ((1, nb, 2), (2, nb - 1, 2), (2, nb)):
+            with pytest.raises(ConfigError, match="boundary values"):
+                solver.solve(np.zeros(shape), output_times=[0.0, 1.0])
 
     def test_no_convergence_raises(self, ellipse_grid_65, monkeypatch):
         # an inverse that maps everything to zero leaves the pivot's
@@ -384,7 +394,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
         with pytest.raises(InstabilityError, match=f"converge in {elastic.MAX_ITERATIONS} refinement steps"):
-            QuasiStaticSolver(g, unit_params(g)).solve(lambda t: psi, output_times=[1.0])
+            QuasiStaticSolver(g, unit_params(g)).solve(psi[None], output_times=[1.0])
 
     def test_diverging_refinement_raises(self, ellipse_grid_65, monkeypatch):
         # a sign-flipped inverse doubles the error at every refinement step:
@@ -395,7 +405,7 @@ class TestQuasiStatic:
         pos = g.boundary_positions()
         psi = np.stack([pos[:, 0] * pos[:, 1], pos[:, 0] ** 2], axis=-1)
         with pytest.raises(InstabilityError, match="converge"):
-            QuasiStaticSolver(g, unit_params(g)).solve(lambda t: psi, output_times=[1.0])
+            QuasiStaticSolver(g, unit_params(g)).solve(psi[None], output_times=[1.0])
 
     @pytest.mark.parametrize("mode", ["exact", "noisy", "sparse"])
     def test_thorax_snapshots_meet_tolerance(self, mode, monkeypatch):
@@ -448,6 +458,20 @@ class TestQuasiStatic:
             b = rng.standard_normal(len(op.cols))
             assert np.linalg.norm(op.apply(precond(b), 0.0) - b) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("block", [512, elastic.APPLY_ROWS])
+    def test_blocked_apply_matches_one_gather(self, block, monkeypatch):
+        # apply gathers z[cols] in blocks of APPLY_ROWS rows; its result has
+        # the bits of the one (2n, K) gather (2n = 2546 here: 5 or 2 blocks)
+        monkeypatch.setattr(elastic, "APPLY_ROWS", block)
+        cfg = _thorax(65)
+        op = NavierOperator(solver_grid(cfg), cfg.material.lame_lambda, cfg.material.lame_mu)
+        assert len(op.cols) > block
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal(len(op.cols))
+        psi = rng.standard_normal((len(op.boundary_ij), 2))
+        z = np.concatenate([x, psi.T.ravel()])
+        assert op.apply(x, psi).tobytes() == np.einsum("ij,ij->i", op.vals, z[op.cols]).tobytes()
+
     def test_one_preconditioner_apply_per_iteration(self, monkeypatch):
         # one inverse apply per pivot snapshot and one per refinement step
         cfg = _thorax(33)
@@ -489,15 +513,16 @@ class TestQuasiStatic:
     def test_solve_peak_below_one_lattice_history(self):
         # the solve writes stored-node rows, a third of the lattice on the
         # thorax grid: its peak allocation (noisy data, the full-rank case,
-        # measured 3.5 MB) stays below one (K, nx, ny, 2) history
-        # (9.0 MB), which the lattice form allocated on top of the rest
+        # measured 4.0 MB with the in-memory history) stays below one
+        # (K, nx, ny, 2) history (9.0 MB), which the lattice form allocated
+        # on top of the rest
         cfg = _thorax(65)
         solver = QuasiStaticSolver(solver_grid(cfg), MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu))
         times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
         bd = boundary_data_for_mode(cfg, solver.grid, "noisy")
         tracemalloc.start()
         try:
-            hist = solver.solve(bd.at_time, times)
+            hist = solver.solve(bd.values, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -517,7 +542,8 @@ def test_explicit_divergence_raises():
     in_spine = cfg.phantom.require_labeled("spine").contains(np.stack([X, Y], axis=-1))
     rho0 = np.where(in_spine, cfg.prior.spine_density, cfg.prior.soft_tissue_density)
     params = MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu, rho0=rho0)
-    bd = boundary_data_for_mode(cfg, g, "exact")
+    # the explicit scheme reads the boundary between snapshots: all samples
+    bd = sample_boundary(cfg.motion, g, np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times))
     times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
     with pytest.raises(InstabilityError, match="diverged") as exc_info:
         solve(g, params, None, bd.at_time, cfg.scan.t_end, times)
