@@ -38,8 +38,8 @@ Two solvers:
   not carry boundary noise into the interior as undamped waves.
   The solve is direct: ``_NavierInverse`` is the exact inverse of the
   operator, a periodic FFT solve on a box around the interior, corrected
-  by a capacitance matrix of order m + 2 for the m rows next to the
-  boundary, where the operator is not the box's uniform stencil, and the
+  by a capacitance matrix of order m + 2 for the m rows that read a
+  boundary value (every other row is the box's uniform stencil) and the
   two per-component constants, on which the periodic operator is
   singular. The equilibrium is linear in the boundary values, so the
   inverse is applied to a few pivot snapshots only (2 for exact and
@@ -71,12 +71,9 @@ MAX_ITERATIONS = 1000
 # largest snapshot norm is not taken as a pivot (the exact and sparse
 # data measure 1, 8.4e-3, then 4e-16 on the 33^2-257^2 thorax grids)
 RANK_TOLERANCE = 1e-12
-# _NavierInverse: a row of the operator whose weights differ from the
-# uniform stencil's by more than this share of the centre weight gets a
-# capacitance correction; the capacitance matrix is factored in blocks of
-# LU_BLOCK rows, and its build and factorisation make no temporary of
-# more than CHUNK values
-EDGE_TOLERANCE = 1e-10
+# _NavierInverse: the capacitance matrix is factored in blocks of LU_BLOCK
+# rows, and its build and factorisation make no temporary of more than
+# CHUNK values
 LU_BLOCK = 64
 CHUNK = 1 << 16
 # NavierOperator.apply gathers z[cols] in blocks of this many rows
@@ -203,7 +200,8 @@ def _weights(lam: float, mu: float, hxr, hxl, hyu, hyd) -> list[np.ndarray]:
 class NavierOperator:
     """L at the interior nodes with the ghost closure folded in: row r of
     L u is sum_j vals[r, j] * z[cols[r, j]] (see the module docstring).
-    Unused slots hold weight 0 on the row's own column."""
+    Unused slots hold weight 0 on the row's own column. ``edge`` lists the
+    rows that read a boundary value (a column >= 2n), in order."""
 
     def __init__(self, grid: Grid2D, lame_lambda: float, lame_mu: float):
         self.grid = grid
@@ -261,14 +259,14 @@ class NavierOperator:
                 self.cols[r, extra[r]] = col[c, aux[g]]
                 self.vals[r, extra[r]] = 0.5 * f * w
                 extra[r] += 1
+        self.edge = np.flatnonzero((self.cols >= 2 * n).any(axis=1))
 
-    def apply(self, x: np.ndarray, psi) -> np.ndarray:
-        """L u for interior values x (2n) and boundary values psi ((B, 2) or
-        a scalar), in blocks of APPLY_ROWS rows. einsum runs its own loop,
-        not BLAS, so the result does not depend on the thread count. Callers
-        check finiteness."""
-        nb = len(self.boundary_ij)
-        z = np.concatenate([x, np.broadcast_to(np.transpose(psi), (2, nb)).ravel()])
+    def apply(self, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """L u for interior values x (2n) and boundary values psi (B, 2), in
+        blocks of APPLY_ROWS rows. einsum runs its own loop, not BLAS, so
+        the result does not depend on the thread count. Callers check
+        finiteness."""
+        z = np.concatenate([x, np.transpose(psi).ravel()])
         out = np.empty(len(self.cols))
         for lo in range(0, len(out), APPLY_ROWS):
             hi = lo + APPLY_ROWS
@@ -355,7 +353,6 @@ def solve(
     psi,
     t_end: float,
     output_times,
-    safety: float = 0.9,
 ) -> DisplacementHistory:
     """Run the explicit scheme to t_end and capture snapshots.
 
@@ -371,7 +368,7 @@ def solve(
         raise ConfigError("t_end must be positive")
     if initial is None:
         initial = InitialData.zero(grid.shape)
-    dt_max = cfl_dt(params, grid, safety)
+    dt_max = cfl_dt(params, grid)
     num_steps = int(np.ceil(t_end / dt_max - 1e-12))
     dt = t_end / num_steps
     model = ElasticModel(grid, params, dt)
@@ -496,13 +493,15 @@ class _NavierInverse:
     Let M be L with its rows at the interior nodes replaced by A's. A's
     columns are interior nodes, so M is block triangular (interior nodes,
     then the others) and the interior part of M^-1 [b; 0] is A^-1 b. M
-    differs from L only in the m edge rows, where A's row is not the
-    uniform stencil (the rows next to the boundary): M = L + U V^T, U the
-    unit vectors of the edge rows and V^T the row differences. L is
-    singular on the two per-component constants 1_c. With P0 the
-    projector on them, L' = L + s0 P0 has the nonzero symbol s0 at the
-    zero frequency, and M = L' + U2 V2^T with U2 = [U, -1_1/N, -1_2/N]
-    and V2 = [V, s0 1_1, s0 1_2], of rank m + 2. By Woodbury
+    differs from L only in the m edge rows, the rows of A that read a
+    boundary value (``op.edge``): any other row reads its eight neighbours'
+    interior unknowns at their lattice positions, so on the uniform lattice
+    it is L's row. M = L + U V^T, U the unit vectors of the edge rows and
+    V^T the row differences. L is singular on the two per-component
+    constants 1_c. With P0 the projector on them, L' = L + s0 P0 has the
+    nonzero symbol s0 at the zero frequency, and M = L' + U2 V2^T with
+    U2 = [U, -1_1/N, -1_2/N] and V2 = [V, s0 1_1, s0 1_2], of rank m + 2.
+    By Woodbury
 
         M^-1 = L'^-1 - L'^-1 U2 C^-1 V2^T L'^-1,  C = I + V2^T L'^-1 U2,
 
@@ -531,11 +530,11 @@ class _NavierInverse:
 
         hx = (grid.x_coords[-1] - grid.x_coords[0]) / (grid.nx - 1)
         hy = (grid.y_coords[-1] - grid.y_coords[0]) / (grid.ny - 1)
-        # on a non-uniform lattice every row would be an edge row
+        # interior nodes are not snapped, so this check makes every row that
+        # reads no boundary value the uniform stencil L's row
         if not (np.allclose(np.diff(grid.x_coords), hx, rtol=1e-9, atol=0) and np.allclose(np.diff(grid.y_coords), hy, rtol=1e-9, atol=0)):
             raise ConfigError("the quasi-static solve needs a uniformly spaced lattice")
-        nominal = _weights(lame_lambda, lame_mu, hx, hx, hy, hy)
-        s0 = float(nominal[0][0])  # the centre weight sets the scale
+        s0 = float(_weights(lame_lambda, lame_mu, hx, hx, hy, hy)[0][0])  # the centre weight sets the scale
         tx = 2.0 * np.pi * np.arange(mx)[:, None] / mx
         ty = 2.0 * np.pi * np.arange(my // 2 + 1)[None, :] / my
         sx = (2.0 - 2.0 * np.cos(tx)) / hx**2
@@ -550,16 +549,7 @@ class _NavierInverse:
         self.i22 = a11 / det
         self.i12 = -a12 / det
 
-        # the edge rows: those where A's row is not L's, the uniform stencil
-        # at the nominal spacings on the same box slots
-        stencil = len(_OFFSETS)
-        regular = ~op.vals[:, stencil:].any(axis=1)
-        for s, (dx, dy, shift) in enumerate(_OFFSETS):
-            col = op.cols[:, s]
-            at = np.where(col < 2 * n, self.box_idx[np.minimum(col, 2 * n - 1)], -1)
-            regular &= at == (comp + shift) % 2 * size + (bx + dx) * my + by + dy
-            regular &= np.abs(op.vals[:, s] - nominal[s][comp]) <= EDGE_TOLERANCE * abs(s0)
-        self.edge = np.nonzero(~regular)[0]
+        self.edge = op.edge
         m = len(self.edge)
         self.edge_comp = comp[self.edge]
         # A's edge rows in box slots, the entries with non-zero weight first
@@ -702,9 +692,8 @@ class QuasiStaticSolver:
         self.op = op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
         self.precond = _NavierInverse(op, params.lame_lambda, params.lame_mu)
         self.zero = np.zeros(len(op.cols))
-        # only rows next to the boundary read psi: L(0, psi) is zero elsewhere
-        self.edge = np.nonzero((op.cols >= len(self.zero)).any(axis=1))[0]
-        self.edge_vals, self.edge_cols = op.vals[self.edge], op.cols[self.edge]
+        # only the edge rows read psi: L(0, psi) is zero elsewhere
+        self.edge_vals, self.edge_cols = op.vals[op.edge], op.cols[op.edge]
 
     def solve(self, psi, output_times, out=None):
         """u(t_k) at each output time from the boundary values ``psi``, a
@@ -742,9 +731,9 @@ class QuasiStaticSolver:
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
             b = self.zero.copy()
-            b[self.edge] = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
+            b[op.edge] = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
             x = self.precond(b) if i < len(J) else np.einsum("i,ij->j", A[:, k], X)
-            _refine(lambda x: -op.apply(x, p), self.precond, x, RELATIVE_TOLERANCE * _norm(b[self.edge]))
+            _refine(lambda x: -op.apply(x, p), self.precond, x, RELATIVE_TOLERANCE * _norm(b[op.edge]))
             if i < len(X):
                 X[i] = x
             out.write(k, op.rows(x, p, row))

@@ -21,7 +21,8 @@ at its offset and in any order; `FieldFile` reads them the same way, so
 neither holds a history. An image's payload is its (nx, ny) values.
 
 A file with any other header, an older version of the same format
-included (a v2 field stored the ghosts too), or a header field that is
+included (a v2 field stored the ghosts too), a header line that is not
+ASCII or does not end within ``HEADER_BYTES``, or a header field that is
 not a number or a count that is not positive, is a MissingInputError.
 Every reader checks the payload size against the header before reading,
 and a read that comes back short (a file cut after it was opened) is a
@@ -41,6 +42,9 @@ from .projection import ScanGeometry, Sinogram
 from .reconstruct import Image, ImageSpec
 
 _F8 = np.dtype("<f8")
+# a header is one ASCII line ending in "\n" within this many bytes (the
+# longest one written is under 250)
+HEADER_BYTES = 4096
 
 
 def _fmt(x: float) -> str:
@@ -56,16 +60,17 @@ def _open(path: str, magic: str, converters: tuple):
         f = open(path, "rb")
     except OSError as exc:
         raise MissingInputError(f"cannot open {path}: {exc}") from exc
-    try:
-        parts = f.readline().decode("ascii").rstrip("\n").split(" ")
-    except UnicodeDecodeError as exc:
+    line = f.readline(HEADER_BYTES)
+    if not line.endswith(b"\n") or not line.isascii():
         f.close()
-        raise MissingInputError(f"{path}: corrupt header") from exc
+        raise MissingInputError(f"{path}: corrupt header")
+    parts = line[:-1].decode("ascii").split(" ")
     found = " ".join(parts[:2])
     if found != magic or len(parts) - 2 != count:
         f.close()
+        # a prefix names the file's format; the rest may be a whole header line
         raise MissingInputError(
-            f"{path}: expected a '{magic}' header with {count} fields, found '{found}' with {len(parts) - 2}"
+            f"{path}: expected a '{magic}' header with {count} fields, found '{found[:40]}' with {len(parts) - 2}"
         )
     try:
         fields = [convert(v) for convert, v in zip(converters, parts[2:])]

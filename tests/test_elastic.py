@@ -257,6 +257,20 @@ def _thorax(n: int):
     return cfg
 
 
+# the grids the preconditioner tests run on: thorax solver grids by size,
+# and two fixtures by name
+SOLVER_GRIDS = [33, 65, 129, "unit_square_grid", "ellipse_grid_65"]
+
+
+def _solver_case(case, request):
+    """(grid, lambda, mu) of one of SOLVER_GRIDS: a thorax grid with the
+    shipped material, or a fixture grid with unit moduli."""
+    if isinstance(case, int):
+        cfg = _thorax(case)
+        return solver_grid(cfg), cfg.material.lame_lambda, cfg.material.lame_mu
+    return request.getfixturevalue(case), 1.0, 1.0
+
+
 def _count_solves(monkeypatch) -> tuple[list[int], list[int]]:
     """The step counts of every later ``elastic._refine`` call (one per
     snapshot, in call order), and a list that grows by one per
@@ -438,25 +452,77 @@ class TestQuasiStatic:
             assert np.abs(hist.fields[:, stored_rows(g, interior)] - exact).max() < 1e-3
 
     def test_nonuniform_lattice_rejected(self):
-        # the preconditioner corrects the rows that differ from the uniform
-        # stencil: on a non-uniform lattice that would be every row
+        # the preconditioner corrects only the rows that read a boundary
+        # value: every other row is the uniform stencil on a uniform lattice
+        # only
         coords = np.concatenate([np.linspace(-1.0, 0.0, 17), np.linspace(0.0, 1.0, 33)[1:]])
         g = make_grid(coords, coords, Ellipse(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))
         with pytest.raises(ConfigError, match="uniformly spaced"):
             QuasiStaticSolver(g, unit_params(g))
 
-    @pytest.mark.parametrize("n", [33, 65, 129])
-    def test_preconditioner_is_exact(self, n):
+    @pytest.mark.parametrize("case", SOLVER_GRIDS)
+    def test_preconditioner_is_exact(self, case, request):
         # the FFT box inverse with its capacitance correction inverts the
         # operator with psi = 0 up to round-off
-        cfg = _thorax(n)
-        lam, mu = cfg.material.lame_lambda, cfg.material.lame_mu
-        op = NavierOperator(solver_grid(cfg), lam, mu)
+        g, lam, mu = _solver_case(case, request)
+        op = NavierOperator(g, lam, mu)
         precond = elastic._NavierInverse(op, lam, mu)
-        rng = np.random.default_rng(n)
+        rng = np.random.default_rng(len(op.cols))
+        zero = np.zeros((len(op.boundary_ij), 2))
         for _ in range(3):
             b = rng.standard_normal(len(op.cols))
-            assert np.linalg.norm(op.apply(precond(b), 0.0) - b) <= 1e-10 * np.linalg.norm(b)
+            assert np.linalg.norm(op.apply(precond(b), zero) - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("case", SOLVER_GRIDS)
+    def test_rows_off_the_edge_are_the_uniform_stencil(self, case, request):
+        # the capacitance correction covers op.edge only: every other row
+        # reads its 9 lattice neighbours' interior unknowns, in _OFFSETS
+        # order, with the weights of the uniform stencil at the nominal
+        # spacings, and nothing in its extra slots
+        g, lam, mu = _solver_case(case, request)
+        op = NavierOperator(g, lam, mu)
+        ii, jj = op.int_ij
+        n = len(ii)
+        unknown = np.full(g.shape, -1)
+        unknown[ii, jj] = np.arange(n)
+        hx = (g.x_coords[-1] - g.x_coords[0]) / (g.nx - 1)
+        hy = (g.y_coords[-1] - g.y_coords[0]) / (g.ny - 1)
+        nominal = elastic._weights(lam, mu, hx, hx, hy, hy)
+        rest = np.setdiff1d(np.arange(2 * n), op.edge)
+        assert len(op.edge) > 0 and len(rest) > 0
+        comp, node = np.divmod(rest, n)
+        for s, (dx, dy, shift) in enumerate(elastic._OFFSETS):
+            neighbour = unknown[ii[node] + dx, jj[node] + dy]
+            assert np.all(neighbour >= 0)
+            assert np.array_equal(op.cols[rest, s], (comp + shift) % 2 * n + neighbour)
+            assert np.abs(op.vals[rest, s] - nominal[s][comp]).max() <= 1e-12 * abs(nominal[0][0])
+        assert not op.vals[rest, len(elastic._OFFSETS) :].any()
+
+    def test_slightly_uneven_lattice_corrects_only_the_edge(self, ellipse_grid_65, monkeypatch):
+        # the 65^2 ellipse lattice moved by up to 4e-10 h passes the
+        # uniformity check: the capacitance rows stay the rows that read a
+        # boundary value (a classifier that compared every row's weights
+        # with the uniform stencil took 2355 of them here), and the near-
+        # exact inverse still meets the tolerance without refinement
+        coords = ellipse_grid_65.x_coords
+        h = coords[1] - coords[0]
+        rng = np.random.default_rng(25)
+        x, y = (coords + 4e-10 * h * rng.uniform(-1.0, 1.0, len(coords)) for _ in range(2))
+        g = make_grid(x, y, Ellipse(center=(0.0, 0.0), semi_axes=(0.75, 0.55)))
+        solver = QuasiStaticSolver(g, unit_params(g))
+        reads_psi = np.flatnonzero((solver.op.cols >= len(solver.op.cols)).any(axis=1))
+        assert np.array_equal(solver.precond.edge, reads_psi)
+        assert len(reads_psi) == len(NavierOperator(ellipse_grid_65, 1.0, 1.0).edge)
+        # an affine motion's boundary displacements at three times
+        pos = g.boundary_positions()
+        psi = np.stack([a * (pos @ np.array([[0.1, -0.03], [0.05, 0.08]])) for a in (0.5, 1.0, -0.7)])
+        steps, _ = _count_solves(monkeypatch)
+        hist = solver.solve(psi, output_times=[0.0, 1.0, 2.0])
+        assert steps == [0, 0, 0]
+        op, b = solver.op, stored_rows(g, g.mask(NodeKind.BOUNDARY))
+        for rows in hist.fields:
+            rhs = np.linalg.norm(op.apply(np.zeros(len(op.cols)), rows[b]))
+            assert np.linalg.norm(op.apply(rows.reshape(-1)[op.slots], rows[b])) <= RELATIVE_TOLERANCE * rhs
 
     @pytest.mark.parametrize("block", [512, elastic.APPLY_ROWS])
     def test_blocked_apply_matches_one_gather(self, block, monkeypatch):

@@ -102,6 +102,28 @@ class TestSinogramFormat:
         with pytest.raises(MissingInputError, match="found 'DYNACT-SINO v1' with 6"):
             formats.read_sinogram(p)
 
+    def test_header_without_line_end_is_read_to_a_limit(self, tmp_path):
+        # a 10 MB file with no "\n" (the whole line was read and quoted in
+        # the message before: a 50 MB one peaked at 101.5 MB)
+        p = tmp_path / "huge.sino"
+        p.write_bytes(b"x" * 10_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingInputError, match="corrupt header") as exc:
+                formats.read_sinogram(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(str(exc.value)) < 300
+        assert peak < 1 << 20
+
+    def test_long_magic_is_cut_in_the_message(self, tmp_path):
+        p = tmp_path / "long.sino"
+        p.write_bytes(b"x" * 4000 + b"\n")
+        with pytest.raises(MissingInputError, match="found 'x{40}' with -1") as exc:
+            formats.read_sinogram(str(p))
+        assert len(str(exc.value)) < 300
+
 
 class TestFieldFormat:
     @staticmethod
