@@ -7,7 +7,6 @@ from .deformation import AnalyticDeformation, FieldDeformation
 from .domain import RectangleDomain
 from .elastic import (
     DisplacementHistory,
-    ElasticModel,
     InitialData,
     MaterialParams,
     cfl_dt,

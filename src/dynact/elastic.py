@@ -25,12 +25,9 @@ K = 9 + 2 x the most ghosts one row reaches (11 on the thorax grids).
 Two solvers:
 
 * ``solve`` integrates the time-dependent equation rho u_tt = L u + v
-  explicitly on interior vectors,
-
-      u(n+1) = 2 u(n) - u(n-1) + dt^2/rho * (L u(n) + v(n)),
-
-  dt from the CFL bound. The first step is the same update with the
-  mirror rule u(-1) = u(1) - 2*dt*theta1 folded in.
+  with the explicit leapfrog scheme on interior vectors, dt from the
+  CFL bound (``cfl_dt``); its docstring gives the update and the first
+  step.
 * ``QuasiStaticSolver`` drops the inertia term and the forcing and
   solves the equilibrium L u(t_k) = 0 at each output time. The density
   cancels. For the breathing motion the inertia term is about
@@ -99,10 +96,6 @@ class InitialData:
     theta0: np.ndarray  # (nx, ny, 2)
     theta1: np.ndarray  # (nx, ny, 2)
 
-    @classmethod
-    def zero(cls, shape: tuple[int, int]) -> "InitialData":
-        return cls(np.zeros(shape + (2,)), np.zeros(shape + (2,)))
-
 
 @dataclass
 class DisplacementHistory:
@@ -138,30 +131,26 @@ class DisplacementHistory:
         self.fields[k] = rows
 
 
-def _min_rho(grid: Grid2D, rho0: np.ndarray) -> float:
-    active = grid.kind != int(NodeKind.EXTERIOR)
-    rho = np.asarray(rho0, dtype=float)
-    if rho.shape != grid.shape:
-        raise ConfigError(f"rho0 shape {rho.shape} != grid {grid.shape}")
-    vals = rho[active]
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-        raise ConfigError("rho0 must be positive and finite at all active nodes")
-    return float(vals.min())
-
-
 def cfl_dt(params: MaterialParams, grid: Grid2D, safety: float = 0.9) -> float:
     """Largest stable time step: safety / (nu * (1/dx_min + 1/dy_min)).
 
-    nu = sqrt((lambda + 2 mu)/min rho0); minima run over all spacings of
-    the snapped grid, so boundary cells shorten the step.
+    nu = sqrt((lambda + 2 mu)/min rho0), the minimum over the active
+    (non-exterior) nodes, where rho0 must be positive and finite; the
+    spacing minima run over all spacings of the snapped grid, so boundary
+    cells shorten the step.
     """
     if not 0.0 < safety <= 1.0:
         raise ConfigError("cfl safety must be in (0, 1]")
     params.validate()
     if params.rho0 is None:
         raise ConfigError("rho0 is required")
-    rho_min = _min_rho(grid, params.rho0)
-    nu = np.sqrt((params.lame_lambda + 2.0 * params.lame_mu) / rho_min)
+    rho = np.asarray(params.rho0, dtype=float)
+    if rho.shape != grid.shape:
+        raise ConfigError(f"rho0 shape {rho.shape} != grid {grid.shape}")
+    rho = rho[grid.kind != int(NodeKind.EXTERIOR)]
+    if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
+        raise ConfigError("rho0 must be positive and finite at all active nodes")
+    nu = np.sqrt((params.lame_lambda + 2.0 * params.lame_mu) / float(rho.min()))
     dx, dy = grid.min_spacings()
     return float(safety / (nu * (1.0 / dx + 1.0 / dy)))
 
@@ -285,67 +274,6 @@ class NavierOperator:
         return out
 
 
-class ElasticModel:
-    """Explicit stepping context for one (grid, material, dt) triple; the
-    levels are interior vectors x."""
-
-    def __init__(self, grid: Grid2D, params: MaterialParams, dt: float):
-        params.validate()
-        if params.rho0 is None:
-            raise ConfigError("rho0 is required")
-        _min_rho(grid, params.rho0)
-        self.grid = grid
-        self.params = params
-        self.dt = float(dt)
-        self.op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
-        rho = np.asarray(params.rho0, dtype=float)[self.op.int_ij]
-        self.g = dt * dt / np.tile(rho, 2)
-
-    def step(self, x_prev: np.ndarray, x_cur: np.ndarray, psi_cur: np.ndarray, t_cur: float, step_no: int) -> np.ndarray:
-        """u(n+1) = 2 u(n) - u(n-1) + dt^2/rho (L u(n) + v(n)) at the interior.
-
-        ``psi_cur`` is the boundary at level n; raises InstabilityError on a
-        non-finite value.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            lu = self.op.apply(x_cur, psi_cur)
-            if self.params.forcing is not None:
-                lu += self.op.interior(self.params.forcing(t_cur))
-            x_next = 2.0 * x_cur + self.g * lu - x_prev
-        bad = ~np.isfinite(x_next)
-        if bad.any():
-            k = int(np.argmax(bad)) % len(self.op.int_ij[0])
-            node = (int(self.op.int_ij[0][k]), int(self.op.int_ij[1][k]))
-            msg = f"non-finite displacement at node {node}, step {step_no}; time step likely violates the CFL condition"
-            raise InstabilityError(msg, step=step_no, node=node)
-        return x_next
-
-    def first_step(self, initial: InitialData, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interior levels (u^0, u^1) from the initial data.
-
-        The mirror rule u^-1 = u^1 - 2 dt theta1 in the n=0 update gives
-        u^1 = step(u^-1 = -2 dt theta1, u^0) / 2.
-        """
-        x0 = self.op.interior(initial.theta0)
-        x_mirror = -2.0 * self.dt * self.op.interior(initial.theta1)
-        return x0, 0.5 * self.step(x_mirror, x0, psi0, 0.0, 1)
-
-
-def _check_bounded(op: NavierOperator, u: np.ndarray, bound: float, step_no: int) -> None:
-    """InstabilityError when max|u| over stored rows u exceeds GROWTH_BOUND * bound."""
-    mag = np.abs(u).max(axis=-1)
-    k = int(np.argmax(mag))
-    if mag[k] > GROWTH_BOUND * bound:
-        node = tuple(int(i) for i in np.unravel_index(op.stored[k], op.grid.shape))
-        raise InstabilityError(
-            f"max|u| = {mag[k]:.3g} at node {node}, step {step_no}, exceeds "
-            f"{GROWTH_BOUND:g} x the largest boundary or initial displacement "
-            f"{bound:.3g}; the explicit scheme diverged",
-            step=step_no,
-            node=node,
-        )
-
-
 def solve(
     grid: Grid2D,
     params: MaterialParams,
@@ -358,43 +286,77 @@ def solve(
 
     ``psi`` is the boundary data, a ``t -> (B, 2)`` callable giving
     displacements in grid.boundary_ij order (such as
-    ``BoundaryData.at_time``). ``output_times`` are mapped
-    to the nearest completed step. dt is the CFL bound reduced so that
-    t_end is an integer number of steps. Without forcing and initial
+    ``BoundaryData.at_time``); ``initial`` is the displacement theta0
+    and velocity theta1 at t = 0, zero when None. dt is the CFL bound
+    (``cfl_dt`` at its default safety) reduced so that t_end is an
+    integer number of steps. Each step updates the interior vector,
+
+        u(n+1) = 2 u(n) - u(n-1) + dt^2/rho (L u(n) + v(n)),
+
+    with L reading the boundary level psi(n dt) and v the forcing. The
+    mirror rule u(-1) = u(1) - 2 dt theta1 in the n = 0 update gives
+    u(1) = step(u(-1) = -2 dt theta1, u(0)) / 2. A non-finite value
+    raises InstabilityError. ``output_times`` are mapped to the nearest
+    completed step, clamped to [0, t_end]. Without forcing and initial
     velocity, each snapshot is checked against GROWTH_BOUND x the largest
     |psi| imposed so far and |theta0|.
     """
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
     if initial is None:
-        initial = InitialData.zero(grid.shape)
-    dt_max = cfl_dt(params, grid)
-    num_steps = int(np.ceil(t_end / dt_max - 1e-12))
+        initial = InitialData(np.zeros(grid.shape + (2,)), np.zeros(grid.shape + (2,)))
+    num_steps = int(np.ceil(t_end / cfl_dt(params, grid) - 1e-12))
     dt = t_end / num_steps
-    model = ElasticModel(grid, params, dt)
+    op = NavierOperator(grid, params.lame_lambda, params.lame_mu)
+    g = dt * dt / np.tile(np.asarray(params.rho0, dtype=float)[op.int_ij], 2)
+
+    def step(x_prev: np.ndarray, x_cur: np.ndarray, psi_cur: np.ndarray, t_cur: float, step_no: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lu = op.apply(x_cur, psi_cur)
+            if params.forcing is not None:
+                lu += op.interior(params.forcing(t_cur))
+            x_next = 2.0 * x_cur + g * lu - x_prev
+        bad = ~np.isfinite(x_next)
+        if bad.any():
+            k = int(np.argmax(bad)) % len(op.int_ij[0])
+            node = (int(op.int_ij[0][k]), int(op.int_ij[1][k]))
+            msg = f"non-finite displacement at node {node}, step {step_no}; time step likely violates the CFL condition"
+            raise InstabilityError(msg, step=step_no, node=node)
+        return x_next
 
     req = np.asarray(output_times, dtype=float)
     snap_steps = np.clip(np.rint(req / dt).astype(int), 0, num_steps)
     snap_times = snap_steps * dt
-    fields = np.zeros((len(req), len(model.op.stored), 2))
+    fields = np.zeros((len(req), len(op.stored), 2))
 
     psi_prev, psi_cur = psi(0.0), psi(dt)
     guarded = params.forcing is None and not np.any(initial.theta1)
     bound = max(float(np.abs(a).max(initial=0.0)) for a in (initial.theta0, psi_prev, psi_cur))
-    x_prev, x_cur = model.first_step(initial, psi_prev)
+    x_prev = op.interior(initial.theta0)
+    x_cur = 0.5 * step(-2.0 * dt * op.interior(initial.theta1), x_prev, psi_prev, 0.0, 1)
 
     def capture(step_no: int, x: np.ndarray, p: np.ndarray) -> None:
         ks = np.nonzero(snap_steps == step_no)[0]
         if len(ks):
-            u = model.op.rows(x, p, fields[ks[0]])
+            u = op.rows(x, p, fields[ks[0]])
             if guarded:
-                _check_bounded(model.op, u, bound, step_no)
+                mag = np.abs(u).max(axis=-1)
+                k = int(np.argmax(mag))
+                if mag[k] > GROWTH_BOUND * bound:
+                    node = tuple(int(i) for i in np.unravel_index(op.stored[k], grid.shape))
+                    raise InstabilityError(
+                        f"max|u| = {mag[k]:.3g} at node {node}, step {step_no}, exceeds "
+                        f"{GROWTH_BOUND:g} x the largest boundary or initial displacement "
+                        f"{bound:.3g}; the explicit scheme diverged",
+                        step=step_no,
+                        node=node,
+                    )
             fields[ks[1:]] = u
 
     capture(0, x_prev, psi_prev)
     capture(1, x_cur, psi_cur)
     for n in range(1, num_steps):
-        x_prev, x_cur = x_cur, model.step(x_prev, x_cur, psi_cur, n * dt, n + 1)
+        x_prev, x_cur = x_cur, step(x_prev, x_cur, psi_cur, n * dt, n + 1)
         psi_cur = psi((n + 1) * dt)
         bound = max(bound, float(np.abs(psi_cur).max(initial=0.0)))
         capture(n + 1, x_cur, psi_cur)

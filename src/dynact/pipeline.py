@@ -40,6 +40,14 @@ def _out(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
+def _make_output_dir(cfg: PipelineConfig) -> None:
+    """Creates the output directory; ConfigError when the OS refuses."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {exc.strerror or exc}") from exc
+
+
 def solver_grid(cfg: PipelineConfig) -> Grid2D:
     x = np.linspace(-1.0, 1.0, cfg.solver.grid_nx)
     y = np.linspace(-1.0, 1.0, cfg.solver.grid_ny)
@@ -98,7 +106,7 @@ def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | Non
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     sino = simulate_scan(cfg.phantom, cfg.motion, cfg.scan)
     formats.write_sinogram(_out(cfg, "sinogram.sino"), sino)
     gt = Image(cfg.image, rasterize_f0(cfg.phantom, cfg.image.nx, cfg.image.ny))
@@ -108,7 +116,7 @@ def stage_simulate(cfg: PipelineConfig) -> list[str]:
 
 
 def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None) -> list[str]:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     if modes is None:
         modes = (cfg.boundary.spec.mode,)
     solver = motion_solver(cfg)
@@ -144,7 +152,7 @@ def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap):
 
 
 def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg)
     sino = _load_sinogram_checked(cfg)
     written = []
 

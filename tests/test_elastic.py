@@ -9,7 +9,6 @@ from dynact.config import default_config
 from dynact.domain import RectangleDomain
 from dynact.elastic import (
     RELATIVE_TOLERANCE,
-    ElasticModel,
     InitialData,
     MaterialParams,
     NavierOperator,
@@ -134,28 +133,30 @@ class TestStepProperties:
         g = unit_square_grid
         p = unit_params(g)
         dt = cfl_dt(p, g, 0.9)
-        model = ElasticModel(g, p, dt)
         nb = len(g.boundary_ij)
         init = InitialData(np.zeros(g.shape + (2,)), np.tile([0.5, 0.0], g.shape + (1,)))
-        _, x1 = model.first_step(init, np.zeros((nb, 2)))
-        np.testing.assert_array_equal(x1.reshape(2, -1).T, np.tile([dt * 0.5, 0.0], (len(x1) // 2, 1)))
+        hist = solve(g, p, init, lambda t: np.zeros((nb, 2)), t_end=dt, output_times=[dt])
+        assert hist.num_steps == 1
+        rows = hist.fields[0][stored_rows(g, g.mask(NodeKind.INTERIOR))]
+        np.testing.assert_array_equal(rows, np.tile([dt * 0.5, 0.0], (len(rows), 1)))
 
     def test_first_step_mirror_symmetry(self, unit_square_grid):
-        # theta1 = 0: u^{-1} = u^1, so stepping forward from (u^1, u^0)
-        # reproduces the first level again
+        # theta1 = 0: u^{-1} = u^1, so the first update
+        # u^1 = 2 u^0 - u^{-1} + dt^2/rho L u^0 gives u^1 = u^0 + dt^2/(2 rho) L u^0
         g = unit_square_grid
         p = unit_params(g)
         dt = cfl_dt(p, g, 0.9)
-        model = ElasticModel(g, p, dt)
         nb = len(g.boundary_ij)
         rng = np.random.default_rng(0)
         theta0 = np.zeros(g.shape + (2,))
         interior = g.kind == int(NodeKind.INTERIOR)
         theta0[interior] = 0.01 * rng.standard_normal((interior.sum(), 2))
-        x0, x1 = model.first_step(InitialData(theta0, np.zeros(g.shape + (2,))), np.zeros((nb, 2)))
-        # u^-1 == u^1 means step(x_prev=x1, x_cur=x0) returns x1 again
-        x1_again = model.step(x1, x0, np.zeros((nb, 2)), 0.0, 1)
-        np.testing.assert_allclose(x1_again, x1, rtol=0, atol=1e-16)
+        init = InitialData(theta0, np.zeros(g.shape + (2,)))
+        hist = solve(g, p, init, lambda t: np.zeros((nb, 2)), t_end=dt, output_times=[dt])
+        op = NavierOperator(g, 1.0, 1.0)
+        x0 = op.interior(theta0)
+        x1 = hist.fields[0].reshape(-1)[op.slots]
+        np.testing.assert_allclose(x1, x0 + dt * dt / 2.0 * op.apply(x0, np.zeros((nb, 2))), rtol=0, atol=1e-16)
 
     def test_spatially_constant_quadratic_exact(self, unit_square_grid):
         g = unit_square_grid
@@ -189,6 +190,20 @@ class TestStepProperties:
         for k, t in enumerate(hist.times):
             np.testing.assert_array_equal(hist.fields[k][b], psi(t))
 
+    def test_output_times_map_to_nearest_completed_step(self, unit_square_grid):
+        # 31 steps of dt = 1/31 to t_end = 1: 0.3 and 0.3 + 1e-9 fall on
+        # step 9, 2.0 is clamped to t_end and -1.0 to t = 0, at rest
+        g = unit_square_grid
+        nb = len(g.boundary_ij)
+        psi = lambda t: np.tile([0.01 * np.sin(t), 0.02 * t], (nb, 1))
+        hist = solve(g, unit_params(g), None, psi, t_end=1.0, output_times=[0.3, 0.3 + 1e-9, 1.0, 2.0, -1.0])
+        assert hist.num_steps == 31 and hist.dt == 1.0 / 31
+        np.testing.assert_array_equal(hist.times, [9 * hist.dt, 9 * hist.dt, 1.0, 1.0, 0.0])
+        assert np.abs(hist.fields[0]).max() > 0.0
+        np.testing.assert_array_equal(hist.fields[1], hist.fields[0])
+        np.testing.assert_array_equal(hist.fields[3], hist.fields[2])
+        assert np.abs(hist.fields[4]).max() == 0.0
+
     def test_determinism(self, unit_square_grid):
         g = unit_square_grid
         nb = len(g.boundary_ij)
@@ -197,18 +212,17 @@ class TestStepProperties:
         h2 = solve(g, unit_params(g), None, psi, t_end=1.0, output_times=[1.0])
         assert np.array_equal(h1.fields, h2.fields)
 
-    def test_instability_reported(self, unit_square_grid):
+    def test_instability_reported(self, unit_square_grid, monkeypatch):
+        # ten times the CFL bound; an initial velocity turns the growth
+        # guard off, so the non-finite check is what stops the run
         g = unit_square_grid
         p = unit_params(g)
+        monkeypatch.setattr(elastic, "cfl_dt", lambda params, grid, safety=0.9: 10.0 * cfl_dt(params, grid, 1.0))
         dt = 10.0 * cfl_dt(p, g, 1.0)
-        model = ElasticModel(g, p, dt)
         nb = len(g.boundary_ij)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(len(model.g))
-        prev = x.copy()
-        with pytest.raises(InstabilityError) as exc_info:
-            for n in range(500):
-                x, prev = model.step(prev, x, np.zeros((nb, 2)), n * dt, n), x
+        init = InitialData(np.zeros(g.shape + (2,)), np.tile([0.5, 0.0], g.shape + (1,)))
+        with pytest.raises(InstabilityError, match="non-finite") as exc_info:
+            solve(g, p, init, lambda t: np.zeros((nb, 2)), t_end=500 * dt, output_times=[500 * dt])
         assert exc_info.value.step is not None
         assert exc_info.value.node is not None
 
@@ -369,14 +383,17 @@ class TestQuasiStatic:
         hist = QuasiStaticSolver(g, p).solve(psi[None], output_times=[1.0])
         u = hist.fields[0]
         dt = cfl_dt(p, g, 0.9)
-        model = ElasticModel(g, p, dt)
-        op = model.op
+        # the equilibrium on the lattice as the initial displacement, at rest
+        theta0 = np.zeros(g.shape + (2,))
+        theta0.reshape(-1, 2)[stored_nodes(g.kind)] = u
+        init = InitialData(theta0, np.zeros(g.shape + (2,)))
+        # the stored rows after one step
+        u_next = solve(g, p, init, lambda t: psi, t_end=dt, output_times=[dt]).fields[0]
+        op = NavierOperator(g, 3460.0, 1480.0)
         x = u.reshape(-1)[op.slots]
-        # the stored rows of the stepped state
-        u_next = op.rows(model.step(x, x, psi, 0.0, 1), psi, np.empty_like(u))
         assert np.abs(x).max() > 1e-3
-        # u_next - u = dt^2/rho * (L u), and the solve leaves |L u| below
-        # the relative tolerance times the norm of its right-hand side
+        # the first step moves u by dt^2/(2 rho) * (L u), and the solve leaves
+        # |L u| below the relative tolerance times the norm of its right-hand side
         rhs_norm = np.linalg.norm(op.apply(np.zeros_like(x), psi))
         np.testing.assert_allclose(u_next, u, rtol=0, atol=dt * dt / 1050.0 * RELATIVE_TOLERANCE * rhs_norm)
 

@@ -325,6 +325,17 @@ class TestCli:
         p.write_text(json.dumps({"version": 1}))
         assert cli_main(["simulate", "--config", str(p)]) == 2
 
+    def test_output_dir_that_cannot_be_made_is_config_error(self, tmp_path, capsys):
+        cfg_path = str(tmp_path / "cfg.json")
+        dump_config(tiny_config(str(tmp_path / "out")), cfg_path)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        assert cli_main(["simulate", "--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert out in err and "Not a directory" in err
+        assert "Traceback" not in err
+
     def test_missing_inputs_is_io_error(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "out"))
         cfg_path = str(tmp_path / "cfg.json")
