@@ -42,8 +42,13 @@ Two solvers:
   inverse is applied to a few pivot snapshots only (2 for exact and
   sparse data): every other snapshot's boundary vector psi(t_k) is a
   combination of the pivots', and its field the same combination of
-  theirs. Every snapshot is then checked against its own right-hand
-  side and refined (x += A^-1 r) where it misses the tolerance.
+  theirs. Each pivot is checked against its own right-hand side with one
+  operator apply. A combined snapshot's residual is the same combination
+  of the pivots' residuals plus the right-hand side's interpolation
+  error on the edge rows and round-off, and a triangle-inequality bound
+  on it stands in for the apply when it meets the tolerance. Where the
+  bound misses, the residual is computed, and a snapshot that misses the
+  tolerance is refined (x += A^-1 r).
 """
 
 from __future__ import annotations
@@ -585,13 +590,19 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
-def _refine(residual, precond, x: np.ndarray, target: float) -> int:
+def _refine(residual, precond, x: np.ndarray, target: float, bound: float | None = None) -> int:
     """Iterative refinement: ``x += precond(residual(x))`` until
     ``residual(x)`` (b - A x) has norm <= ``target``; updates ``x`` in
     place and returns the step count. With the exact inverse as
-    ``precond`` a step removes all but round-off. Raises InstabilityError
-    after MAX_ITERATIONS steps or on a non-finite residual.
+    ``precond`` a step removes all but round-off. ``bound``, when given,
+    bounds the norm of the first residual: if it is <= ``target``, x is
+    accepted with 0 steps and ``residual`` is not called; otherwise (a
+    NaN bound included) the residual is computed as without it. Raises
+    InstabilityError after MAX_ITERATIONS steps or on a non-finite
+    residual.
     """
+    if bound is not None and bound <= target:
+        return 0
     steps = 0
     while True:
         r = residual(x)
@@ -656,6 +667,9 @@ class QuasiStaticSolver:
         self.zero = np.zeros(len(op.cols))
         # only the edge rows read psi: L(0, psi) is zero elsewhere
         self.edge_vals, self.edge_cols = op.vals[op.edge], op.cols[op.edge]
+        # |L|_2 <= |L|_F <= sqrt(K sum vals^2): the K weights of a row may
+        # share a column after the ghost folding, hence the factor K
+        self.norm_bound = float(np.sqrt(op.vals.shape[1] * np.einsum("ij,ij->", op.vals, op.vals)))
 
     def solve(self, psi, output_times, out=None):
         """u(t_k) at each output time from the boundary values ``psi``, a
@@ -667,12 +681,24 @@ class QuasiStaticSolver:
 
         The solution is linear in psi: only the pivot snapshots J of
         ``_pivoted_basis`` are solved, first, by one inverse apply to their
-        right-hand side b = -L(0, psi(t_k)); any other snapshot, with
-        psi(t_k) = A[:, k] @ psi(t_J), takes that combination of the
-        pivots' interior values, kept only if such a snapshot exists. Each
-        is then checked against its own b: one matvec when it meets
-        RELATIVE_TOLERANCE, ``_refine`` steps when not, InstabilityError
-        when they fail.
+        right-hand side b = -L(0, psi(t_k)), and each is checked against
+        its b with one matvec. Any other snapshot, with psi(t_k) =
+        A[:, k] @ psi(t_J), takes that combination x_k of the pivots'
+        interior values, kept only if such a snapshot exists. Its residual
+        b_k - L_0 x_k is (b_k - sum_j A[j, k] b_j) + sum_j A[j, k] r_j,
+        plus round-off, so its norm is at most
+
+            |b_k - sum_j A[j, k] b_j| + sum_j |A[j, k]| (|r_j| + e |z_j|),
+
+        the first term over the edge rows, r_j the pivot's residual, z_j =
+        [x_j; psi(t_j)] and e = 4 (r + w) eps ``norm_bound`` for r pivots
+        and w weights per operator row: the round-off of the r-term
+        combination and of the w-term rows of the right-hand sides and of
+        the pivots' and the snapshot's own residual. Where that bound meets
+        RELATIVE_TOLERANCE no matvec runs; where it does not (or is NaN),
+        the residual is computed. A snapshot that misses the tolerance
+        takes ``_refine`` steps, and InstabilityError is raised when they
+        fail.
         """
         grid, op = self.grid, self.op
         times = np.array(output_times, dtype=float)
@@ -686,17 +712,37 @@ class QuasiStaticSolver:
         unsolved = np.ones(len(times), dtype=bool)
         unsolved[J] = False
         rest = np.flatnonzero(unsolved)
-        X = np.empty((len(J) if len(rest) else 0, len(op.slots)))  # the pivots' interior values
+        kept = len(J) if len(rest) else 0
+        # the pivots' interior values, edge-row right-hand sides, residual
+        # norms and |x_j| + |psi(t_j)| >= |z_j|
+        X = np.empty((kept, len(op.slots)))
+        B = np.empty((kept, len(op.edge)))
+        res_norm, z_norm = np.empty(kept), np.empty(kept)
+        rounding = 4.0 * (len(J) + op.vals.shape[1]) * np.finfo(float).eps * self.norm_bound
         row = np.empty((len(op.stored), 2))
+        last = [None]  # the latest residual computed
+
+        def residual(x):
+            last[0] = -op.apply(x, p)
+            return last[0]
+
         for i, k in enumerate(np.concatenate([J, rest])):
             p = psi[k]
             # the right-hand side -L(0, p) is one gather over the edge rows
             z = np.concatenate([self.zero, np.transpose(p).ravel()])
-            b = self.zero.copy()
-            b[op.edge] = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
-            x = self.precond(b) if i < len(J) else np.einsum("i,ij->j", A[:, k], X)
-            _refine(lambda x: -op.apply(x, p), self.precond, x, RELATIVE_TOLERANCE * _norm(b[op.edge]))
-            if i < len(X):
-                X[i] = x
+            edge_b = -np.einsum("ij,ij->i", self.edge_vals, z[self.edge_cols])
+            target = RELATIVE_TOLERANCE * _norm(edge_b)
+            if i < len(J):
+                b = self.zero.copy()
+                b[op.edge] = edge_b
+                x = self.precond(b)
+                _refine(residual, self.precond, x, target)
+                if i < kept:
+                    X[i], B[i], res_norm[i], z_norm[i] = x, edge_b, _norm(last[0]), _norm(x) + _norm(z)
+            else:
+                a = A[:, k]
+                x = np.einsum("i,ij->j", a, X)
+                bound = _norm(edge_b - np.einsum("i,ij->j", a, B)) + np.einsum("i,i->", np.abs(a), res_norm + rounding * z_norm)
+                _refine(residual, self.precond, x, target, bound)
             out.write(k, op.rows(x, p, row))
         return out

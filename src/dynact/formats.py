@@ -131,16 +131,22 @@ def read_sinogram(path: str) -> Sinogram:
 class FieldWriter:
     """The v3 file of a field on ``grid`` at ``times``, written a snapshot per
     ``write``; it carries ``times`` and ``num_steps``, as a history does. A
-    ``with`` block that raises deletes the file: no partial or stale field."""
+    ``with`` block that raises, or a header write that fails, deletes the
+    file: no partial or stale field."""
 
     def __init__(self, path: str, grid, times):
         self.times = np.asarray(times, dtype=_F8)
         self.num_steps = len(self.times)
         self.file = open(path, "wb")
-        self.file.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, self.num_steps, len(stored_nodes(grid.kind))).encode("ascii"))
-        for values, dtype in ((grid.x_coords, _F8), (grid.y_coords, _F8), (grid.kind, np.uint8), (self.times, _F8)):
-            self.file.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
-        self.file.flush()
+        try:
+            self.file.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, self.num_steps, len(stored_nodes(grid.kind))).encode("ascii"))
+            for values, dtype in ((grid.x_coords, _F8), (grid.y_coords, _F8), (grid.kind, np.uint8), (self.times, _F8)):
+                self.file.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
+            self.file.flush()
+        except BaseException:
+            self.file.close()
+            os.remove(path)
+            raise
         self.offset = self.file.tell()
 
     def write(self, k: int, rows: np.ndarray) -> None:

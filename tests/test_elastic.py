@@ -593,6 +593,60 @@ class TestQuasiStatic:
         assert len(applies) - sum(steps) == 1 and sum(steps) > 0
         assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
 
+    @pytest.mark.parametrize("case", ["exact", "sparse", "affine"])
+    def test_combined_snapshots_pass_on_a_valid_bound(self, case, ellipse_grid_65, monkeypatch):
+        # a combined snapshot is accepted on a bound on its residual, not
+        # on a matvec: the residual that a matvec measures is within the
+        # bound, the bound meets the target, and the operator is applied
+        # at most twice per pivot (133 times before, once per snapshot)
+        if case == "affine":
+            # psi(t, x) = c + t M x at three times: rank 2, one combined snapshot
+            g, moduli = ellipse_grid_65, (1.0, 1.0)
+            times = np.array([0.0, 0.5, 1.0])
+            psi = np.stack([[0.02, -0.01] + t * g.boundary_positions() @ [[0.05, 0.01], [-0.02, 0.03]] for t in times])
+        else:
+            cfg = _thorax(65)
+            g, moduli = solver_grid(cfg), (cfg.material.lame_lambda, cfg.material.lame_mu)
+            times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
+            psi = boundary_data_for_mode(cfg, g, case).values
+        solver = QuasiStaticSolver(g, MaterialParams(*moduli))
+        pivots, bounds, applies = [], [], []
+        basis, refine, apply = elastic._pivoted_basis, elastic._refine, NavierOperator.apply
+
+        def recording(P):
+            J, A = basis(P)
+            pivots.extend(J)
+            return J, A
+
+        def capturing(residual, precond, x, target, bound=None):
+            if bound is not None:
+                bounds.append((target, bound))
+            return refine(residual, precond, x, target, bound)
+
+        monkeypatch.setattr(elastic, "_pivoted_basis", recording)
+        monkeypatch.setattr(elastic, "_refine", capturing)
+        monkeypatch.setattr(NavierOperator, "apply", lambda self, x, p: applies.append(1) or apply(self, x, p))
+        hist = solver.solve(psi, times)
+        monkeypatch.undo()
+        assert len(pivots) == 2 and len(applies) <= 2 * len(pivots)
+        # the combined snapshots are solved after the pivots, in time order
+        combined = np.setdiff1d(np.arange(len(times)), pivots)
+        assert len(bounds) == len(combined) == len(times) - 2
+        op = NavierOperator(g, *moduli)
+        for k, (target, bound) in zip(combined, bounds):
+            x = hist.fields[k].reshape(-1)[op.slots]
+            assert np.linalg.norm(op.apply(x, psi[k])) <= bound <= target
+
+    def test_refine_computes_the_residual_unless_the_bound_meets_the_target(self):
+        # x = 1 against b = 0 with A = I: the residual -x has norm 1, which
+        # meets the target 1; a bound that meets the target skips it, and a
+        # bound that misses it, NaN included, is not trusted
+        for bound, calls in ((0.5, 0), (1.0, 0), (2.0, 1), (np.nan, 1), (None, 1)):
+            computed = []
+            x = np.ones(1)
+            assert elastic._refine(lambda x: computed.append(1) or -x, lambda r: r, x, 1.0, bound) == 0
+            assert len(computed) == calls and x[0] == 1.0
+
     def test_solve_peak_below_one_lattice_history(self):
         # the solve writes stored-node rows, a third of the lattice on the
         # thorax grid: its peak allocation (noisy data, the full-rank case,

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,20 @@ class TestFieldFormat:
         raw = Path(p).read_bytes()
         assert raw.startswith(header)
         assert len(raw) == len(header) + (65 + 65) * 8 + 65 * 65 + 3 * 8 + 3 * n_stored * 2 * 8
+
+    def test_failed_header_write_leaves_no_file(self, tmp_path, ellipse_grid_65, monkeypatch):
+        # x coordinates that are not numbers fail the header write after the
+        # header line: the writer closes its file and removes it, leaving
+        # neither the cut file nor the field it replaced
+        p = tmp_path / "f.field"
+        formats.write_field(str(p), self.history(ellipse_grid_65))
+        opened = []
+        monkeypatch.setattr(formats, "open", lambda *a: opened.append(open(*a)) or opened[-1], raising=False)
+        grid = replace(ellipse_grid_65, x_coords=np.array(["x"] * 65, dtype=object))
+        with pytest.raises(ValueError):
+            formats.FieldWriter(str(p), grid, [0.0])
+        assert len(opened) == 1 and opened[0].closed
+        assert not p.exists()
 
     def test_wrong_payload_size(self, tmp_path, ellipse_grid_65):
         p = str(tmp_path / "f.field")

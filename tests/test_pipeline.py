@@ -186,6 +186,40 @@ def test_failed_solve_deletes_its_field_file(tmp_path, monkeypatch):
     assert len(calls) == 5 and not os.path.exists(path)
 
 
+def test_non_finite_pivot_raises_and_leaves_no_field(tmp_path, monkeypatch):
+    # a NaN in the second pivot's solution fails that pivot's own check
+    # before any combined snapshot is bounded by it: the solve raises, the
+    # stage deletes the earlier field and the CLI exits 4
+    cfg = tiny_config(str(tmp_path / "out"))
+    cfg_path = str(tmp_path / "cfg.json")
+    dump_config(cfg, cfg_path)
+    path = os.path.join(cfg.output_dir, "field_exact.field")
+    stage_solve_motion(cfg, modes=("exact",))
+    assert os.path.isfile(path)
+    apply, refine = elastic._NavierInverse.__call__, elastic._refine
+    calls, bounds = [], []
+
+    def poisoned(self, r):
+        x = apply(self, r)
+        calls.append(1)
+        if len(calls) == 2:
+            x[len(x) // 2] = np.nan
+        return x
+
+    monkeypatch.setattr(elastic._NavierInverse, "__call__", poisoned)
+    monkeypatch.setattr(elastic, "_refine", lambda *args: bounds.append(args[4:]) or refine(*args))
+    with pytest.raises(InstabilityError, match="residual nan"):
+        solve_motion(cfg, "exact")
+    assert bounds == [(), ()]
+    calls.clear()
+    with pytest.raises(InstabilityError):
+        stage_solve_motion(cfg, modes=("exact",))
+    assert not os.path.exists(path)
+    calls.clear()
+    assert cli_main(["solve-motion", "--config", cfg_path]) == 4
+    assert len(calls) == 2 and not os.path.exists(path)
+
+
 def test_reconstruct_builds_one_grid_and_node_map(tmp_path, monkeypatch):
     # the three field files are read against one solver grid and one
     # exterior node map, which depend only on the config
