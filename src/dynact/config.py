@@ -170,6 +170,8 @@ def validate_config(cfg: PipelineConfig) -> None:
         problems.append("scan.time_scale must be positive")
     if cfg.scan.t_end <= 0:
         problems.append("scan.t_end = time_offset + time_scale * num_angles must be positive")
+    elif not np.isfinite(cfg.scan.t_end):
+        problems.append("scan.t_end = time_offset + time_scale * num_angles must be finite")
     if cfg.solver.num_snapshots < 2:
         problems.append("solver.num_snapshots must be >= 2")
     if cfg.boundary.num_sample_times < 2:

@@ -1,7 +1,7 @@
 """Deformation providers: one interface for "where is particle x at time t".
 
 The reconstructor only needs Phi_t evaluated at pixel positions. The
-analytic provider wraps a motion model directly; the field provider
+analytic provider wraps an affine motion directly; the field provider
 interpolates a solved displacement history (bilinear in space on the
 nominal lattice, linear in time between snapshots) and extends it
 outside the solver domain by the value at the closest boundary point,
@@ -11,11 +11,19 @@ continuous on the whole image extent.
 
 Both providers have ``bind(points)``, which returns an evaluator: Phi_t
 at that point set as a function of t, for use on one thread. An
-evaluator's ``twin()`` is another evaluator at the same points, with
-buffers of its own. ``eval(t, evaluator)``, the one call form, returns
-``evaluator(t)``. The reconstructor binds once per image, on the calling
-thread, and gives every block of views a twin, so every buffer an
-evaluator writes is allocated there.
+evaluator returns the moved points as a linear form ``(g, basis)``,
+with g (J, 2), basis (J, P) over the P points and
+``moved[:, c] = sum_j g[j, c] * basis[j]``, so a caller that needs a
+projection of the moved points (``reconstruct.backproject``) contracts
+the basis once with ``g @ theta``. An evaluator's ``twin()`` is another
+evaluator at the same points, with buffers of its own.
+``eval(t, evaluator)``, the one call form, returns ``evaluator(t)``. The
+reconstructor binds once per image, on the calling thread, and gives
+every block of views a twin, so every buffer an evaluator writes is
+allocated there.
+
+The analytic evaluator's basis is the fixed [x; y; 1] and its g is
+[A(t)^T; b(t)] for phi(t, x) = A(t) x + b(t).
 
 The field provider reads a history's snapshots, (n_stored, 2) rows of
 the interior and boundary nodes as the solver and the field artifact
@@ -24,15 +32,17 @@ hold them, one at a time from a `DisplacementHistory` or an open
 which depends only on the grid and so serves every field on it, gives
 every lattice node two stored source nodes and two weights: itself with
 weights (1, 0) inside the domain and on its boundary, the two arc-length
-neighbours of its closest boundary point outside. Binding to a point set
-folds the bilinear cell weights through the node map and merges each
-point's repeated rows, so a point reads only the rows it weighs (of 8
-before the merge): 1 or 2 where the points are lattice nodes, up to 4
-elsewhere on the grids and rasters measured. Twins share that point
-map and the source. An evaluator maps snapshots to the bound points
-lazily, one gather of both components per column of the map into two
-snapshot slots, and blends the two slots in time with
-`boundary.lerp_in_time`.
+neighbours of its closest boundary point outside. ``NodeMap.at`` folds
+the bilinear cell weights of a point set through the node map and
+merges each point's repeated rows, so a point reads only the rows it
+weighs (of 8 before the merge): 1 or 2 where the points are lattice
+nodes, up to 4 elsewhere on the grids and rasters measured. The node
+map keeps the last point set's map, so every field on the grid, and
+every twin, shares one map of a pixel raster. A field evaluator maps a
+snapshot k to the bound points when a call first needs it, one gather
+of both components per column of the map, and keeps x + u_k of the two
+snapshots it read last as the four rows of its basis; g blends them in
+time as `boundary.lerp_in_time` does.
 """
 
 from __future__ import annotations
@@ -47,89 +57,102 @@ from .grid import Grid2D, stored_nodes
 
 
 class _MotionAtPoints:
-    """phi(t, points) as a function of t. It writes no buffer, so it is
-    its own twin."""
+    """phi(t, points) = A(t) x + b(t) as the linear form ([A(t)^T; b(t)],
+    [x; y; 1]) over the points. Its basis is read-only and it writes no
+    buffer, so it is its own twin."""
 
-    def __init__(self, phi, points: np.ndarray):
-        self.phi = phi
-        self.points = points
+    def __init__(self, motion, points: np.ndarray):
+        self.motion = motion
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.basis = np.ones((3, len(pts)))
+        self.basis[:2] = pts.T
+        self.basis.flags.writeable = False
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.phi(t, self.points)
+    def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        return np.vstack([self.motion.matrix(t).T, self.motion.shift(t)]), self.basis
 
     def twin(self) -> "_MotionAtPoints":
         return self
 
 
 class AnalyticDeformation:
-    """Exact motion: Phi_t(x) = phi(t, x)."""
+    """Exact motion: Phi_t(x) = phi(t, x) = A(t) x + b(t), for an affine
+    ``motion`` with ``matrix(t)`` and ``shift(t)``."""
 
     def __init__(self, motion):
         self.motion = motion
 
     def bind(self, points: np.ndarray) -> _MotionAtPoints:
-        """t -> phi(t, points)."""
-        return _MotionAtPoints(self.motion.phi, points)
+        """t -> the linear form of phi(t, points)."""
+        return _MotionAtPoints(self.motion, points)
 
-    def eval(self, t: float, evaluator: _MotionAtPoints) -> np.ndarray:
+    def eval(self, t: float, evaluator: _MotionAtPoints) -> tuple[np.ndarray, np.ndarray]:
         """``evaluator(t)``, for an evaluator from ``bind``; see
         `FieldDeformation.eval`."""
         return evaluator(t)
 
 
+# g of basis rows 2 s and 2 s + 1 (slot s) taken whole: lerp_in_time
+# blends these into the g of a time between two held snapshots
+_SLOT_FORMS = np.zeros((2, 4, 2))
+_SLOT_FORMS[0, [0, 1], [0, 1]] = 1.0
+_SLOT_FORMS[1, [2, 3], [0, 1]] = 1.0
+_SLOT_FORMS.flags.writeable = False
+
+
 class _FieldAtPoints:
-    """x + u(t, x) at one bound point set, as a function of t, with u
-    blended by `boundary.lerp_in_time` (clamped to the first and last
-    snapshot) from the snapshots at the points, which it reads by index:
-    snapshot k at point p is sum_j wts[j, p] * u_k[rows[j, p]], computed
-    into one of two slots on first access. u_k, the rows of snapshot k, is
-    read by ``source.read`` into this object's own buffer and gathered
-    through its complex view, so one take reads both components of a row;
-    ``wts`` (W, P, 2) holds each weight once per component, so a column
-    multiplies the gathered (P, 2) values elementwise. The slots hold the
-    two snapshots most recently read, which are the ones bracketing the
-    last requested time. A call returns the evaluator's own buffer,
-    overwritten by the next call.
+    """x + u(t, x) at one bound point set as a linear form over the four
+    rows of ``basis``: x + u_k of the two snapshots held (slot s in rows 2 s
+    and 2 s + 1), with g blending them by `boundary.lerp_in_time` (clamped
+    to the first and last snapshot). Snapshot k at point p is
+    u_k(p) = sum_j wts[j, p] * u_k[rows[j, p]]: u_k, the rows of snapshot k,
+    is read by ``source.read`` into this object's own buffer and gathered
+    through its complex view into ``gather``, so one take reads both
+    components of a row; ``wts`` (W, P, 2) holds each weight once per
+    component, so a column multiplies the gathered (P, 2) values
+    elementwise. The slots hold the two snapshots most recently read,
+    which are the ones bracketing the last requested time. A call returns
+    the evaluator's own basis, overwritten when a later call maps another
+    snapshot.
     """
 
-    def __init__(self, times: np.ndarray, points: np.ndarray, source, rows: np.ndarray, wts: np.ndarray, n_stored: int):
+    def __init__(self, times: np.ndarray, source, xy: np.ndarray, rows: np.ndarray, wts: np.ndarray, n_stored: int):
         self.times = times
-        self.shape = points.shape
-        self.points = points.reshape(-1, 2)
         self.source = source
+        self.xy = xy
         self.rows = rows
         self.wts = wts
         self.snapshot = np.empty((n_stored, 2))
         self.gather = np.empty((rows.shape[1], 2))
-        self.slots = [np.empty((rows.shape[1], 2)) for _ in range(2)]
-        self.held = [-1, -1]  # the snapshot in each slot, the most recently read last
-        self.out = np.empty(self.points.shape)
-        self.scratch = np.empty(self.points.shape)
+        self.basis = np.zeros((4, rows.shape[1]))
+        self.held = [-1, -1]  # the snapshot in each slot
+        self.older = 0  # the slot read less recently, which the next new snapshot takes
 
     def __getitem__(self, k: int) -> np.ndarray:
-        if k != self.held[1]:
-            self.held.reverse()
-            self.slots.reverse()
-            if k != self.held[1]:
-                self.held[1] = k
-                slot, gather = self.slots[1], self.gather
-                values = self.source.read(k, self.snapshot).view(complex)[:, 0]
+        """The g of snapshot k, mapped into a slot if it is in neither."""
+        if k in self.held:
+            s = self.held.index(k)
+        else:
+            s = self.older
+            self.held[s] = k
+            dst, gather = self.basis[2 * s : 2 * s + 2], self.gather
+            values = self.source.read(k, self.snapshot).view(complex)[:, 0]
+            dst[...] = 0.0
+            for r, w in zip(self.rows, self.wts):
                 # mode="clip" writes straight into out; "raise" buffers it
-                np.take(values, self.rows[0], out=slot.view(complex)[:, 0], mode="clip")
-                slot *= self.wts[0]
-                for r, w in zip(self.rows[1:], self.wts[1:]):
-                    np.take(values, r, out=gather.view(complex)[:, 0], mode="clip")
-                    slot += np.multiply(gather, w, out=gather)
-        return self.slots[1]
+                np.take(values, r, out=gather.view(complex)[:, 0], mode="clip")
+                dst += np.multiply(gather, w, out=gather).T
+            dst += self.xy  # after u_k is summed, as the whole-lattice formula adds it
+        self.older = 1 - s
+        return _SLOT_FORMS[s]
 
-    def __call__(self, t: float) -> np.ndarray:
-        u = lerp_in_time(self.times, self, t, out=self.out, scratch=self.scratch)
-        return np.add(self.points, u, out=self.out).reshape(self.shape)
+    def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        return lerp_in_time(self.times, self, t), self.basis
 
     def twin(self) -> "_FieldAtPoints":
         """An evaluator at the same points sharing the point map and the
-        source, with a snapshot buffer, slots and buffers of its own."""
-        return _FieldAtPoints(self.times, self.points.reshape(self.shape), self.source, self.rows, self.wts, len(self.snapshot))
+        source, with a snapshot buffer, gather buffer and basis of its own."""
+        return _FieldAtPoints(self.times, self.source, self.xy, self.rows, self.wts, len(self.snapshot))
 
 
 class NodeMap:
@@ -160,6 +183,49 @@ class NodeMap:
             b_row = np.searchsorted(stored, grid.boundary_ij[:, 0] * grid.ny + grid.boundary_ij[:, 1])
             self.src[outside] = np.stack([b_row[lo], b_row[hi]], axis=1)
             self.wts[outside] = np.stack([1.0 - w, w], axis=1)
+        self.last = None  # the point map of the last point set, see ``at``
+
+    def at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The point map of ``points`` (..., 2), read-only: their coordinates
+        as rows xy (2, P), and each point's stored rows (W, P) and weights
+        (W, P, 2, one per component), from the four bilinear cell corners,
+        clamped at the lattice edges, each read through this map. A row
+        reached twice has its weights summed and a zero weight is dropped,
+        so a NaN in a row that a point reads only with weight 0 does not
+        reach it. W is the widest point's count (at most 2 where the points
+        are lattice nodes); a shorter point repeats its first row with
+        weight 0. The map of the last point set is kept and returned again
+        for equal points, so the fields on this grid map a pixel raster
+        once."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if self.last is not None and np.array_equal(self.last[0], pts.T):
+            return self.last
+        xc, yc = self.grid.x_coords, self.grid.y_coords
+        px, py = pts[:, 0], pts[:, 1]
+        ix = np.clip(np.searchsorted(xc, px, side="right") - 1, 0, len(xc) - 2)
+        iy = np.clip(np.searchsorted(yc, py, side="right") - 1, 0, len(yc) - 2)
+        fx = np.clip((px - xc[ix]) / (xc[ix + 1] - xc[ix]), 0.0, 1.0)
+        fy = np.clip((py - yc[iy]) / (yc[iy + 1] - yc[iy]), 0.0, 1.0)
+        node = ix * self.grid.ny + iy
+        rows, wts = [np.full(len(pts), -1)], [np.zeros(len(pts))]  # columns; row -1: an unused entry
+        for (cx, wx), (cy, wy) in itertools.product([(0, 1 - fx), (self.grid.ny, fx)], [(0, 1 - fy), (1, fy)]):
+            corner = node + cx + cy
+            for r, w in zip(self.src[corner].T, wx * wy * self.wts[corner].T):
+                new = w != 0
+                for col_r, col_w in zip(rows, wts):
+                    hit = new & ((col_r == r) | (col_r < 0))  # the row's entry or the point's first free one
+                    np.add(col_w, w, out=col_w, where=hit)
+                    np.copyto(col_r, r, where=hit)
+                    new ^= hit
+                if new.any():
+                    rows.append(np.where(new, r, -1))
+                    wts.append(np.where(new, w, 0.0))
+        for col_r in rows[1:]:
+            np.copyto(col_r, rows[0], where=col_r < 0)
+        self.last = (np.ascontiguousarray(pts.T), np.array(rows), np.repeat(np.array(wts)[..., None], 2, axis=2))
+        for a in self.last:
+            a.flags.writeable = False
+        return self.last
 
 
 class FieldDeformation:
@@ -184,46 +250,14 @@ class FieldDeformation:
         self.source = history
 
     def bind(self, points: np.ndarray) -> _FieldAtPoints:
-        """t -> x + u(t, x) at ``points`` (..., 2), t clamped to the snapshot
-        range. The point map: each point's stored rows (W, P) and weights
-        (W, P, 2, one per component), from the four bilinear cell corners,
-        clamped at the lattice edges, each read through the node map. A row
-        reached twice has its weights summed and a zero weight is dropped,
-        so a NaN in a row that a point reads only with weight 0 does not
-        reach it. W is the widest point's count (at most 2 where the points
-        are lattice nodes); a shorter point repeats its first row with weight
-        0. The evaluator reads ``points`` when called: bind again after
-        changing them."""
-        points = np.asarray(points, dtype=float)
-        xc, yc = self.grid.x_coords, self.grid.y_coords
-        pts = points.reshape(-1, 2)
-        px, py = pts[:, 0], pts[:, 1]
-        ix = np.clip(np.searchsorted(xc, px, side="right") - 1, 0, len(xc) - 2)
-        iy = np.clip(np.searchsorted(yc, py, side="right") - 1, 0, len(yc) - 2)
-        fx = np.clip((px - xc[ix]) / (xc[ix + 1] - xc[ix]), 0.0, 1.0)
-        fy = np.clip((py - yc[iy]) / (yc[iy + 1] - yc[iy]), 0.0, 1.0)
-        node = ix * self.grid.ny + iy
-        src, src_wts = self.node_map.src, self.node_map.wts
-        rows, wts = [np.full(len(pts), -1)], [np.zeros(len(pts))]  # columns; row -1: an unused entry
-        for (cx, wx), (cy, wy) in itertools.product([(0, 1 - fx), (self.grid.ny, fx)], [(0, 1 - fy), (1, fy)]):
-            corner = node + cx + cy
-            for r, w in zip(src[corner].T, wx * wy * src_wts[corner].T):
-                new = w != 0
-                for col_r, col_w in zip(rows, wts):
-                    hit = new & ((col_r == r) | (col_r < 0))  # the row's entry or the point's first free one
-                    np.add(col_w, w, out=col_w, where=hit)
-                    np.copyto(col_r, r, where=hit)
-                    new ^= hit
-                if new.any():
-                    rows.append(np.where(new, r, -1))
-                    wts.append(np.where(new, w, 0.0))
-        for col_r in rows[1:]:
-            np.copyto(col_r, rows[0], where=col_r < 0)
-        rows = np.array(rows)
-        wts = np.repeat(np.array(wts)[..., None], 2, axis=2)
-        return _FieldAtPoints(self.times, points, self.source, rows, wts, len(stored_nodes(self.grid.kind)))
+        """t -> the linear form of x + u(t, x) at ``points`` (..., 2), t
+        clamped to the snapshot range, through the point map
+        ``node_map.at(points)``. The evaluator keeps that map: bind again
+        after changing the points."""
+        xy, rows, wts = self.node_map.at(points)
+        return _FieldAtPoints(self.times, self.source, xy, rows, wts, len(stored_nodes(self.grid.kind)))
 
-    def eval(self, t: float, evaluator: _FieldAtPoints) -> np.ndarray:
+    def eval(self, t: float, evaluator: _FieldAtPoints) -> tuple[np.ndarray, np.ndarray]:
         """``evaluator(t)``, for an evaluator from ``bind``. It exists so that
         ``reconstruct.backproject`` routes every view through the provider,
         where a wrapper of it (perfbench/tracing.py's, which times each

@@ -23,7 +23,8 @@ neither holds a history. An image's payload is its (nx, ny) values.
 A file with any other header, an older version of the same format
 included (a v2 field stored the ghosts too), a header line that is not
 ASCII or does not end within ``HEADER_BYTES``, or a header field that is
-not a number or a count that is not positive, is a MissingInputError.
+not a number or a count that is not positive, is a MissingInputError,
+and so is an image whose payload holds a value that is not finite.
 Every reader checks the payload size against the header before reading,
 and a read that comes back short (a file cut after it was opened) is a
 MismatchError.
@@ -242,6 +243,9 @@ def read_image(path: str) -> Image:
             raise MismatchError(f"{path}: unsupported image extent {extent}")
         _check_payload(f, nx * ny * 8)
         values = _fill(f, np.empty((nx, ny), _F8))
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise MissingInputError(f"{path}: corrupt image, {bad} of {values.size} values are not finite")
     return Image(ImageSpec(nx=nx, ny=ny), values)
 
 

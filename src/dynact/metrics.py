@@ -24,6 +24,10 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         def enc(v: float):
+            # strings, not JSON's missing NaN and Infinity: finite images can
+            # still overflow a sum
+            if np.isnan(v):
+                return "nan"
             if np.isposinf(v):
                 return "inf"
             if np.isneginf(v):

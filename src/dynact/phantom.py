@@ -201,11 +201,13 @@ def check_support_in_unit_disk(spec: PhantomSpec, motion, times: np.ndarray, n_b
 
     Samples boundary points of every ellipse, maps all of them through the
     motion at each time in one call, and returns the largest norm (must
-    stay < 1 for valid scan configurations).
+    stay < 1 for valid scan configurations). A point moved to a non-finite
+    position has left the disk: its radius counts as inf.
     """
     pts = np.concatenate([e.boundary_points(n_boundary) for e in spec.ellipses] or [np.empty((0, 2))])
     r_max = 0.0
     for t in np.asarray(times, dtype=float).ravel():
         moved = motion.phi(t, pts)
-        r_max = max(r_max, float(np.max(np.hypot(moved[..., 0], moved[..., 1]), initial=0.0)))
+        r = float(np.max(np.hypot(moved[..., 0], moved[..., 1]), initial=0.0))
+        r_max = max(r_max, r if np.isfinite(r) else np.inf)
     return r_max

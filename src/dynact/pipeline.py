@@ -164,7 +164,7 @@ def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
     filtered = recon.filter_sinogram(sino, cfg.filter)
     emit("recon_static", recon.backproject_static(filtered, sino.geometry, cfg.image))
     emit("recon_exact_motion", recon.backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image))
-    node_map = None  # one grid and node map for all fields, built for the first
+    node_map = None  # one grid, node map and pixel point map (NodeMap.at) for all fields, built for the first
     for mode in PDE_MODES:
         path = _out(cfg, f"field_{mode}.field")
         if os.path.isfile(path):
@@ -188,10 +188,9 @@ def stage_evaluate(cfg: PipelineConfig) -> list[str]:
         report["images"][name] = evaluate(img, gt, cfg.phantom).to_dict()
     if not found:
         raise ConfigError("evaluate: no reconstruction images found in the output directory")
-    out = _out(cfg, "report.json")
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
+    text = json.dumps(report, indent=2, allow_nan=False)  # strict JSON: no bare NaN or Infinity
+    with open(_out(cfg, "report.json"), "w", encoding="utf-8") as f:
+        f.write(text + "\n")
     return ["report.json"]
 
 

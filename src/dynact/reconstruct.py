@@ -5,8 +5,10 @@ Each sinogram row is zero-padded, transformed, multiplied by
 detector sampling, and transformed back. Backprojection then accumulates,
 for every pixel x and view n, the filtered row value at the deformed
 detector coordinate (Phi_{t_n} x) . theta_n, weighted by the angular cell
-width. A separately coded static path (no deformation lookup) exists for
-the exact zero-motion cross-check.
+width. A provider gives the moved pixels of a view as a linear form
+(g, basis), so that coordinate is one contraction of the basis with
+g . theta_n. A separately coded static path (no deformation lookup)
+exists for the exact zero-motion cross-check.
 
 Both paths split the views into BLOCKS contiguous blocks, each summed
 into its own accumulator, and add the blocks in block order. The blocks
@@ -173,10 +175,14 @@ def backproject(filtered: np.ndarray, geometry: ScanGeometry, provider, image_sp
     """Backproject filtered rows along motion-deformed lines.
 
     For each view n the pixel's detector coordinate is
-    (Phi_{t_n} x) . theta_n, with Phi_t from ``provider.eval(t_n, e)``:
-    e is block b's evaluator, made on the calling thread by
-    ``provider.bind`` (block 0) and its ``twin`` (the others). Rows are
-    interpolated linearly and contribute zero outside the detector
+    (Phi_{t_n} x) . theta_n, with Phi_{t_n} x the linear form (g, basis)
+    that ``provider.eval(t_n, e)`` returns: g (J, 2), basis (J, P) and
+    Phi_{t_n} x_p = sum_j g[j] basis[j, p]. So the coordinates are
+    ``einsum("j,jp->p", g @ theta_n, basis)``, written into one buffer per
+    block. e is block b's evaluator, made on the calling thread by
+    ``provider.bind`` (block 0) and its ``twin`` (the others); a provider
+    with moved points (P, 2) of its own can return (I_2, moved.T). Rows
+    are interpolated linearly and contribute zero outside the detector
     interval. Views accumulate in ascending order within a block and the
     blocks in block order, for bit-reproducibility.
 
@@ -195,11 +201,14 @@ def backproject(filtered: np.ndarray, geometry: ScanGeometry, provider, image_sp
     own = type(provider) in (AnalyticDeformation, FieldDeformation)
     turn = contextlib.nullcontext() if own else threading.Lock()
 
+    cos, sin = np.cos(angles), np.sin(angles)
+
     def run_block(b: int, views: range, acc: np.ndarray) -> None:
+        p = np.empty(len(pts))
         for n in views:
             with turn:
-                moved = provider.eval(times[n], movers[b])
-            p = moved[:, 0] * np.cos(angles[n]) + moved[:, 1] * np.sin(angles[n])
+                g, basis = provider.eval(times[n], movers[b])
+            np.einsum("j,jp->p", g[:, 0] * cos[n] + g[:, 1] * sin[n], basis, out=p)
             acc += weights[n] * np.interp(p, dets, filtered[n], left=0.0, right=0.0)
 
     acc = _sum_view_blocks(geometry.num_angles, len(pts), run_block)

@@ -12,6 +12,12 @@ from dynact.grid import NodeKind, stored_nodes
 from dynact.motion import AffineMotion, identity_motion
 
 
+def moved(form):
+    """The moved points (P, 2) of an evaluator's linear form (g, basis)."""
+    g, basis = form
+    return np.einsum("jc,jp->pc", g, basis)
+
+
 def make_history(grid, times, field_fn):
     """History with u(t, x) = field_fn(t, X, Y) evaluated on actual positions."""
     X, Y = grid.pos[..., 0], grid.pos[..., 1]
@@ -59,14 +65,14 @@ class TestAnalytic:
         prov = AnalyticDeformation(m)
         pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
         t = 30.0
-        assert np.array_equal(prov.bind(pts)(t), m.phi(t, pts))
+        np.testing.assert_allclose(moved(prov.bind(pts)(t)), m.phi(t, pts), rtol=0, atol=1e-14)
 
     def test_bind_matches_phi(self):
         m = AffineMotion()
         pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
         move = AnalyticDeformation(m).bind(pts)
         for t in (0.0, 30.0, 77.0):
-            assert np.array_equal(move(t), m.phi(t, pts))
+            np.testing.assert_allclose(moved(move(t)), m.phi(t, pts), rtol=0, atol=1e-14)
 
     def test_eval_takes_an_evaluator(self):
         m = AffineMotion()
@@ -74,12 +80,15 @@ class TestAnalytic:
         pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
         move = prov.bind(pts)
         assert move.twin() is move  # it writes no buffer
-        assert np.array_equal(prov.eval(30.0, move), m.phi(30.0, pts))
+        np.testing.assert_allclose(moved(prov.eval(30.0, move)), m.phi(30.0, pts), rtol=0, atol=1e-14)
 
     def test_identity_is_bitwise(self):
         prov = AnalyticDeformation(identity_motion())
         pts = np.array([[0.3, -0.7], [0.0, 0.0]])
-        assert np.array_equal(prov.bind(pts)(42.0), pts)
+        g, basis = prov.bind(pts)(42.0)
+        assert np.array_equal(g, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(basis, [[0.3, 0.0], [-0.7, 0.0], [1.0, 1.0]])
+        assert np.array_equal(moved((g, basis)), pts)
 
 
 class TestFieldDeformation:
@@ -87,7 +96,7 @@ class TestFieldDeformation:
         hist = make_history(ellipse_grid_65, [0.0, 1.0], lambda t, X, Y: np.zeros(X.shape + (2,)))
         prov = FieldDeformation(hist)
         pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.9, 0.9], [-1.0, 1.0]])
-        np.testing.assert_allclose(prov.bind(pts)(0.5), pts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved(prov.bind(pts)(0.5)), pts, rtol=0, atol=1e-12)
 
     def test_grid_node_snapshot_time_exact(self, ellipse_grid_65):
         g = ellipse_grid_65
@@ -100,8 +109,8 @@ class TestFieldDeformation:
         # an interior lattice node, exactly at a snapshot time
         ii = np.argwhere(g.kind == int(NodeKind.INTERIOR))[50]
         p = np.array([g.x_coords[ii[0]], g.y_coords[ii[1]]])
-        out = prov.bind(p)(2.0)
-        np.testing.assert_allclose(out, p + [0.02, 0.04], rtol=0, atol=1e-14)
+        out = moved(prov.bind(p)(2.0))
+        np.testing.assert_allclose(out, [p + [0.02, 0.04]], rtol=0, atol=1e-14)
 
     def test_affine_field_time_midpoint(self, ellipse_grid_65):
         g = ellipse_grid_65
@@ -115,7 +124,7 @@ class TestFieldDeformation:
         # affine-in-space, linear-in-time data
         pts = np.array([[0.05, 0.025], [-0.21, 0.12], [0.3, -0.17]])
         expect = pts + 0.5 * (fn(0.0, pts[:, 0], pts[:, 1]) + fn(2.0, pts[:, 0], pts[:, 1]))
-        np.testing.assert_allclose(prov.bind(pts)(1.0), expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved(prov.bind(pts)(1.0)), expect, rtol=0, atol=1e-12)
 
     def test_time_clamping(self, ellipse_grid_65):
         hist = make_history(
@@ -125,7 +134,7 @@ class TestFieldDeformation:
         )
         prov = FieldDeformation(hist)
         p = np.array([0.1, 0.0])
-        np.testing.assert_allclose(prov.bind(p)(5.0), prov.bind(p)(1.0), atol=1e-15)
+        np.testing.assert_allclose(moved(prov.bind(p)(5.0)), moved(prov.bind(p)(1.0)), atol=1e-15)
 
     def test_continuity_across_cell_edges(self, ellipse_grid_65):
         g = ellipse_grid_65
@@ -140,8 +149,8 @@ class TestFieldDeformation:
         edge_x = g.x_coords[40]
         y = rng.uniform(-0.2, 0.2, 20)
         for eps in (1e-5, 1e-8):
-            a = prov.bind(np.stack([np.full(20, edge_x - eps), y], axis=-1))(0.5)
-            b = prov.bind(np.stack([np.full(20, edge_x + eps), y], axis=-1))(0.5)
+            a = moved(prov.bind(np.stack([np.full(20, edge_x - eps), y], axis=-1))(0.5))
+            b = moved(prov.bind(np.stack([np.full(20, edge_x + eps), y], axis=-1))(0.5))
             assert np.abs(a - b).max() < 50 * eps + 1e-12
 
     def test_outside_points_use_boundary_values(self, ellipse_grid_65):
@@ -161,7 +170,7 @@ class TestFieldDeformation:
         p = np.array([1.4, 0.0])
         closest = g.domain.closest_boundary_points(p)
         expect = p + (motion.phi(t1, closest) - closest)
-        got = prov.bind(p)(t1)
+        got = moved(prov.bind(p)(t1))
         assert np.abs(got - expect).max() < 5e-3  # boundary-node spacing scale
         del bd
 
@@ -191,7 +200,21 @@ class TestAgainstWholeLatticeReference:
         forward = np.linspace(-0.5, 4.5, 23)
         sweep = np.concatenate([forward, forward[::-1], [3.1, -1.0, 0.7, 9.0, 2.0, 2.0]])
         for t in sweep:
-            np.testing.assert_allclose(move(t), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(moved(move(t)), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+
+    def test_form_is_the_time_blend_of_two_snapshots(self, ellipse_grid_65):
+        # x + ((1 - w) u_k + w u_{k+1}), with u_k the snapshot mapped to the
+        # points, at clamped, on-snapshot and in-between times
+        hist = self.history(ellipse_grid_65)
+        pts = self.raster()
+        u = [reference_eval(hist, t, pts) - pts for t in hist.times]
+        move = FieldDeformation(hist).bind(pts)
+        for t in (-1.0, 0.0, 0.35, 0.7, 2.0, 2.9, 4.0, 9.0):
+            k = int(np.clip(np.searchsorted(hist.times, t, side="right") - 1, 0, len(u) - 2))
+            w = float(np.clip((t - hist.times[k]) / (hist.times[k + 1] - hist.times[k]), 0.0, 1.0))
+            g, basis = move(t)
+            assert g.shape == (4, 2) and basis.shape == (4, len(pts))
+            np.testing.assert_allclose(moved((g, basis)), pts + ((1 - w) * u[k] + w * u[k + 1]), rtol=0, atol=1e-14)
 
     def test_points_mutated_in_place_rebind(self, ellipse_grid_65):
         # an evaluator keeps the point map of its bind: points changed in
@@ -199,12 +222,12 @@ class TestAgainstWholeLatticeReference:
         hist = self.history(ellipse_grid_65)
         pts = self.raster()
         prov = FieldDeformation(hist)
-        np.testing.assert_allclose(prov.bind(pts)(1.2), reference_eval(hist, 1.2, pts), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(moved(prov.bind(pts)(1.2)), reference_eval(hist, 1.2, pts), rtol=0, atol=1e-14)
         pts *= 0.9
         pts[0] = [1.1, -0.05]
         move = prov.bind(pts)
         for t in (1.2, 2.5):
-            np.testing.assert_allclose(move(t), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(moved(move(t)), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
 
     def test_twin_shares_the_point_map(self, ellipse_grid_65):
         # a twin reads the same point map into buffers of its own: two
@@ -213,11 +236,11 @@ class TestAgainstWholeLatticeReference:
         pts = self.raster()
         move = FieldDeformation(hist).bind(pts)
         twin = move.twin()
-        assert twin.rows is move.rows and twin.wts is move.wts
-        assert not np.shares_memory(twin.out, move.out)
-        assert not np.shares_memory(twin.slots[0], move.slots[0])
+        assert twin.rows is move.rows and twin.wts is move.wts and twin.xy is move.xy
+        for buffer in ("basis", "gather", "snapshot"):
+            assert not np.shares_memory(getattr(twin, buffer), getattr(move, buffer))
         for t0, t1 in ((0.2, 3.5), (0.9, 3.7), (1.6, 4.2)):
-            a, b = move(t0), twin(t1)
+            a, b = moved(move(t0)), moved(twin(t1))
             np.testing.assert_allclose(a, reference_eval(hist, t0, pts), rtol=0, atol=1e-14)
             np.testing.assert_allclose(b, reference_eval(hist, t1, pts), rtol=0, atol=1e-14)
 
@@ -227,8 +250,9 @@ class TestAgainstWholeLatticeReference:
         prov = FieldDeformation(hist)
         move = prov.bind(pts)
         for t in (-1.0, 0.7, 2.2, 9.0):
-            assert np.array_equal(prov.eval(t, move), prov.bind(pts)(t))
-            assert prov.eval(t, move).shape == pts.shape
+            g, basis = prov.eval(t, move)
+            assert g.shape == (4, 2) and basis.shape == (4, 97 * 97)
+            assert np.array_equal(moved((g, basis)), moved(prov.bind(pts)(t)))
 
 
 def eight_wide_fold(prov, pts):
@@ -252,14 +276,20 @@ class TestCompactPointMap:
 
     def test_lattice_nodes_are_bitwise_and_at_most_2_wide(self, ellipse_grid_65):
         # at lattice nodes every mapped value is 1.0 * v or (1 - w) * a + w * b,
-        # the whole-lattice formula's arithmetic, so the two agree bit for bit
+        # the whole-lattice formula's arithmetic, so a snapshot's basis rows,
+        # x + u_k, agree with it bit for bit; the time blend is a linear form
+        # over two snapshots' rows and agrees to round-off
         g = ellipse_grid_65
         hist = TestAgainstWholeLatticeReference.history(g)
         pts = np.stack(np.meshgrid(g.x_coords, g.y_coords, indexing="ij"), axis=-1).reshape(-1, 2)
         move = FieldDeformation(hist).bind(pts)
         assert move.rows.shape == (2, len(pts))
+        for k, t in enumerate(hist.times):
+            move[k]
+            s = move.held.index(k)
+            assert np.array_equal(move.basis[2 * s : 2 * s + 2].T, reference_eval(hist, t, pts))
         for t in (-1.0, 0.0, 0.35, 1.5, 2.9, 4.0, 9.0):
-            assert np.array_equal(move(t), reference_eval(hist, t, pts))
+            np.testing.assert_allclose(moved(move(t)), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
 
     def test_rows_are_merged_and_weights_kept(self, ellipse_grid_65):
         hist = TestAgainstWholeLatticeReference.history(ellipse_grid_65)
@@ -291,12 +321,12 @@ class TestCompactPointMap:
         hist = TestAgainstWholeLatticeReference.history(g)
         inside = np.argwhere(g.kind == int(NodeKind.INTERIOR))[100]
         p = np.array([[g.x_coords[inside[0]], g.y_coords[inside[1]]]])
-        expect = FieldDeformation(hist).bind(p)(1.0)
+        expect = moved(FieldDeformation(hist).bind(p)(1.0))
         # the node's neighbour in x is a corner of its bilinear cell, with weight 0
         neighbour = np.flatnonzero(stored_nodes(g.kind) == (inside[0] + 1) * g.ny + inside[1])
         assert len(neighbour) == 1
         hist.fields[:, neighbour] = np.nan
-        assert np.array_equal(FieldDeformation(hist).bind(p)(1.0), expect)
+        assert np.array_equal(moved(FieldDeformation(hist).bind(p)(1.0)), expect)
 
 
 class TestFileBackedProvider:
@@ -321,7 +351,7 @@ class TestFileBackedProvider:
         formats.write_field(path, hist)
         pts = TestAgainstWholeLatticeReference.raster()
         view_times = np.linspace(-0.1, 4.1, 330)
-        expect = [FieldDeformation(hist).bind(pts)(t).copy() for t in view_times]
+        expect = [moved(FieldDeformation(hist).bind(pts)(t)) for t in view_times]
         got = [None] * len(view_times)
         with formats.FieldFile(path, g) as field:
             first = FieldDeformation(field).bind(pts)
@@ -332,7 +362,7 @@ class TestFileBackedProvider:
             def run(b):
                 start.wait(timeout=60)
                 for n in blocks[b]:
-                    got[n] = movers[b](view_times[n]).copy()
+                    got[n] = moved(movers[b](view_times[n]))
 
             threads = [threading.Thread(target=run, args=(b,)) for b in range(len(movers))]
             interval = sys.getswitchinterval()

@@ -298,6 +298,15 @@ class TestImageFormat:
         with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-IMG v1' header: .*{found}"):
             formats.read_image(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_missing_input(self, tmp_path, value):
+        values = np.ones((5, 4))
+        values[2, 1] = value
+        p = str(tmp_path / "i.img")
+        formats.write_image(p, Image(ImageSpec(5, 4), values))
+        with pytest.raises(MissingInputError, match="corrupt image, 1 of 20 values are not finite"):
+            formats.read_image(p)
+
     def test_pgm_window_comment(self, tmp_path):
         img = Image(ImageSpec(9, 9), np.linspace(0, 1, 81).reshape(9, 9))
         p = str(tmp_path / "i.pgm")

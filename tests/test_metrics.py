@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,17 @@ def test_constant_vs_zero():
     rep = evaluate(a, b)
     assert rep.rmse == pytest.approx(0.3, abs=1e-15)
     assert rep.relative_l2 == float("inf")
+
+
+def test_overflowing_metrics_are_strings():
+    # finite images whose sums overflow give inf and NaN metrics; the report
+    # is strict JSON, which has neither
+    a = img(np.full((8, 8), 1e300))
+    b = img(np.full((8, 8), -1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = evaluate(a, b).to_dict()
+    assert (d["rmse"], d["relative_l2"], d["psnr"]) == ("inf", "nan", "-inf")
+    json.dumps(d, allow_nan=False)
 
 
 def test_checkerboard_rmse_one():

@@ -70,6 +70,19 @@ def test_support_check_flags_escaping_phantom():
     assert r > 1.0
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_support_check_counts_a_non_finite_point_as_outside(value):
+    # a motion that overflows moves points to inf or NaN; NaN radii must
+    # not read as 0 (max(0.0, nan) is 0.0)
+    class Overflowing:
+        def phi(self, t, points):
+            return np.full_like(points, value) if t > 0 else points
+
+    spec = PhantomSpec([Ellipse(center=(0, 0), semi_axes=(0.3, 0.2), density=1.0)])
+    assert check_support_in_unit_disk(spec, Overflowing(), np.array([0.0])) < 1.0
+    assert check_support_in_unit_disk(spec, Overflowing(), np.array([0.0, 1.0])) == np.inf
+
+
 def test_support_check_default_breathing(thorax_config):
     times = np.linspace(0.0, thorax_config.scan.t_end, 33)
     r = check_support_in_unit_disk(thorax_config.phantom, thorax_config.motion, times)

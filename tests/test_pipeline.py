@@ -237,6 +237,24 @@ def test_reconstruct_builds_one_grid_and_node_map(tmp_path, monkeypatch):
     assert (len(grids), len(maps), len(providers)) == (1, 1, 3)
 
 
+def test_reconstruct_maps_the_pixels_once(tmp_path, monkeypatch):
+    # the three field providers bind the pixel raster to one point map,
+    # and each evaluator (one per view block) has a basis of its own
+    cfg = tiny_config(str(tmp_path))
+    stage_simulate(cfg)
+    stage_solve_motion(cfg, modes=PDE_MODES)
+    evaluators = []
+    init = deformation._FieldAtPoints.__init__
+    monkeypatch.setattr(deformation._FieldAtPoints, "__init__", lambda self, *a: evaluators.append(self) or init(self, *a))
+    stage_reconstruct(cfg)
+    assert len(evaluators) == len(PDE_MODES) * sys.modules["dynact.reconstruct"].BLOCKS
+    for name in ("xy", "rows", "wts"):
+        assert len({id(getattr(e, name)) for e in evaluators}) == 1
+    assert evaluators[0].xy.shape == (2, cfg.image.nx * cfg.image.ny)
+    for i, e in enumerate(evaluators):
+        assert not any(np.shares_memory(e.basis, other.basis) for other in evaluators[:i])
+
+
 def test_field_on_shifted_lattice_is_mismatch(tmp_path):
     # same node count and classification, other coordinates
     cfg = tiny_config(str(tmp_path))
@@ -328,6 +346,28 @@ class TestStages:
         entry = report["images"]["recon_static"]
         assert entry["rmse"] == 0.0
         assert entry["psnr"] == "inf"
+
+    def test_report_is_strict_json_and_a_non_finite_image_is_missing_input(self, tmp_path, capsys):
+        cfg = tiny_config(str(tmp_path / "out"))
+        cfg_path = str(tmp_path / "cfg.json")
+        dump_config(cfg, cfg_path)
+        stage_simulate(cfg)
+        gt = formats.read_image(os.path.join(cfg.output_dir, "ground_truth.img"))
+        formats.write_image(os.path.join(cfg.output_dir, "recon_static.img"), gt)
+        report = Path(cfg.output_dir, "report.json")
+
+        def no_bare_constants(name):
+            raise ValueError(f"bare {name} in report.json")
+
+        assert cli_main(["evaluate", "--config", cfg_path]) == 0
+        json.loads(report.read_text(), parse_constant=no_bare_constants)
+        report.unlink()
+        gt.values[3, 4] = np.nan
+        formats.write_image(os.path.join(cfg.output_dir, "recon_static.img"), gt)
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", cfg_path]) == 3
+        assert "recon_static.img: corrupt image, 1 of 2401 values are not finite" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_solve_motion_writes_loadable_field(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "out"))
@@ -459,6 +499,20 @@ class TestCli:
         cfg_path = str(tmp_path / "cfg.json")
         dump_config(tiny_config(str(tmp_path / "out")), cfg_path)
         assert cli_main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_scan_end_overflowing_to_inf_is_config_error(self, tmp_path, capsys):
+        # time_offset + time_scale * num_angles overflows: the unit-disk check
+        # sampled linspace(0, inf) and the solve raised an IndexError
+        cfg = tiny_config(str(tmp_path / "out"))
+        cfg.scan.time_scale = 1e307
+        assert cfg.scan.t_end == np.inf
+        cfg_path = str(tmp_path / "cfg.json")
+        dump_config(cfg, cfg_path)
+        assert cli_main(["all", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "scan.t_end = time_offset + time_scale * num_angles must be finite" in err
+        assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
 
     def test_vanishing_motion_scale_is_config_error(self, tmp_path, capsys):

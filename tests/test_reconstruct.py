@@ -252,6 +252,26 @@ class TestViewBlocks:
             backproject(self.filtered(), self.GEO, AnalyticDeformation(motion), ImageSpec(17, 17))
         assert threading.active_count() == running
 
+    def test_provider_of_moved_points(self):
+        # a provider of its own that has the moved points (P, 2) returns them
+        # as the form (I_2, moved.T): the image is the analytic provider's
+        motion = AffineMotion(amplitude=0.2, frequency=0.05)
+
+        class MovedPoints:
+            def bind(self, points):
+                self.points = points
+                return self
+
+            def twin(self):
+                return self
+
+            def eval(self, t, evaluator):
+                return np.eye(2), motion.phi(t, self.points).T
+
+        own = backproject(self.filtered(), self.GEO, MovedPoints(), ImageSpec(33, 33))
+        analytic = backproject(self.filtered(), self.GEO, AnalyticDeformation(motion), ImageSpec(33, 33))
+        np.testing.assert_allclose(own.values, analytic.values, rtol=0, atol=1e-12)
+
     def test_other_providers_called_one_block_at_a_time(self, ellipse_grid_65):
         # a wrapper that records its calls, as a timing proxy does: every
         # view goes through its eval, never two at once, and the image is
