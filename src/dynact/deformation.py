@@ -15,12 +15,10 @@ evaluator returns the moved points as a linear form ``(g, basis)``,
 with g (J, 2), basis (J, P) over the P points and
 ``moved[:, c] = sum_j g[j, c] * basis[j]``, so a caller that needs a
 projection of the moved points (``reconstruct.backproject``) contracts
-the basis once with ``g @ theta``. An evaluator's ``twin()`` is another
-evaluator at the same points, with buffers of its own.
-``eval(t, evaluator)``, the one call form, returns ``evaluator(t)``. The
-reconstructor binds once per image, on the calling thread, and gives
-every block of views a twin, so every buffer an evaluator writes is
-allocated there.
+the basis once with ``g @ theta``. ``eval(t, evaluator)``, the one call
+form, returns ``evaluator(t)``. The reconstructor binds once per block
+of views, on the calling thread, so every buffer an evaluator writes is
+allocated there and written by one block only.
 
 The analytic evaluator's basis is the fixed [x; y; 1] and its g is
 [A(t)^T; b(t)] for phi(t, x) = A(t) x + b(t).
@@ -38,11 +36,12 @@ merges each point's repeated rows, so a point reads only the rows it
 weighs (of 8 before the merge): 1 or 2 where the points are lattice
 nodes, up to 4 elsewhere on the grids and rasters measured. The node
 map keeps the last point set's map, so every field on the grid, and
-every twin, shares one map of a pixel raster. A field evaluator maps a
-snapshot k to the bound points when a call first needs it, one gather
-of both components per column of the map, and keeps x + u_k of the two
-snapshots it read last as the four rows of its basis; g blends them in
-time as `boundary.lerp_in_time` does.
+every evaluator bound to the same points, shares one map of a pixel
+raster. A field evaluator maps a snapshot k to the bound points when a
+call first needs it, one gather of both components per column of the
+map, and keeps x + u_k of the two snapshots it read last as the four
+rows of its basis; g blends them in time as `boundary.lerp_in_time`
+does.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .grid import Grid2D, stored_nodes
 class _MotionAtPoints:
     """phi(t, points) = A(t) x + b(t) as the linear form ([A(t)^T; b(t)],
     [x; y; 1]) over the points. Its basis is read-only and it writes no
-    buffer, so it is its own twin."""
+    buffer."""
 
     def __init__(self, motion, points: np.ndarray):
         self.motion = motion
@@ -70,9 +69,6 @@ class _MotionAtPoints:
 
     def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return np.vstack([self.motion.matrix(t).T, self.motion.shift(t)]), self.basis
-
-    def twin(self) -> "_MotionAtPoints":
-        return self
 
 
 class AnalyticDeformation:
@@ -148,11 +144,6 @@ class _FieldAtPoints:
 
     def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return lerp_in_time(self.times, self, t), self.basis
-
-    def twin(self) -> "_FieldAtPoints":
-        """An evaluator at the same points sharing the point map and the
-        source, with a snapshot buffer, gather buffer and basis of its own."""
-        return _FieldAtPoints(self.times, self.source, self.xy, self.rows, self.wts, len(self.snapshot))
 
 
 class NodeMap:

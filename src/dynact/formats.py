@@ -24,7 +24,8 @@ A file with any other header, an older version of the same format
 included (a v2 field stored the ghosts too), a header line that is not
 ASCII or does not end within ``HEADER_BYTES``, or a header field that is
 not a number or a count that is not positive, is a MissingInputError,
-and so is an image whose payload holds a value that is not finite.
+and so is a sinogram or an image whose payload holds a value that is
+not finite.
 Every reader checks the payload size against the header before reading,
 and a read that comes back short (a file cut after it was opened) is a
 MismatchError.
@@ -98,6 +99,12 @@ def _fill(f, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_finite(path: str, kind: str, values: np.ndarray) -> None:
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise MissingInputError(f"{path}: corrupt {kind}, {bad} of {values.size} values are not finite")
+
+
 def write_sinogram(path: str, sino: Sinogram) -> None:
     g = sino.geometry
     header = (
@@ -116,6 +123,7 @@ def read_sinogram(path: str) -> Sinogram:
         num_angles, num_detectors, angle_start, angle_end, det_min, det_max, time_offset, time_scale = hdr
         _check_payload(f, num_angles * num_detectors * 8)
         values = _fill(f, np.empty((num_angles, num_detectors), _F8))
+    _check_finite(path, "sinogram", values)
     geometry = ScanGeometry(
         num_angles=num_angles,
         angle_start=angle_start,
@@ -243,9 +251,7 @@ def read_image(path: str) -> Image:
             raise MismatchError(f"{path}: unsupported image extent {extent}")
         _check_payload(f, nx * ny * 8)
         values = _fill(f, np.empty((nx, ny), _F8))
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise MissingInputError(f"{path}: corrupt image, {bad} of {values.size} values are not finite")
+    _check_finite(path, "image", values)
     return Image(ImageSpec(nx=nx, ny=ny), values)
 
 

@@ -8,7 +8,6 @@ bit-identical artifacts.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import json
 import os
 from dataclasses import replace
@@ -16,21 +15,18 @@ from dataclasses import replace
 import numpy as np
 
 from . import formats
+from . import reconstruct as recon  # called through the module, where perfbench/tracing.py times it
 from .boundary import BoundaryData, perturb, sample_boundary, samples_read, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation, NodeMap
 from .elastic import MaterialParams, QuasiStaticSolver
-from .errors import ConfigError, MismatchError
+from .errors import ConfigError, MismatchError, MissingInputError
 from .grid import Grid2D, make_grid
 from .metrics import evaluate
 from .phantom import rasterize_f0
 from .projection import simulate_scan
 from .reconstruct import Image
 
-# the package re-exports the function reconstruct(), hiding the module;
-# stage_reconstruct calls through the module, where perfbench/tracing.py
-# times filter_sinogram and backproject
-recon = importlib.import_module(".reconstruct", __package__)
 solve = QuasiStaticSolver.solve  # perfbench/tracing.py times pipeline.solve
 
 PDE_MODES = ("exact", "noisy", "sparse")
@@ -187,7 +183,8 @@ def stage_evaluate(cfg: PipelineConfig) -> list[str]:
         img = formats.read_image(path)
         report["images"][name] = evaluate(img, gt, cfg.phantom).to_dict()
     if not found:
-        raise ConfigError("evaluate: no reconstruction images found in the output directory")
+        expected = ", ".join(n + ".img" for n in names)
+        raise MissingInputError(f"evaluate: no reconstruction image in {cfg.output_dir}; expected any of {expected}")
     text = json.dumps(report, indent=2, allow_nan=False)  # strict JSON: no bare NaN or Infinity
     with open(_out(cfg, "report.json"), "w", encoding="utf-8") as f:
         f.write(text + "\n")

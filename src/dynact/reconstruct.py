@@ -11,9 +11,11 @@ g . theta_n. A separately coded static path (no deformation lookup)
 exists for the exact zero-motion cross-check.
 
 Both paths split the views into BLOCKS contiguous blocks, each summed
-into its own accumulator, and add the blocks in block order. The blocks
-run on WORKERS threads, the calling thread and WORKERS - 1 others; the
-heavy per-view numpy calls release the GIL, so the threads use separate
+into its own accumulator, and add the blocks in block order; a dynamic
+block evaluates the provider through an evaluator of its own, which
+``provider.bind`` makes on the calling thread. The blocks run on
+WORKERS threads, the calling thread and WORKERS - 1 others; the heavy
+per-view numpy calls release the GIL, so the threads use separate
 cores. The partition is a constant, not the CPU count, so an image has
 the same bytes for any worker count.
 
@@ -179,11 +181,10 @@ def backproject(filtered: np.ndarray, geometry: ScanGeometry, provider, image_sp
     that ``provider.eval(t_n, e)`` returns: g (J, 2), basis (J, P) and
     Phi_{t_n} x_p = sum_j g[j] basis[j, p]. So the coordinates are
     ``einsum("j,jp->p", g @ theta_n, basis)``, written into one buffer per
-    block. e is block b's evaluator, made on the calling thread by
-    ``provider.bind`` (block 0) and its ``twin`` (the others); a provider
-    with moved points (P, 2) of its own can return (I_2, moved.T). Rows
-    are interpolated linearly and contribute zero outside the detector
-    interval. Views accumulate in ascending order within a block and the
+    block. e is block b's evaluator, made by ``provider.bind`` on the
+    calling thread; a provider with moved points (P, 2) of its own can
+    return (I_2, moved.T). Rows are interpolated linearly and contribute
+    zero outside the detector interval. Views accumulate in ascending order within a block and the
     blocks in block order, for bit-reproducibility.
 
     The providers of this package keep every buffer a call writes in the
@@ -196,8 +197,7 @@ def backproject(filtered: np.ndarray, geometry: ScanGeometry, provider, image_sp
     dets = geometry.detectors
     weights = _angle_weights(angles)
     pts = image_spec.pixel_points().reshape(-1, 2)
-    first = provider.bind(pts)
-    movers = [first] + [first.twin() for _ in range(1, BLOCKS)]
+    movers = [provider.bind(pts) for _ in range(BLOCKS)]
     own = type(provider) in (AnalyticDeformation, FieldDeformation)
     turn = contextlib.nullcontext() if own else threading.Lock()
 

@@ -78,8 +78,10 @@ class TestAnalytic:
         m = AffineMotion()
         prov = AnalyticDeformation(m)
         pts = np.array([[0.1, 0.2], [-0.4, 0.0]])
-        move = prov.bind(pts)
-        assert move.twin() is move  # it writes no buffer
+        move, again = prov.bind(pts), prov.bind(pts)
+        # binding again gives the same read-only basis in memory of its own
+        assert np.array_equal(again.basis, move.basis) and not np.shares_memory(again.basis, move.basis)
+        assert not move.basis.flags.writeable  # it writes no buffer
         np.testing.assert_allclose(moved(prov.eval(30.0, move)), m.phi(30.0, pts), rtol=0, atol=1e-14)
 
     def test_identity_is_bitwise(self):
@@ -230,12 +232,13 @@ class TestAgainstWholeLatticeReference:
             np.testing.assert_allclose(moved(move(t)), reference_eval(hist, t, pts), rtol=0, atol=1e-14)
 
     def test_twin_shares_the_point_map(self, ellipse_grid_65):
-        # a twin reads the same point map into buffers of its own: two
-        # evaluators walking different times do not disturb each other
+        # binding the same points again reads the same point map into
+        # buffers of its own: two evaluators walking different times do
+        # not disturb each other
         hist = self.history(ellipse_grid_65)
         pts = self.raster()
-        move = FieldDeformation(hist).bind(pts)
-        twin = move.twin()
+        prov = FieldDeformation(hist)
+        move, twin = prov.bind(pts), prov.bind(pts.copy())
         assert twin.rows is move.rows and twin.wts is move.wts and twin.xy is move.xy
         for buffer in ("basis", "gather", "snapshot"):
             assert not np.shares_memory(getattr(twin, buffer), getattr(move, buffer))
@@ -341,8 +344,8 @@ class TestFileBackedProvider:
         return DisplacementHistory(times=times, fields=fields, grid=grid, dt=0.0, num_steps=0)
 
     def test_equals_in_memory_with_twins_on_threads(self, ellipse_grid_65, tmp_path):
-        # an evaluator and three twins, each on a thread of its own (more
-        # threads than the two view blocks, and than cores), with the
+        # four evaluators bound to the same points, each on a thread of its
+        # own (more threads than the two view blocks, and than cores), with the
         # interpreter handing the lock over often so that reads interleave;
         # 133 snapshots over 330 views, as the benchmark's scan reads them
         g = ellipse_grid_65
@@ -354,8 +357,11 @@ class TestFileBackedProvider:
         expect = [moved(FieldDeformation(hist).bind(pts)(t)) for t in view_times]
         got = [None] * len(view_times)
         with formats.FieldFile(path, g) as field:
-            first = FieldDeformation(field).bind(pts)
-            movers = [first] + [first.twin() for _ in range(3)]
+            prov = FieldDeformation(field)
+            movers = [prov.bind(pts) for _ in range(4)]
+            for name in ("xy", "rows", "wts", "snapshot", "gather", "basis"):
+                shared = [np.shares_memory(getattr(m, name), getattr(movers[0], name)) for m in movers[1:]]
+                assert shared == [name in ("xy", "rows", "wts")] * 3
             blocks = np.array_split(np.arange(len(view_times)), len(movers))
             start = threading.Barrier(len(movers))
 

@@ -103,6 +103,16 @@ class TestSinogramFormat:
         with pytest.raises(MissingInputError, match="found 'DYNACT-SINO v1' with 6"):
             formats.read_sinogram(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_missing_input(self, tmp_path, sino_small, value):
+        # a NaN in one row would otherwise spread through the filter into
+        # most pixels of every image reconstructed from it
+        sino_small.values[4, 7] = value
+        p = str(tmp_path / "a.sino")
+        formats.write_sinogram(p, sino_small)
+        with pytest.raises(MissingInputError, match="corrupt sinogram, 1 of 372 values are not finite"):
+            formats.read_sinogram(p)
+
     def test_header_without_line_end_is_read_to_a_limit(self, tmp_path):
         # a 10 MB file with no "\n" (the whole line was read and quoted in
         # the message before: a 50 MB one peaked at 101.5 MB)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynact import deformation, elastic, formats, pipeline
+from dynact import deformation, elastic, formats, pipeline, reconstruct
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
 from dynact.errors import ConfigError, InstabilityError, MismatchError, MissingInputError
@@ -70,18 +70,34 @@ def test_benchmark_hooks_exist(monkeypatch):
 
 
 def test_numpy_is_the_only_third_party_import():
-    # numpy is the one declared dependency: importing dynact in a fresh
-    # interpreter loads no other module from outside the standard library
-    # (modules that the interpreter's start-up loads are not counted)
+    # numpy is the one declared dependency: importing dynact and its
+    # command line (which loads every module) in a fresh interpreter loads
+    # no other module from outside the standard library (modules that the
+    # interpreter's start-up loads are not counted)
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import dynact\n"
+        "import dynact, dynact.cli\n"
         "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
     )
     loaded = set(_run_fresh(code).split())
     assert "dynact" in loaded
     assert loaded - {"dynact", "numpy"} <= set(sys.stdlib_module_names)
+
+
+def test_package_binds_each_module_it_loads_under_its_name():
+    # `import dynact` loads the package's modules and rebinds none of their
+    # names: dynact.reconstruct is the module, not its one-call function
+    code = (
+        "import sys\n"
+        "import dynact\n"
+        "names = [m.split('.', 1)[1] for m in sys.modules if m.startswith('dynact.')]\n"
+        "print(*sorted(names))\n"
+        "print(*sorted(n for n in names if getattr(dynact, n) is not sys.modules['dynact.' + n]))\n"
+    )
+    loaded, rebound = _run_fresh(code).split("\n")[:2]
+    assert "reconstruct" in loaded.split()
+    assert rebound == ""
 
 
 def test_solve_leaves_numpy_ma_unimported():
@@ -115,7 +131,7 @@ def test_artifacts_independent_of_workers(tmp_path, monkeypatch):
     # has the same bytes whether the view blocks run on 1 or 2 threads
     out = {}
     for workers in (1, 2):
-        monkeypatch.setattr(sys.modules["dynact.reconstruct"], "WORKERS", workers)
+        monkeypatch.setattr(reconstruct, "WORKERS", workers)
         cfg = tiny_config(str(tmp_path / f"workers_{workers}"))
         out[workers] = {name: Path(cfg.output_dir, name).read_bytes() for name in run("all", cfg)}
     assert len(out[1]) == 17
@@ -247,7 +263,7 @@ def test_reconstruct_maps_the_pixels_once(tmp_path, monkeypatch):
     init = deformation._FieldAtPoints.__init__
     monkeypatch.setattr(deformation._FieldAtPoints, "__init__", lambda self, *a: evaluators.append(self) or init(self, *a))
     stage_reconstruct(cfg)
-    assert len(evaluators) == len(PDE_MODES) * sys.modules["dynact.reconstruct"].BLOCKS
+    assert len(evaluators) == len(PDE_MODES) * reconstruct.BLOCKS
     for name in ("xy", "rows", "wts"):
         assert len({id(getattr(e, name)) for e in evaluators}) == 1
     assert evaluators[0].xy.shape == (2, cfg.image.nx * cfg.image.ny)
@@ -415,6 +431,13 @@ class TestCli:
         cfg_path = str(tmp_path / "cfg.json")
         dump_config(cfg, cfg_path)
         assert cli_main(["reconstruct", "--config", cfg_path]) == 3
+
+    def test_evaluate_without_a_reconstruction_is_missing_input(self, tmp_path, capsys):
+        cfg, cfg_path = self.simulated(tmp_path)
+        assert cli_main(["evaluate", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "no reconstruction image" in err and "recon_static.img" in err and "recon_pde_sparse.img" in err
+        assert not Path(cfg.output_dir, "report.json").exists()
 
     @staticmethod
     def simulated(tmp_path, modes=()):

@@ -1,4 +1,3 @@
-import sys
 import threading
 import time
 from dataclasses import replace
@@ -6,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dynact import reconstruct as recon_module
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.elastic import DisplacementHistory
 from dynact.errors import ConfigError, MotionError
@@ -21,9 +21,6 @@ from dynact.reconstruct import (
     reconstruct,
     static_fbp,
 )
-
-# the package re-exports the function reconstruct(), hiding the module
-recon_module = sys.modules["dynact.reconstruct"]
 
 GEO_SMALL = ScanGeometry(num_angles=60, num_detectors=101)
 
@@ -260,9 +257,6 @@ class TestViewBlocks:
         class MovedPoints:
             def bind(self, points):
                 self.points = points
-                return self
-
-            def twin(self):
                 return self
 
             def eval(self, t, evaluator):
