@@ -7,10 +7,10 @@ times a solver needs (`BoundaryData.at_times`). Noise and
 sparsification act on each sample time alone, so only the samples that
 the blend reads (`samples_read`: at most two per time) are sampled,
 perturbed or sparsified; a sample's noise is the one it gets when the
-whole schedule is perturbed. The clamped time interpolation
-(`lerp_in_time`) and the periodic arc-length interpolation along the
-boundary (`arclength_weights`) live here once; the field provider in
-`deformation` uses both.
+whole schedule is perturbed. The time blend (`time_bracket`: which
+samples a time reads, with what weight) and the periodic arc-length
+interpolation along the boundary (`arclength_weights`) live here once;
+the field provider in `deformation` uses both.
 """
 
 from __future__ import annotations
@@ -67,54 +67,39 @@ class BoundaryData:
     def num_nodes(self) -> int:
         return self.values.shape[1]
 
-    def at_time(self, t: float) -> np.ndarray:
-        return lerp_in_time(self.times, self.values, t)
-
     def at_times(self, times) -> "BoundaryData":
-        """The data blended to each of ``times`` (ascending), as ``at_time``."""
+        """The data blended to each of ``times`` (ascending) as `time_bracket` says."""
         times = np.asarray(times, dtype=float)
         values = np.empty((len(times),) + self.values.shape[1:])
-        scratch = np.empty(self.values.shape[1:])
-        for k, t in enumerate(times):
-            values[k] = lerp_in_time(self.times, self.values, t, out=values[k], scratch=scratch)
+        for out, t in zip(values, times):
+            k0, k1, w = time_bracket(self.times, t)
+            np.multiply(self.values[k0], 1.0 - w, out=out)
+            out += w * self.values[k1]
         return BoundaryData(times=times, values=values)
 
 
-def lerp_in_time(times: np.ndarray, values, t: float, out=None, scratch=None) -> np.ndarray:
-    """Linear interpolation of values[k], sampled at ascending times[k], at
-    time t; clamped to the first and last sample outside their range.
-
-    ``values`` needs only indexing by 0 <= k < len(times); a call reads
-    at most two samples, k before k + 1. A blend is written into ``out``
-    and uses ``scratch`` (arrays of a sample's shape), each allocated when
-    None; a clamped t returns the sample.
-    """
-    last = len(times) - 1
-    if t <= times[0]:
-        return values[0]
-    if t >= times[last]:
-        return values[last]
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    w = (t - times[k]) / (times[k + 1] - times[k])
-    out = np.multiply(values[k], 1.0 - w, out=out)
-    return np.add(out, np.multiply(values[k + 1], w, out=scratch), out=out)
+def time_bracket(times: np.ndarray, t: float) -> tuple[int, int, float]:
+    """The samples k0, k1 of ascending ``times`` and the weight w whose blend
+    (1 - w) v[k0] + w v[k1] is the linear interpolation at t, clamped to the
+    first and last sample outside their range. At a sample time and when t
+    is clamped, k1 = k0 and w = 0, so the blend of a finite v[k0] is v[k0]
+    bit for bit, -0.0 included."""
+    k0 = int(np.searchsorted(times, t, side="right")) - 1
+    if k0 < 0:
+        return 0, 0, 0.0
+    if k0 == len(times) - 1 or t == times[k0]:
+        return k0, k0, 0.0
+    return k0, k0 + 1, (t - times[k0]) / (times[k0 + 1] - times[k0])
 
 
 def samples_read(sample_times: np.ndarray, times) -> np.ndarray:
-    """Mask over ``sample_times`` of the samples that ``lerp_in_time`` reads
-    at ``times``: the one at or before each time, and the next one too when
-    the time lies strictly between two samples.
-
-    A blend from these samples alone has the bits of one from the whole
-    schedule: at a sample time the blend adds 0 x the next sample read,
-    which leaves every entry but a -0.0 as it is.
-    """
-    times = np.asarray(times, dtype=float)
-    last = len(sample_times) - 1
-    k = np.clip(np.searchsorted(sample_times, times, side="right") - 1, 0, last)
+    """Mask over ``sample_times`` of the samples that a blend to ``times``
+    reads: `time_bracket`'s k0 and k1 at each time. A blend from these
+    samples alone has the bits of one from the whole schedule."""
     read = np.zeros(len(sample_times), dtype=bool)
-    read[k] = True
-    read[k[(times > sample_times[k]) & (k < last)] + 1] = True
+    for t in times:
+        k0, k1, _ = time_bracket(sample_times, t)
+        read[k0] = read[k1] = True
     return read
 
 

@@ -40,8 +40,7 @@ every evaluator bound to the same points, shares one map of a pixel
 raster. A field evaluator maps a snapshot k to the bound points when a
 call first needs it, one gather of both components per column of the
 map, and keeps x + u_k of the two snapshots it read last as the four
-rows of its basis; g blends them in time as `boundary.lerp_in_time`
-does.
+rows of its basis; g blends them in time by `boundary.time_bracket`.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import itertools
 
 import numpy as np
 
-from .boundary import arclength_weights, boundary_arclengths, lerp_in_time
+from .boundary import arclength_weights, boundary_arclengths, time_bracket
 from .errors import ConfigError
 from .grid import Grid2D, stored_nodes
 
@@ -88,8 +87,8 @@ class AnalyticDeformation:
         return evaluator(t)
 
 
-# g of basis rows 2 s and 2 s + 1 (slot s) taken whole: lerp_in_time
-# blends these into the g of a time between two held snapshots
+# g of basis rows 2 s and 2 s + 1 (slot s) taken whole: a call blends
+# two of these into the g of its time
 _SLOT_FORMS = np.zeros((2, 4, 2))
 _SLOT_FORMS[0, [0, 1], [0, 1]] = 1.0
 _SLOT_FORMS[1, [2, 3], [0, 1]] = 1.0
@@ -99,8 +98,8 @@ _SLOT_FORMS.flags.writeable = False
 class _FieldAtPoints:
     """x + u(t, x) at one bound point set as a linear form over the four
     rows of ``basis``: x + u_k of the two snapshots held (slot s in rows 2 s
-    and 2 s + 1), with g blending them by `boundary.lerp_in_time` (clamped
-    to the first and last snapshot). Snapshot k at point p is
+    and 2 s + 1), with g blending the two that `boundary.time_bracket` names
+    for t (clamped to the first and last snapshot). Snapshot k at point p is
     u_k(p) = sum_j wts[j, p] * u_k[rows[j, p]]: u_k, the rows of snapshot k,
     is read by ``source.read`` into this object's own buffer and gathered
     through its complex view into ``gather``, so one take reads both
@@ -124,8 +123,8 @@ class _FieldAtPoints:
         self.held = [-1, -1]  # the snapshot in each slot
         self.older = 0  # the slot read less recently, which the next new snapshot takes
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        """The g of snapshot k, mapped into a slot if it is in neither."""
+    def _slot(self, k: int) -> int:
+        """The slot of snapshot k, mapped into one if it is in neither."""
         if k in self.held:
             s = self.held.index(k)
         else:
@@ -140,10 +139,11 @@ class _FieldAtPoints:
                 dst += np.multiply(gather, w, out=gather).T
             dst += self.xy  # after u_k is summed, as the whole-lattice formula adds it
         self.older = 1 - s
-        return _SLOT_FORMS[s]
+        return s
 
     def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return lerp_in_time(self.times, self, t), self.basis
+        k0, k1, w = time_bracket(self.times, t)
+        return (1.0 - w) * _SLOT_FORMS[self._slot(k0)] + w * _SLOT_FORMS[self._slot(k1)], self.basis
 
 
 class NodeMap:

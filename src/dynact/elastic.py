@@ -290,8 +290,8 @@ def solve(
     """Run the explicit scheme to t_end and capture snapshots.
 
     ``psi`` is the boundary data, a ``t -> (B, 2)`` callable giving
-    displacements in grid.boundary_ij order (such as
-    ``BoundaryData.at_time``); ``initial`` is the displacement theta0
+    displacements in grid.boundary_ij order (such as the one value of
+    ``BoundaryData.at_times([t])``); ``initial`` is the displacement theta0
     and velocity theta1 at t = 0, zero when None. dt is the CFL bound
     (``cfl_dt`` at its default safety) reduced so that t_end is an
     integer number of steps. Each step updates the interior vector,

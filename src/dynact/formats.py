@@ -22,23 +22,26 @@ neither holds a history. An image's payload is its (nx, ny) values.
 
 A file with any other header, an older version of the same format
 included (a v2 field stored the ghosts too), a header line that is not
-ASCII or does not end within ``HEADER_BYTES``, or a header field that is
-not a number or a count that is not positive, is a MissingInputError,
-and so is a sinogram or an image whose payload holds a value that is
-not finite.
+ASCII or does not end within ``HEADER_BYTES``, a header field that is
+not a finite number or a count that is not positive, or a sinogram
+header that describes no scan geometry, is a MissingInputError, and so
+is a sinogram, an image or a field snapshot whose payload holds a value
+that is not finite.
 Every reader checks the payload size against the header before reading,
 and a read that comes back short (a file cut after it was opened) is a
-MismatchError.
+MismatchError. Every artifact is written through `open_artifact`: a file
+that cannot be opened or written is a ConfigError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 
 from .elastic import DisplacementHistory
-from .errors import MismatchError, MissingInputError
+from .errors import ConfigError, MismatchError, MissingInputError
 from .grid import stored_nodes
 from .projection import ScanGeometry, Sinogram
 from .reconstruct import Image, ImageSpec
@@ -56,7 +59,7 @@ def _fmt(x: float) -> str:
 def _open(path: str, magic: str, converters: tuple):
     """(header fields, file positioned after the header line); the header
     must be ``magic`` followed by one field per converter: ``int`` for a
-    count, which must be positive, or ``float``."""
+    count, which must be positive, or ``float``, which must be finite."""
     count = len(converters)
     try:
         f = open(path, "rb")
@@ -79,6 +82,9 @@ def _open(path: str, magic: str, converters: tuple):
         bad = [v for convert, v in zip(converters, fields) if convert is int and v <= 0]
         if bad:
             raise ValueError(f"non-positive count {bad[0]}")
+        bad = [v for v in fields if not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite value {bad[0]}")
     except ValueError as exc:
         f.close()
         raise MissingInputError(f"{path}: malformed '{magic}' header: {exc}") from exc
@@ -100,9 +106,21 @@ def _fill(f, out: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(path: str, kind: str, values: np.ndarray) -> None:
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
+    if not np.isfinite(values).all():
+        bad = np.count_nonzero(~np.isfinite(values))
         raise MissingInputError(f"{path}: corrupt {kind}, {bad} of {values.size} values are not finite")
+
+
+@contextlib.contextmanager
+def open_artifact(path: str):
+    """``path`` opened to write an artifact, for the ``with`` block; an
+    OSError in the block, its open included, is a ConfigError naming the
+    path and the OS reason."""
+    try:
+        with open(path, "wb") as f:
+            yield f
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def write_sinogram(path: str, sino: Sinogram) -> None:
@@ -112,7 +130,7 @@ def write_sinogram(path: str, sino: Sinogram) -> None:
         f"{_fmt(g.angle_start)} {_fmt(g.angle_end)} {_fmt(g.detector_min)} {_fmt(g.detector_max)} "
         f"{_fmt(g.time_offset)} {_fmt(g.time_scale)}\n"
     )
-    with open(path, "wb") as f:
+    with open_artifact(path) as f:
         f.write(header.encode("ascii"))
         f.write(np.ascontiguousarray(sino.values, dtype=_F8).tobytes())
 
@@ -124,16 +142,19 @@ def read_sinogram(path: str) -> Sinogram:
         _check_payload(f, num_angles * num_detectors * 8)
         values = _fill(f, np.empty((num_angles, num_detectors), _F8))
     _check_finite(path, "sinogram", values)
-    geometry = ScanGeometry(
-        num_angles=num_angles,
-        angle_start=angle_start,
-        angle_end=angle_end,
-        num_detectors=num_detectors,
-        detector_min=det_min,
-        detector_max=det_max,
-        time_offset=time_offset,
-        time_scale=time_scale,
-    )
+    try:
+        geometry = ScanGeometry(
+            num_angles=num_angles,
+            angle_start=angle_start,
+            angle_end=angle_end,
+            num_detectors=num_detectors,
+            detector_min=det_min,
+            detector_max=det_max,
+            time_offset=time_offset,
+            time_scale=time_scale,
+        )
+    except ConfigError as exc:
+        raise MissingInputError(f"{path}: malformed 'DYNACT-SINO v2' header: {exc}") from exc
     return Sinogram(geometry, values)
 
 
@@ -141,20 +162,21 @@ class FieldWriter:
     """The v3 file of a field on ``grid`` at ``times``, written a snapshot per
     ``write``; it carries ``times`` and ``num_steps``, as a history does. A
     ``with`` block that raises, or a header write that fails, deletes the
-    file: no partial or stale field."""
+    file: no partial or stale field. The file is an `open_artifact`, so an
+    OSError in the block is a ConfigError."""
 
     def __init__(self, path: str, grid, times):
         self.times = np.asarray(times, dtype=_F8)
         self.num_steps = len(self.times)
-        self.file = open(path, "wb")
+        self.artifact = open_artifact(path)
+        self.file = self.artifact.__enter__()
         try:
             self.file.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, self.num_steps, len(stored_nodes(grid.kind))).encode("ascii"))
             for values, dtype in ((grid.x_coords, _F8), (grid.y_coords, _F8), (grid.kind, np.uint8), (self.times, _F8)):
                 self.file.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
             self.file.flush()
-        except BaseException:
-            self.file.close()
-            os.remove(path)
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
             raise
         self.offset = self.file.tell()
 
@@ -168,9 +190,11 @@ class FieldWriter:
         return self
 
     def __exit__(self, failed, *exc) -> None:
-        self.file.close()
-        if failed is not None:
-            os.remove(self.file.name)
+        try:
+            self.artifact.__exit__(failed, *exc)  # closes the file
+        finally:
+            if failed is not None:
+                os.remove(self.file.name)
 
 
 def write_field(path: str, history: DisplacementHistory) -> None:
@@ -213,6 +237,7 @@ class FieldFile:
         buf = memoryview(out).cast("B")
         if os.preadv(self.file.fileno(), [buf], self.offset + k * buf.nbytes) != buf.nbytes:
             raise MismatchError(f"{self.file.name}: payload ends before the end of snapshot {k}")
+        _check_finite(self.file.name, f"field snapshot {k}", out)
         return out
 
     def __enter__(self) -> "FieldFile":
@@ -238,7 +263,7 @@ def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def write_image(path: str, img: Image) -> None:
     nx, ny = img.values.shape
     header = f"DYNACT-IMG v1 {nx} {ny} {_fmt(-1.0)} {_fmt(1.0)} {_fmt(-1.0)} {_fmt(1.0)}\n"
-    with open(path, "wb") as f:
+    with open_artifact(path) as f:
         f.write(header.encode("ascii"))
         f.write(np.ascontiguousarray(img.values, dtype=_F8).tobytes())
 
@@ -265,7 +290,7 @@ def write_pgm(path: str, img: Image) -> None:
     pix = np.round(scaled * 65535.0).astype(">u2")
     # PGM rows run top to bottom: row r shows y = y_max - r
     raster = pix[:, ::-1].T
-    with open(path, "wb") as f:
+    with open_artifact(path) as f:
         f.write(f"P5\n# window {_fmt(lo)} {_fmt(hi)}\n{raster.shape[1]} {raster.shape[0]}\n65535\n".encode("ascii"))
         f.write(raster.tobytes())
 

@@ -186,8 +186,8 @@ def stage_evaluate(cfg: PipelineConfig) -> list[str]:
         expected = ", ".join(n + ".img" for n in names)
         raise MissingInputError(f"evaluate: no reconstruction image in {cfg.output_dir}; expected any of {expected}")
     text = json.dumps(report, indent=2, allow_nan=False)  # strict JSON: no bare NaN or Infinity
-    with open(_out(cfg, "report.json"), "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+    with formats.open_artifact(_out(cfg, "report.json")) as f:
+        f.write((text + "\n").encode("utf-8"))
     return ["report.json"]
 
 

@@ -8,11 +8,11 @@ from dynact.boundary import (
     BoundaryData,
     BoundarySpec,
     arclength_weights,
-    lerp_in_time,
     perturb,
     sample_boundary,
     samples_read,
     sparsify,
+    time_bracket,
 )
 from dynact.config import default_config
 from dynact.errors import ConfigError
@@ -106,9 +106,10 @@ class TestSampleBoundary:
                 [np.zeros((4, 2)), np.ones((4, 2))], axis=0
             ),
         )
-        np.testing.assert_allclose(bd.at_time(0.5), 0.25 * np.ones((4, 2)))
-        np.testing.assert_array_equal(bd.at_time(-1.0), bd.values[0])
-        np.testing.assert_array_equal(bd.at_time(5.0), bd.values[1])
+        blended = bd.at_times([-1.0, 0.5, 5.0])
+        np.testing.assert_allclose(blended.values[1], 0.25 * np.ones((4, 2)))
+        np.testing.assert_array_equal(blended.values[0], bd.values[0])
+        np.testing.assert_array_equal(blended.values[2], bd.values[1])
 
 
 class TestArclengthWeights:
@@ -138,31 +139,34 @@ class TestArclengthWeights:
         assert np.array_equal(self._interp(self.S_KNOTS), self.VALUES)
 
 
-class TestLerpInTime:
+class TestTimeBracket:
     TIMES = np.array([0.0, 0.7, 1.5, 4.0])
-    VALUES = np.random.default_rng(8).standard_normal((4, 5, 2))
 
-    def test_buffers_give_the_same_bits(self):
-        out, scratch = np.empty((5, 2)), np.empty((5, 2))
-        for t in (-1.0, 0.0, 0.3, 0.7, 1.1, 3.9, 4.0, 7.0):
-            expect = lerp_in_time(self.TIMES, self.VALUES, t)
-            got = lerp_in_time(self.TIMES, self.VALUES, t, out=out, scratch=scratch)
-            assert np.array_equal(got, expect)
-            # a blend lands in out; a clamped time returns the sample itself
-            assert (got is out) == (0.0 < t < 4.0)
+    def test_clamps_before_the_first_and_after_the_last_sample(self):
+        assert time_bracket(self.TIMES, -1.0) == (0, 0, 0.0)
+        assert time_bracket(self.TIMES, 9.0) == (3, 3, 0.0)
 
-    def test_reads_a_sequence_k_then_k_plus_1(self):
-        read = []
+    def test_a_sample_time_reads_that_sample_alone(self):
+        for k, t in enumerate(self.TIMES):
+            assert time_bracket(self.TIMES, t) == (k, k, 0.0)
 
-        class Samples:
-            def __getitem__(s, k):
-                read.append(k)
-                return self.VALUES[k]
+    def test_a_time_between_samples_reads_both_around_it(self):
+        values = np.random.default_rng(8).standard_normal((4, 5, 2))
+        for t in (0.3, 1.1, 3.9):
+            k0, k1, w = time_bracket(self.TIMES, t)
+            assert k1 == k0 + 1 and self.TIMES[k0] < t < self.TIMES[k1]
+            assert w == (t - self.TIMES[k0]) / (self.TIMES[k1] - self.TIMES[k0])
+            expect = [[np.interp(t, self.TIMES, values[:, b, c]) for c in range(2)] for b in range(5)]
+            np.testing.assert_allclose((1.0 - w) * values[k0] + w * values[k1], expect, rtol=0, atol=1e-14)
 
-        for t, keys in ((-1.0, [0]), (9.0, [3]), (2.0, [2, 3]), (0.7, [1, 2])):
-            read.clear()
-            assert np.array_equal(lerp_in_time(self.TIMES, Samples(), t), lerp_in_time(self.TIMES, self.VALUES, t))
-            assert read == keys
+    def test_a_blend_at_a_sample_time_is_that_sample_bit_for_bit(self):
+        # -0.0 next to a positive sample: adding 0 x the next sample would
+        # turn it into +0.0
+        values = np.random.default_rng(9).standard_normal((4, 5, 2))
+        values[:, 0, 0] = [1.0, -0.0, 2.0, -0.0]
+        blended = BoundaryData(self.TIMES, values).at_times(self.TIMES)
+        assert blended.values.tobytes() == values.tobytes()
+        assert np.signbit(blended.values[[1, 3], 0, 0]).all()
 
 
 class TestSamplesRead:
@@ -182,13 +186,13 @@ class TestSamplesRead:
         whole = BoundaryData(self.SAMPLES, values)
         part = BoundaryData(self.SAMPLES[read], values[read]).at_times(times)
         assert np.array_equal(part.times, times)
-        assert part.values.tobytes() == np.stack([whole.at_time(t) for t in times]).tobytes()
+        assert part.values.tobytes() == whole.at_times(times).values.tobytes()
 
 
 class TestBoundaryDataForMode:
     """The pipeline samples, perturbs and sparsifies only the samples that
     the blend to the snapshot times reads; its data has the bits of the
-    whole schedule's, blended by ``at_time``."""
+    whole schedule's, blended by ``at_times``."""
 
     @staticmethod
     def _config(num_samples: int, time_constant: bool):
@@ -207,7 +211,7 @@ class TestBoundaryDataForMode:
             bd = perturb(bd, spec)
         elif mode == "sparse":
             bd = sparsify(bd, spec, grid)
-        return np.stack([bd.at_time(t) for t in pipeline.snapshot_times(cfg)])
+        return bd.at_times(pipeline.snapshot_times(cfg)).values
 
     # 661: every snapshot time is a sample time; 41 and 300: most are not
     @pytest.mark.parametrize("num_samples", [661, 41, 300])

@@ -683,7 +683,7 @@ def test_explicit_divergence_raises():
     bd = sample_boundary(cfg.motion, g, np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times))
     times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
     with pytest.raises(InstabilityError, match="diverged") as exc_info:
-        solve(g, params, None, bd.at_time, cfg.scan.t_end, times)
+        solve(g, params, None, lambda t: bd.at_times([t]).values[0], cfg.scan.t_end, times)
     assert exc_info.value.step is not None and exc_info.value.node is not None
     # the check reads the stored rows, so it names an interior or boundary node
     assert g.kind[exc_info.value.node] in (NodeKind.INTERIOR, NodeKind.BOUNDARY)

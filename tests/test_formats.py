@@ -73,19 +73,31 @@ class TestSinogramFormat:
             formats.read_sinogram(p)
 
     @pytest.mark.parametrize(
-        "counts, found",
+        "head, found",
         [
             (b"forty 31", "'forty'"),
             (b"-2 -3", "non-positive count -2"),
             (b"0 31", "non-positive count 0"),
             (b"12 31.5", "'31.5'"),
+            # a number that is not finite read as a config error or a mismatch
+            (b"12 31 0.0 nan", "non-finite value nan"),
+            (b"12 31 0.0 inf", "non-finite value inf"),
+            (b"12 31 0.0 3.0 -1.0 1.0 -inf", "non-finite value -inf"),
+            (b"12 31 0.0 3.0 -1.0 1.0 0.0 nan", "non-finite value nan"),
+            # numbers that describe no scan geometry
+            (b"12 31 0.0 3.0 1.0 1.0", "detector_min must be < detector_max"),
+            (b"12 31 0.0 0.0", "angle range must be increasing"),
         ],
     )
-    def test_malformed_header_is_missing_input(self, tmp_path, sino_small, counts, found):
+    def test_malformed_header_is_missing_input(self, tmp_path, sino_small, head, found):
+        # ``head`` replaces the first header fields
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino_small)
         line, rest = Path(p).read_bytes().split(b"\n", 1)
-        Path(p).write_bytes(b"DYNACT-SINO v2 " + counts + b" " + b" ".join(line.split(b" ")[4:]) + b"\n" + rest)
+        parts = line.split(b" ")
+        new = head.split(b" ")
+        parts[2 : 2 + len(new)] = new
+        Path(p).write_bytes(b" ".join(parts) + b"\n" + rest)
         with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-SINO v2' header: .*{found}"):
             formats.read_sinogram(p)
 
@@ -268,6 +280,23 @@ class TestFieldFormat:
         assert lattice.shape == (len(times), 65, 65, 2)
         assert peak <= lattice.nbytes + 3 * n_stored * 16
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snapshot_is_missing_input(self, tmp_path, ellipse_grid_65, value):
+        # a NaN in a stored row reaches every pixel that reads the row
+        g = ellipse_grid_65
+        n_stored = len(stored_nodes(g.kind))
+        rows = np.ones((n_stored, 2))
+        p = str(tmp_path / "f.field")
+        with formats.FieldWriter(p, g, [0.0, 1.0]) as out:
+            out.write(0, rows)
+            rows[5, 1] = value
+            out.write(1, rows)
+        with formats.FieldFile(p, g) as field:
+            snapshot = np.empty((n_stored, 2))
+            assert np.array_equal(field.read(0, snapshot), np.ones((n_stored, 2)))
+            with pytest.raises(MissingInputError, match=f"f.field: corrupt field snapshot 1, 1 of {2 * n_stored} values are not finite"):
+                field.read(1, snapshot)
+
     def test_file_cut_after_open_fails_on_the_read(self, tmp_path, ellipse_grid_65):
         g = ellipse_grid_65
         p = str(tmp_path / "f.field")
@@ -299,7 +328,10 @@ class TestImageFormat:
         with pytest.raises(MismatchError):
             formats.read_image(p)
 
-    @pytest.mark.parametrize("header, found", [(b"5 4 -1.0 one -1.0 1.0", "'one'"), (b"5 -4 -1.0 1.0 -1.0 1.0", "-4")])
+    @pytest.mark.parametrize(
+        "header, found",
+        [(b"5 4 -1.0 one -1.0 1.0", "'one'"), (b"5 -4 -1.0 1.0 -1.0 1.0", "-4"), (b"5 4 -1.0 nan -1.0 1.0", "non-finite value nan")],
+    )
     def test_malformed_header_is_missing_input(self, tmp_path, header, found):
         p = str(tmp_path / "i.img")
         formats.write_image(p, Image(ImageSpec(5, 4), np.ones((5, 4))))

@@ -271,6 +271,24 @@ def test_reconstruct_maps_the_pixels_once(tmp_path, monkeypatch):
         assert not any(np.shares_memory(e.basis, other.basis) for other in evaluators[:i])
 
 
+def test_reconstruct_reads_each_snapshot_once_per_block(tmp_path, monkeypatch):
+    # an evaluator maps a snapshot when a view first needs it and keeps the
+    # last two, so a field is read once per snapshot, plus at most the two
+    # snapshots around each block boundary again
+    cfg = tiny_config(str(tmp_path))
+    stage_simulate(cfg)
+    stage_solve_motion(cfg, modes=PDE_MODES)
+    reads = {}
+    read = formats.FieldFile.read
+    monkeypatch.setattr(formats.FieldFile, "read", lambda self, k, out: reads.setdefault(self.file.name, []).append(k) or read(self, k, out))
+    stage_reconstruct(cfg)
+    k = cfg.solver.num_snapshots
+    assert len(reads) == len(PDE_MODES)
+    for snapshots in reads.values():
+        assert sorted(set(snapshots)) == list(range(k))
+        assert len(snapshots) <= k + 2 * (reconstruct.BLOCKS - 1)
+
+
 def test_field_on_shifted_lattice_is_mismatch(tmp_path):
     # same node count and classification, other coordinates
     cfg = tiny_config(str(tmp_path))
@@ -509,6 +527,35 @@ class TestCli:
         code, err = self.reconstruct_with_header(tmp_path, capsys, "sinogram.sino", header)
         assert code == 3
         assert "malformed 'DYNACT-SINO v2' header" in err
+
+    def test_non_finite_field_is_missing_input(self, tmp_path, capsys):
+        # one NaN in the last stored value reached 44 of the 2401 pixels of
+        # recon_pde_exact.img, and only evaluate failed, blaming the image
+        cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
+        field = Path(cfg.output_dir, "field_exact.field")
+        field.write_bytes(field.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+        capsys.readouterr()
+        assert cli_main(["reconstruct", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "field_exact.field: corrupt field snapshot 8, 1 of" in err
+        assert "Traceback" not in err
+        assert not Path(cfg.output_dir, "recon_pde_exact.img").exists()
+
+    @pytest.mark.parametrize("stage, name", [("simulate", "sinogram.sino"), ("solve-motion", "field_exact.field"), ("evaluate", "report.json")])
+    def test_unwritable_artifact_is_config_error(self, tmp_path, capsys, stage, name):
+        # a directory where the stage writes an artifact died with an
+        # IsADirectoryError traceback and exit 1
+        cfg, cfg_path = self.simulated(tmp_path)
+        formats.write_image(os.path.join(cfg.output_dir, "recon_static.img"), formats.read_image(os.path.join(cfg.output_dir, "ground_truth.img")))
+        blocker = Path(cfg.output_dir, name)
+        blocker.unlink(missing_ok=True)
+        blocker.mkdir()
+        capsys.readouterr()
+        assert cli_main([stage, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {str(blocker)!r}: Is a directory" in err
+        assert "Traceback" not in err
+        assert blocker.is_dir()
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "ignored"))
