@@ -1,12 +1,11 @@
 """Bit-exact binary artifact formats.
 
 All payloads are little-endian IEEE float64 (classification is raw
-bytes); headers are single ASCII lines with shortest round-trip float
-formatting, so identical data always produces identical bytes.
-
-  DYNACT-SINO v2  <num_angles> <num_detectors> <angle_start> <angle_end> <det_min> <det_max> <time_offset> <time_scale>
-  DYNACT-FIELD v3 <nx> <ny> <num_snapshots> <n_stored>
-  DYNACT-IMG v1   <nx> <ny> <xmin> <xmax> <ymin> <ymax>
+bytes). A header is one ASCII line, ``<magic> key=value ...``, whose keys
+are the fields of the dataclass the artifact carries, in order, and whose
+floats are in shortest round-trip form, so identical data always produces
+identical bytes: ``DYNACT-SINO v3`` carries a `ScanGeometry`,
+``DYNACT-FIELD v4`` a `_FieldHeader` and ``DYNACT-IMG v2`` an `ImageSpec`.
 
 A sinogram's payload is its (num_angles, num_detectors) values; its
 header carries the view-to-time map, so a stage can tell a sinogram
@@ -20,13 +19,10 @@ field's header arrays at open and one (n_stored, 2) snapshot per ``write``,
 at its offset and in any order; `FieldFile` reads them the same way, so
 neither holds a history. An image's payload is its (nx, ny) values.
 
-A file with any other header, an older version of the same format
-included (a v2 field stored the ghosts too), a header line that is not
-ASCII or does not end within ``HEADER_BYTES``, a header field that is
-not a finite number or a count that is not positive, or a sinogram
-header that describes no scan geometry, is a MissingInputError, and so
-is a sinogram, an image or a field snapshot whose payload holds a value
-that is not finite.
+A file with another magic or version (older versions had positional
+headers), a header line that is not ASCII or does not end within
+``HEADER_BYTES``, a header `_open` rejects, or a sinogram, an image or a
+field snapshot with a value that is not finite is a MissingInputError.
 Every reader checks the payload size against the header before reading,
 and a read that comes back short (a file cut after it was opened) is a
 MismatchError. Every artifact is written through `open_artifact`: a file
@@ -36,7 +32,9 @@ that cannot be opened or written is a ConfigError.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -47,20 +45,60 @@ from .projection import ScanGeometry, Sinogram
 from .reconstruct import Image, ImageSpec
 
 _F8 = np.dtype("<f8")
-# a header is one ASCII line ending in "\n" within this many bytes (the
-# longest one written is under 250)
+# a header is one ASCII line ending in "\n" within this many bytes; a
+# sinogram's is the longest: 174 at the shipped config, under 300 at worst
 HEADER_BYTES = 4096
+SINO, FIELD, IMG = "DYNACT-SINO v3", "DYNACT-FIELD v4", "DYNACT-IMG v2"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+@dataclass(frozen=True)
+class _FieldHeader:
+    nx: int
+    ny: int
+    num_snapshots: int
+    n_stored: int
 
 
-def _open(path: str, magic: str, converters: tuple):
-    """(header fields, file positioned after the header line); the header
-    must be ``magic`` followed by one field per converter: ``int`` for a
-    count, which must be positive, or ``float``, which must be finite."""
-    count = len(converters)
+@functools.cache
+def _keys(cls) -> dict:
+    """Field name -> ``int`` or ``float`` of the dataclass ``cls``, in order."""
+    return {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
+
+
+def _header(magic: str, spec) -> bytes:
+    """The header line of ``spec``, a dataclass of int and float fields."""
+    items = (f"{name}={convert(getattr(spec, name))!r}" for name, convert in _keys(type(spec)).items())
+    return " ".join((magic, *items)).encode("ascii") + b"\n"
+
+
+def _values(tokens: list[str], types: dict) -> dict:
+    """The ``key=value`` tokens as a dict. The keys must be those of
+    ``types`` in order, a count positive and a float finite; the
+    ValueError names the first key that is not (a token without ``=`` is
+    a key without a value)."""
+    pairs = [token.partition("=")[::2] for token in tokens]
+    names = [name for name, _ in pairs]
+    for key in [*names, *types]:
+        if key not in types or names.count(key) != 1:
+            raise ValueError(f"{'unknown' if key not in types else 'missing' if key not in names else 'repeated'} key {key!r}")
+    if names != list(types):
+        raise ValueError(f"keys out of order: {' '.join(names)}")
+    values = {}
+    for name, text in pairs:
+        try:
+            v = values[name] = types[name](text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if types[name] is int and v <= 0:
+            raise ValueError(f"{name}: non-positive count {v}")
+        if types[name] is float and not np.isfinite(v):
+            raise ValueError(f"{name}: non-finite value {v}")
+    return values
+
+
+def _open(path: str, magic: str, cls):
+    """(``cls(**header values)``, file positioned after the header line);
+    the keys must be the fields of ``cls`` (`_values`)."""
     try:
         f = open(path, "rb")
     except OSError as exc:
@@ -71,24 +109,16 @@ def _open(path: str, magic: str, converters: tuple):
         raise MissingInputError(f"{path}: corrupt header")
     parts = line[:-1].decode("ascii").split(" ")
     found = " ".join(parts[:2])
-    if found != magic or len(parts) - 2 != count:
+    if found != magic:
         f.close()
         # a prefix names the file's format; the rest may be a whole header line
-        raise MissingInputError(
-            f"{path}: expected a '{magic}' header with {count} fields, found '{found[:40]}' with {len(parts) - 2}"
-        )
+        raise MissingInputError(f"{path}: expected a '{magic}' header, found '{found[:40]}'")
     try:
-        fields = [convert(v) for convert, v in zip(converters, parts[2:])]
-        bad = [v for convert, v in zip(converters, fields) if convert is int and v <= 0]
-        if bad:
-            raise ValueError(f"non-positive count {bad[0]}")
-        bad = [v for v in fields if not np.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite value {bad[0]}")
-    except ValueError as exc:
+        spec = cls(**_values(parts[2:], _keys(cls)))
+    except (ValueError, ConfigError) as exc:
         f.close()
         raise MissingInputError(f"{path}: malformed '{magic}' header: {exc}") from exc
-    return fields, f
+    return spec, f
 
 
 def _check_payload(f, expected: int) -> None:
@@ -124,42 +154,22 @@ def open_artifact(path: str):
 
 
 def write_sinogram(path: str, sino: Sinogram) -> None:
-    g = sino.geometry
-    header = (
-        f"DYNACT-SINO v2 {g.num_angles} {g.num_detectors} "
-        f"{_fmt(g.angle_start)} {_fmt(g.angle_end)} {_fmt(g.detector_min)} {_fmt(g.detector_max)} "
-        f"{_fmt(g.time_offset)} {_fmt(g.time_scale)}\n"
-    )
     with open_artifact(path) as f:
-        f.write(header.encode("ascii"))
+        f.write(_header(SINO, sino.geometry))
         f.write(np.ascontiguousarray(sino.values, dtype=_F8).tobytes())
 
 
 def read_sinogram(path: str) -> Sinogram:
-    hdr, f = _open(path, "DYNACT-SINO v2", (int,) * 2 + (float,) * 6)
+    geometry, f = _open(path, SINO, ScanGeometry)
     with f:
-        num_angles, num_detectors, angle_start, angle_end, det_min, det_max, time_offset, time_scale = hdr
-        _check_payload(f, num_angles * num_detectors * 8)
-        values = _fill(f, np.empty((num_angles, num_detectors), _F8))
+        _check_payload(f, geometry.num_angles * geometry.num_detectors * 8)
+        values = _fill(f, np.empty((geometry.num_angles, geometry.num_detectors), _F8))
     _check_finite(path, "sinogram", values)
-    try:
-        geometry = ScanGeometry(
-            num_angles=num_angles,
-            angle_start=angle_start,
-            angle_end=angle_end,
-            num_detectors=num_detectors,
-            detector_min=det_min,
-            detector_max=det_max,
-            time_offset=time_offset,
-            time_scale=time_scale,
-        )
-    except ConfigError as exc:
-        raise MissingInputError(f"{path}: malformed 'DYNACT-SINO v2' header: {exc}") from exc
     return Sinogram(geometry, values)
 
 
-class FieldWriter:
-    """The v3 file of a field on ``grid`` at ``times``, written a snapshot per
+class FieldWriter(contextlib.AbstractContextManager):
+    """The v4 file of a field on ``grid`` at ``times``, written a snapshot per
     ``write``; it carries ``times`` and ``num_steps``, as a history does. A
     ``with`` block that raises, or a header write that fails, deletes the
     file: no partial or stale field. The file is an `open_artifact`, so an
@@ -171,7 +181,7 @@ class FieldWriter:
         self.artifact = open_artifact(path)
         self.file = self.artifact.__enter__()
         try:
-            self.file.write("DYNACT-FIELD v3 {} {} {} {}\n".format(*grid.shape, self.num_steps, len(stored_nodes(grid.kind))).encode("ascii"))
+            self.file.write(_header(FIELD, _FieldHeader(*grid.shape, self.num_steps, len(stored_nodes(grid.kind)))))
             for values, dtype in ((grid.x_coords, _F8), (grid.y_coords, _F8), (grid.kind, np.uint8), (self.times, _F8)):
                 self.file.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
             self.file.flush()
@@ -186,9 +196,6 @@ class FieldWriter:
         if os.pwrite(self.file.fileno(), buf, self.offset + k * buf.nbytes) != buf.nbytes:
             raise OSError(f"{self.file.name}: short write of snapshot {k}")
 
-    def __enter__(self) -> "FieldWriter":
-        return self
-
     def __exit__(self, failed, *exc) -> None:
         try:
             self.artifact.__exit__(failed, *exc)  # closes the file
@@ -198,21 +205,21 @@ class FieldWriter:
 
 
 def write_field(path: str, history: DisplacementHistory) -> None:
-    """The v3 file of ``history``, whose fields are in stored-node form."""
+    """The v4 file of ``history``, whose fields are in stored-node form."""
     with FieldWriter(path, history.grid, history.times) as out:
         for k, rows in enumerate(history.fields):
             out.write(k, rows)
 
 
-class FieldFile:
+class FieldFile(contextlib.AbstractContextManager):
     """An open field file: the header arrays ``x``, ``y``, ``kind`` and
     ``times``, read at open, and ``read`` for the snapshots. With ``grid``,
     the file must be on that lattice and classification (MismatchError).
     """
 
     def __init__(self, path: str, grid=None):
-        hdr, self.file = _open(path, "DYNACT-FIELD v3", (int,) * 4)
-        nx, ny, k, self.n_stored = hdr
+        header, self.file = _open(path, FIELD, _FieldHeader)
+        nx, ny, k, self.n_stored = astuple(header)
         try:
             _check_payload(self.file, (nx + ny) * 8 + nx * ny + k * (8 + 16 * self.n_stored))
             self.x = _fill(self.file, np.empty(nx, _F8))
@@ -240,9 +247,6 @@ class FieldFile:
         _check_finite(self.file.name, f"field snapshot {k}", out)
         return out
 
-    def __enter__(self) -> "FieldFile":
-        return self
-
     def __exit__(self, *exc) -> None:
         self.file.close()
 
@@ -261,23 +265,18 @@ def read_field(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 
 def write_image(path: str, img: Image) -> None:
-    nx, ny = img.values.shape
-    header = f"DYNACT-IMG v1 {nx} {ny} {_fmt(-1.0)} {_fmt(1.0)} {_fmt(-1.0)} {_fmt(1.0)}\n"
     with open_artifact(path) as f:
-        f.write(header.encode("ascii"))
+        f.write(_header(IMG, img.spec))
         f.write(np.ascontiguousarray(img.values, dtype=_F8).tobytes())
 
 
 def read_image(path: str) -> Image:
-    hdr, f = _open(path, "DYNACT-IMG v1", (int,) * 2 + (float,) * 4)
+    spec, f = _open(path, IMG, ImageSpec)
     with f:
-        nx, ny, *extent = hdr
-        if extent != [-1.0, 1.0, -1.0, 1.0]:
-            raise MismatchError(f"{path}: unsupported image extent {extent}")
-        _check_payload(f, nx * ny * 8)
-        values = _fill(f, np.empty((nx, ny), _F8))
+        _check_payload(f, spec.nx * spec.ny * 8)
+        values = _fill(f, np.empty((spec.nx, spec.ny), _F8))
     _check_finite(path, "image", values)
-    return Image(ImageSpec(nx=nx, ny=ny), values)
+    return Image(spec, values)
 
 
 def write_pgm(path: str, img: Image) -> None:
@@ -291,7 +290,7 @@ def write_pgm(path: str, img: Image) -> None:
     # PGM rows run top to bottom: row r shows y = y_max - r
     raster = pix[:, ::-1].T
     with open_artifact(path) as f:
-        f.write(f"P5\n# window {_fmt(lo)} {_fmt(hi)}\n{raster.shape[1]} {raster.shape[0]}\n65535\n".encode("ascii"))
+        f.write(f"P5\n# window {lo!r} {hi!r}\n{raster.shape[1]} {raster.shape[0]}\n65535\n".encode("ascii"))
         f.write(raster.tobytes())
 
 

@@ -30,6 +30,7 @@ from .reconstruct import Image
 solve = QuasiStaticSolver.solve  # perfbench/tracing.py times pipeline.solve
 
 PDE_MODES = ("exact", "noisy", "sparse")
+RECONSTRUCTIONS = ("recon_static", "recon_exact_motion") + tuple(f"recon_pde_{m}" for m in PDE_MODES)
 
 
 def _out(cfg: PipelineConfig, name: str) -> str:
@@ -42,6 +43,19 @@ def _make_output_dir(cfg: PipelineConfig) -> None:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: {exc.strerror or exc}") from exc
+
+
+def _remove_outputs(cfg: PipelineConfig, names: list[str]) -> None:
+    """Deletes the named outputs of an earlier run, so that a stage that
+    fails leaves none of them; one that cannot be deleted is a ConfigError."""
+    for name in names:
+        path = _out(cfg, name)
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def solver_grid(cfg: PipelineConfig) -> Grid2D:
@@ -148,34 +162,44 @@ def load_field_provider(cfg: PipelineConfig, path: str, node_map: NodeMap):
 
 
 def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
+    """The images of every reconstruction the output directory has inputs
+    for. An earlier run's images are deleted first, and a run that fails
+    deletes what it wrote, so no stale image is left for `evaluate`."""
     _make_output_dir(cfg)
-    sino = _load_sinogram_checked(cfg)
+    _remove_outputs(cfg, [name + ext for name in RECONSTRUCTIONS for ext in (".img", ".pgm")])
     written = []
 
     def emit(name: str, img: Image):
+        written.extend([name + ".img", name + ".pgm"])  # before the writes, so a cut one is deleted too
         formats.write_image(_out(cfg, name + ".img"), img)
         formats.write_pgm(_out(cfg, name + ".pgm"), img)
-        written.extend([name + ".img", name + ".pgm"])
 
-    filtered = recon.filter_sinogram(sino, cfg.filter)
-    emit("recon_static", recon.backproject_static(filtered, sino.geometry, cfg.image))
-    emit("recon_exact_motion", recon.backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image))
-    node_map = None  # one grid, node map and pixel point map (NodeMap.at) for all fields, built for the first
-    for mode in PDE_MODES:
-        path = _out(cfg, f"field_{mode}.field")
-        if os.path.isfile(path):
-            node_map = node_map or NodeMap(solver_grid(cfg))
-            with load_field_provider(cfg, path, node_map) as provider:
-                emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, provider, cfg.image))
+    try:
+        sino = _load_sinogram_checked(cfg)
+        filtered = recon.filter_sinogram(sino, cfg.filter)
+        emit("recon_static", recon.backproject_static(filtered, sino.geometry, cfg.image))
+        emit("recon_exact_motion", recon.backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image))
+        node_map = None  # one grid, node map and pixel point map (NodeMap.at) for all fields, built for the first
+        for mode in PDE_MODES:
+            path = _out(cfg, f"field_{mode}.field")
+            if os.path.isfile(path):
+                node_map = node_map or NodeMap(solver_grid(cfg))
+                with load_field_provider(cfg, path, node_map) as provider:
+                    emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, provider, cfg.image))
+    except BaseException:
+        _remove_outputs(cfg, written)
+        raise
     return written
 
 
 def stage_evaluate(cfg: PipelineConfig) -> list[str]:
+    """``report.json``; an earlier run's report is deleted first, so a run
+    that fails leaves none."""
+    _remove_outputs(cfg, ["report.json"])
     gt = formats.read_image(formats.require_file(_out(cfg, "ground_truth.img")))
     report: dict = {"reference": "ground_truth.img", "metrics_kind": "artifact metrics", "images": {}}
-    names = ["recon_static", "recon_exact_motion"] + [f"recon_pde_{m}" for m in PDE_MODES]
     found = False
-    for name in names:
+    for name in RECONSTRUCTIONS:
         path = _out(cfg, name + ".img")
         if not os.path.isfile(path):
             continue
@@ -183,7 +207,7 @@ def stage_evaluate(cfg: PipelineConfig) -> list[str]:
         img = formats.read_image(path)
         report["images"][name] = evaluate(img, gt, cfg.phantom).to_dict()
     if not found:
-        expected = ", ".join(n + ".img" for n in names)
+        expected = ", ".join(n + ".img" for n in RECONSTRUCTIONS)
         raise MissingInputError(f"evaluate: no reconstruction image in {cfg.output_dir}; expected any of {expected}")
     text = json.dumps(report, indent=2, allow_nan=False)  # strict JSON: no bare NaN or Infinity
     with formats.open_artifact(_out(cfg, "report.json")) as f:

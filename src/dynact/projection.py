@@ -21,9 +21,9 @@ class ScanGeometry:
     """Parallel-beam acquisition layout and the view-index -> time map."""
 
     num_angles: int = 660
+    num_detectors: int = 451
     angle_start: float = 0.0
     angle_end: float = np.pi
-    num_detectors: int = 451
     detector_min: float = -1.0
     detector_max: float = 1.0
     time_offset: float = 0.0

@@ -231,18 +231,3 @@ def backproject_static(filtered: np.ndarray, geometry: ScanGeometry, image_spec:
     acc = _sum_view_blocks(geometry.num_angles, len(pts), run_block)
     return Image(image_spec, (C_NORM * acc).reshape(image_spec.nx, image_spec.ny))
 
-
-def reconstruct(sino: Sinogram, provider, filter_spec: FilterSpec, image_spec: ImageSpec) -> Image:
-    """Filter all rows, then backproject with the deformation provider: the
-    one-call form for one image. A caller making several images from one
-    sinogram (as ``pipeline.stage_reconstruct`` does) filters once and
-    calls ``backproject`` for each."""
-    filtered = filter_sinogram(sino, filter_spec)
-    return backproject(filtered, sino.geometry, provider, image_spec)
-
-
-def static_fbp(sino: Sinogram, filter_spec: FilterSpec, image_spec: ImageSpec) -> Image:
-    """Classical FBP ignoring any motion (the comparison baseline): the
-    one-call form of ``filter_sinogram`` and ``backproject_static``."""
-    filtered = filter_sinogram(sino, filter_spec)
-    return backproject_static(filtered, sino.geometry, image_spec)

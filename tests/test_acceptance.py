@@ -26,7 +26,7 @@ from dynact.motion import eval_ft, identity_motion
 from dynact.phantom import Ellipse, PhantomSpec, rasterize_f0
 from dynact.pipeline import solve_motion
 from dynact.projection import ScanGeometry, radon_numeric_oracle, simulate_scan
-from dynact.reconstruct import FilterSpec, Image, ImageSpec, reconstruct, static_fbp
+from dynact.reconstruct import FilterSpec, Image, ImageSpec, backproject, backproject_static, filter_sinogram
 
 from test_elastic import _mms_rectangle_error
 from test_pipeline import tiny_config
@@ -42,8 +42,9 @@ def acc():
     cfg = default_config()
     sino = simulate_scan(cfg.phantom, cfg.motion, cfg.scan)
     gt = Image(cfg.image, rasterize_f0(cfg.phantom, cfg.image.nx, cfg.image.ny))
-    rec_static = static_fbp(sino, cfg.filter, cfg.image)
-    rec_exact = reconstruct(sino, AnalyticDeformation(cfg.motion), cfg.filter, cfg.image)
+    filtered = filter_sinogram(sino, cfg.filter)
+    rec_static = backproject_static(filtered, sino.geometry, cfg.image)
+    rec_exact = backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image)
     pts = cfg.image.pixel_points()
     body = cfg.phantom.require_labeled("body")
     eroded = Ellipse(
@@ -107,7 +108,7 @@ def test_criterion_02_static_fbp_calibration():
     geo = ScanGeometry()
     sino = simulate_scan(disk, identity_motion(), geo)
     ispec = ImageSpec(257, 257)
-    img = static_fbp(sino, FilterSpec.for_geometry(geo), ispec)
+    img = backproject_static(filter_sinogram(sino, FilterSpec.for_geometry(geo)), sino.geometry, ispec)
     pts = ispec.pixel_points()
     r = np.hypot(pts[..., 0], pts[..., 1])
     interior = r <= 1.0 - 3 * (2.0 / 256)
@@ -123,9 +124,7 @@ def test_criterion_02_static_fbp_calibration():
 
 
 def test_criterion_03_zero_motion_collapse(acc):
-    rec_id = reconstruct(
-        acc.sino, AnalyticDeformation(identity_motion()), acc.cfg.filter, acc.cfg.image
-    )
+    rec_id = backproject(filter_sinogram(acc.sino, acc.cfg.filter), acc.sino.geometry, AnalyticDeformation(identity_motion()), acc.cfg.image)
     diff = float(np.abs(rec_id.values - acc.rec_static.values).max())
     ok = diff <= 1e-12
     _report(3, "zero-motion collapse", ok, f"max abs diff {diff:.2e}")
@@ -256,7 +255,7 @@ def test_criterion_08_pde_estimated_motion(acc):
             sample_boundary(cfg.motion, hist.grid, np.linspace(0, cfg.scan.t_end, 33)).values
         ).max()
     )
-    rec_pde = reconstruct(acc.sino, FieldDeformation(hist), cfg.filter, cfg.image)
+    rec_pde = backproject(filter_sinogram(acc.sino, cfg.filter), acc.sino.geometry, FieldDeformation(hist), cfg.image)
     r_pde = acc.rmse(rec_pde)
     ratio_exact = r_pde / acc.rmse_exact
     ratio_static = r_pde / acc.rmse_static
@@ -306,7 +305,7 @@ def test_criterion_09_robustness(acc):
         c2.boundary.spec.noise_std = std
         c2.boundary.spec.num_nodes = nodes
         hist = solve_motion(c2, mode)
-        rec = reconstruct(acc.sino, FieldDeformation(hist), c2.filter, c2.image)
+        rec = backproject(filter_sinogram(acc.sino, c2.filter), acc.sino.geometry, FieldDeformation(hist), c2.image)
         results[tag] = acc.rmse(rec, acc.interior_mask)
     ok = all(v < acc.static_interior for v in results.values())
     detail = ", ".join(f"{k} {v:.4f}" for k, v in results.items())

@@ -1,6 +1,6 @@
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,8 @@ class TestSinogramFormat:
         formats.write_sinogram(p, sino_small)
         with open(p, "rb") as f:
             first = f.readline().decode("ascii")
-        assert first.startswith("DYNACT-SINO v2 12 31 ")
-        assert len(first.split(" ")) == 10  # magic, version and 8 fields
+        assert first.startswith("DYNACT-SINO v3 num_angles=12 num_detectors=31 ")
+        assert len(first.split(" ")) == 10  # magic, version and 8 keys
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
@@ -90,30 +90,56 @@ class TestSinogramFormat:
         ],
     )
     def test_malformed_header_is_missing_input(self, tmp_path, sino_small, head, found):
-        # ``head`` replaces the first header fields
+        # ``head`` replaces the values of the first header keys
         p = str(tmp_path / "a.sino")
         formats.write_sinogram(p, sino_small)
         line, rest = Path(p).read_bytes().split(b"\n", 1)
         parts = line.split(b" ")
-        new = head.split(b" ")
-        parts[2 : 2 + len(new)] = new
+        for i, value in enumerate(head.split(b" "), start=2):
+            parts[i] = parts[i].split(b"=")[0] + b"=" + value
         Path(p).write_bytes(b" ".join(parts) + b"\n" + rest)
-        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-SINO v2' header: .*{found}"):
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-SINO v3' header: .*{found}"):
+            formats.read_sinogram(p)
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda keys: keys[:-1], "missing key 'time_scale'"),
+            (lambda keys: keys[:1] + keys[2:], "missing key 'num_detectors'"),
+            (lambda keys: keys + [b"extra=1"], "unknown key 'extra'"),
+            (lambda keys: keys + keys[:1], "repeated key 'num_angles'"),
+            (lambda keys: keys[1::-1] + keys[2:], "keys out of order: num_detectors num_angles angle_start"),
+            # a token without "=" is a key without a value
+            (lambda keys: [b"12"] + keys[1:], "unknown key '12'"),
+            (lambda keys: [b"num_angles"] + keys[1:], "num_angles: invalid literal for int.*''"),
+        ],
+        ids=["missing-last", "missing-second", "unknown", "repeated", "reordered", "no-equals", "no-value"],
+    )
+    def test_keys_must_be_the_geometry_fields_in_order(self, tmp_path, sino_small, edit, found):
+        p = str(tmp_path / "a.sino")
+        formats.write_sinogram(p, sino_small)
+        line, rest = Path(p).read_bytes().split(b"\n", 1)
+        magic, version, *keys = line.split(b" ")
+        Path(p).write_bytes(b" ".join([magic, version, *edit(keys)]) + b"\n" + rest)
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-SINO v3' header: {found}"):
             formats.read_sinogram(p)
 
     def test_bad_magic(self, tmp_path):
         p = str(tmp_path / "bad.sino")
         Path(p).write_bytes(b"NOPE v9 1 2 3\n")
-        with pytest.raises(MissingInputError, match="found 'NOPE v9' with 3"):
+        with pytest.raises(MissingInputError, match="expected a 'DYNACT-SINO v3' header, found 'NOPE v9'$"):
             formats.read_sinogram(p)
 
     def test_older_version_is_rejected(self, tmp_path, sino_small):
-        # a v1 header, with no time map
+        # v1 had no time map; v1 and v2 headers were positional
         p = str(tmp_path / "a.sino")
-        header = b"DYNACT-SINO v1 12 31 0.0 3.141592653589793 -1.0 1.0\n"
-        Path(p).write_bytes(header + sino_small.values.astype("<f8").tobytes())
-        with pytest.raises(MissingInputError, match="found 'DYNACT-SINO v1' with 6"):
-            formats.read_sinogram(p)
+        for header in (
+            b"DYNACT-SINO v1 12 31 0.0 3.141592653589793 -1.0 1.0\n",
+            b"DYNACT-SINO v2 12 31 0.0 3.141592653589793 -1.0 1.0 0.0 1.0\n",
+        ):
+            Path(p).write_bytes(header + sino_small.values.astype("<f8").tobytes())
+            with pytest.raises(MissingInputError, match=f"found '{header[:14].decode()}'$"):
+                formats.read_sinogram(p)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_is_missing_input(self, tmp_path, sino_small, value):
@@ -143,7 +169,7 @@ class TestSinogramFormat:
     def test_long_magic_is_cut_in_the_message(self, tmp_path):
         p = tmp_path / "long.sino"
         p.write_bytes(b"x" * 4000 + b"\n")
-        with pytest.raises(MissingInputError, match="found 'x{40}' with -1") as exc:
+        with pytest.raises(MissingInputError, match="found 'x{40}'$") as exc:
             formats.read_sinogram(str(p))
         assert len(str(exc.value)) < 300
 
@@ -183,7 +209,7 @@ class TestFieldFormat:
         p = str(tmp_path / "f.field")
         formats.write_field(p, self.history(g))
         n_stored = int(np.count_nonzero((g.kind == int(NodeKind.INTERIOR)) | (g.kind == int(NodeKind.BOUNDARY))))
-        header = f"DYNACT-FIELD v3 65 65 3 {n_stored}\n".encode("ascii")
+        header = f"DYNACT-FIELD v4 nx=65 ny=65 num_snapshots=3 n_stored={n_stored}\n".encode("ascii")
         raw = Path(p).read_bytes()
         assert raw.startswith(header)
         assert len(raw) == len(header) + (65 + 65) * 8 + 65 * 65 + 3 * 8 + 3 * n_stored * 2 * 8
@@ -213,10 +239,12 @@ class TestFieldFormat:
 
     @pytest.mark.parametrize("header, found", [
         # v1: every lattice node stored, no stored-node count
-        (b"DYNACT-FIELD v1 65 65 3", "'DYNACT-FIELD v1' with 3"),
+        (b"DYNACT-FIELD v1 65 65 3", "'DYNACT-FIELD v1'"),
         # v2: the ghost nodes stored too
-        (b"DYNACT-FIELD v2 65 65 3 1441", "'DYNACT-FIELD v2' with 4"),
-    ], ids=["v1", "v2"])
+        (b"DYNACT-FIELD v2 65 65 3 1441", "'DYNACT-FIELD v2'"),
+        # v3: this payload, under a positional header
+        (b"DYNACT-FIELD v3 65 65 3 1441", "'DYNACT-FIELD v3'"),
+    ], ids=["v1", "v2", "v3"])
     def test_older_version_is_rejected(self, tmp_path, ellipse_grid_65, header, found):
         p = str(tmp_path / "f.field")
         formats.write_field(p, self.history(ellipse_grid_65))
@@ -231,9 +259,10 @@ class TestFieldFormat:
         formats.write_field(p, self.history(ellipse_grid_65))
         line, rest = Path(p).read_bytes().split(b"\n", 1)
         parts = line.split(b" ")
-        parts[2 + field] = b"three" if field == 2 else b"0"
+        # ``field`` indexes the keys nx, ny, num_snapshots, n_stored
+        parts[2 + field] = parts[2 + field].split(b"=")[0] + (b"=three" if field == 2 else b"=0")
         Path(p).write_bytes(b" ".join(parts) + b"\n" + rest)
-        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-FIELD v3' header: .*{found}"):
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-FIELD v4' header: .*{found}"):
             formats.FieldFile(p)
 
     def test_stored_count_must_match_the_classification(self, tmp_path, ellipse_grid_65):
@@ -243,7 +272,7 @@ class TestFieldFormat:
         # one more stored node in the header, and its payload
         line, rest = Path(p).read_bytes().split(b"\n", 1)
         *head, n = line.split(b" ")
-        Path(p).write_bytes(b" ".join(head + [b"%d" % (int(n) + 1)]) + b"\n" + rest + bytes(3 * 16))
+        Path(p).write_bytes(b" ".join(head + [b"n_stored=%d" % (int(n.split(b"=")[1]) + 1)]) + b"\n" + rest + bytes(3 * 16))
         with pytest.raises(MismatchError, match="classification"):
             formats.FieldFile(p)
 
@@ -328,17 +357,21 @@ class TestImageFormat:
         with pytest.raises(MismatchError):
             formats.read_image(p)
 
-    @pytest.mark.parametrize(
-        "header, found",
-        [(b"5 4 -1.0 one -1.0 1.0", "'one'"), (b"5 -4 -1.0 1.0 -1.0 1.0", "-4"), (b"5 4 -1.0 nan -1.0 1.0", "non-finite value nan")],
-    )
+    @pytest.mark.parametrize("header, found", [(b"nx=5 ny=one", "'one'"), (b"nx=5 ny=-4", "non-positive count -4")])
     def test_malformed_header_is_missing_input(self, tmp_path, header, found):
         p = str(tmp_path / "i.img")
         formats.write_image(p, Image(ImageSpec(5, 4), np.ones((5, 4))))
         rest = Path(p).read_bytes().split(b"\n", 1)[1]
-        Path(p).write_bytes(b"DYNACT-IMG v1 " + header + b"\n" + rest)
-        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-IMG v1' header: .*{found}"):
+        Path(p).write_bytes(b"DYNACT-IMG v2 " + header + b"\n" + rest)
+        with pytest.raises(MissingInputError, match=f"malformed 'DYNACT-IMG v2' header: ny: .*{found}"):
             formats.read_image(p)
+
+    def test_older_version_is_rejected(self, tmp_path):
+        # v1 also carried the extent, which was always [-1, 1]^2
+        p = tmp_path / "i.img"
+        p.write_bytes(b"DYNACT-IMG v1 5 4 -1.0 1.0 -1.0 1.0\n" + np.ones((5, 4)).tobytes())
+        with pytest.raises(MissingInputError, match="expected a 'DYNACT-IMG v2' header, found 'DYNACT-IMG v1'$"):
+            formats.read_image(str(p))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_is_missing_input(self, tmp_path, value):
@@ -357,3 +390,14 @@ class TestImageFormat:
         assert raw.startswith(b"P5\n# window 0.0 1.0\n9 9\n65535\n")
         pix = np.frombuffer(raw.split(b"65535\n", 1)[1], dtype=">u2")
         assert pix.min() == 0 and pix.max() == 65535
+
+
+def test_each_header_holds_its_dataclass_fields_in_order(tmp_path, sino_small, ellipse_grid_65):
+    sino, field, img = (str(tmp_path / name) for name in ("a.sino", "f.field", "i.img"))
+    formats.write_sinogram(sino, sino_small)
+    formats.write_field(field, TestFieldFormat.history(ellipse_grid_65))
+    formats.write_image(img, Image(ImageSpec(5, 4), np.ones((5, 4))))
+    for path, cls in ((sino, ScanGeometry), (field, formats._FieldHeader), (img, ImageSpec)):
+        with open(path, "rb") as file:
+            keys = [token.split("=")[0] for token in file.readline().decode("ascii").split()[2:]]
+        assert keys == [f.name for f in fields(cls)]

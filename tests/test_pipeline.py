@@ -493,40 +493,78 @@ class TestCli:
         field.write_bytes(field.read_bytes()[:-8])
         assert cli_main(["reconstruct", "--config", cfg_path]) == 5
 
-    def reconstruct_with_header(self, tmp_path, capsys, name, header):
-        """Exit code and stderr of `dynact reconstruct` after the header
-        line of artifact ``name`` is replaced by ``header``."""
+    def run_with_header(self, tmp_path, capsys, name, header, stage="reconstruct"):
+        """Exit code and stderr of `dynact <stage>` after the header line
+        of artifact ``name`` is replaced by ``header``."""
         cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
         path = Path(cfg.output_dir, name)
         path.write_bytes(header + path.read_bytes().split(b"\n", 1)[1])
-        code = cli_main(["reconstruct", "--config", cfg_path])
+        code = cli_main([stage, "--config", cfg_path])
         return code, capsys.readouterr().err
 
     def test_v1_sinogram_is_missing_input(self, tmp_path, capsys):
         # a v1 sinogram has no time map; it is not read with the config's
         header = b"DYNACT-SINO v1 40 61 0.0 3.141592653589793 -1.0 1.0\n"
-        code, err = self.reconstruct_with_header(tmp_path, capsys, "sinogram.sino", header)
+        code, err = self.run_with_header(tmp_path, capsys, "sinogram.sino", header)
         assert code == 3
         assert "found 'DYNACT-SINO v1'" in err
 
     def test_v1_field_is_missing_input(self, tmp_path, capsys):
         header = b"DYNACT-FIELD v1 33 33 9\n"
-        code, err = self.reconstruct_with_header(tmp_path, capsys, "field_exact.field", header)
+        code, err = self.run_with_header(tmp_path, capsys, "field_exact.field", header)
         assert code == 3
         assert "found 'DYNACT-FIELD v1'" in err
 
     def test_v2_field_is_missing_input(self, tmp_path, capsys):
         # a v2 field also stored the ghost nodes
         header = b"DYNACT-FIELD v2 33 33 9 395\n"
-        code, err = self.reconstruct_with_header(tmp_path, capsys, "field_exact.field", header)
+        code, err = self.run_with_header(tmp_path, capsys, "field_exact.field", header)
         assert code == 3
         assert "found 'DYNACT-FIELD v2'" in err
 
-    def test_malformed_sinogram_header_is_missing_input(self, tmp_path, capsys):
-        header = b"DYNACT-SINO v2 forty 61 0.0 3.141592653589793 -1.0 1.0 0.0 1.0\n"
-        code, err = self.reconstruct_with_header(tmp_path, capsys, "sinogram.sino", header)
+    @pytest.mark.parametrize(
+        "name, header, stage",
+        [
+            ("sinogram.sino", b"DYNACT-SINO v2 40 61 0.0 3.141592653589793 -1.0 1.0 0.0 0.15707963267948966\n", "reconstruct"),
+            ("field_exact.field", b"DYNACT-FIELD v3 33 33 9 395\n", "reconstruct"),
+            ("ground_truth.img", b"DYNACT-IMG v1 49 49 -1.0 1.0 -1.0 1.0\n", "evaluate"),
+        ],
+        ids=["SINO-v2", "FIELD-v3", "IMG-v1"],
+    )
+    def test_previous_positional_header_is_missing_input(self, tmp_path, capsys, name, header, stage):
+        code, err = self.run_with_header(tmp_path, capsys, name, header, stage)
         assert code == 3
-        assert "malformed 'DYNACT-SINO v2' header" in err
+        assert f"found '{' '.join(header.decode().split()[:2])}'" in err
+
+    def test_malformed_sinogram_header_is_missing_input(self, tmp_path, capsys):
+        header = b"DYNACT-SINO v3 num_angles=forty num_detectors=61 angle_start=0.0 angle_end=3.141592653589793 detector_min=-1.0 detector_max=1.0 time_offset=0.0 time_scale=1.0\n"
+        code, err = self.run_with_header(tmp_path, capsys, "sinogram.sino", header)
+        assert code == 3
+        assert "malformed 'DYNACT-SINO v3' header: num_angles:" in err
+
+    def test_failed_reconstruct_leaves_no_image_to_evaluate(self, tmp_path, capsys):
+        # a reconstruct that failed on a corrupt field left the earlier
+        # run's images, and evaluate exited 0 scoring a stale one
+        cfg, cfg_path = self.simulated(tmp_path, modes=("exact",))
+        for stage in ("reconstruct", "evaluate"):
+            assert cli_main([stage, "--config", cfg_path]) == 0
+        assert Path(cfg.output_dir, "recon_pde_exact.img").exists()
+        field = Path(cfg.output_dir, "field_exact.field")
+        field.write_bytes(field.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+        assert cli_main(["reconstruct", "--config", cfg_path]) == 3
+        assert not list(Path(cfg.output_dir).glob("recon_*"))
+        assert cli_main(["evaluate", "--config", cfg_path]) == 3
+        assert "no reconstruction image" in capsys.readouterr().err
+        assert not Path(cfg.output_dir, "report.json").exists()
+
+    def test_failed_evaluate_leaves_no_report(self, tmp_path, capsys):
+        cfg, cfg_path = self.simulated(tmp_path)
+        for stage in ("reconstruct", "evaluate"):
+            assert cli_main([stage, "--config", cfg_path]) == 0
+        Path(cfg.output_dir, "ground_truth.img").unlink()
+        assert cli_main(["evaluate", "--config", cfg_path]) == 3
+        assert "ground_truth.img" in capsys.readouterr().err
+        assert not Path(cfg.output_dir, "report.json").exists()
 
     def test_non_finite_field_is_missing_input(self, tmp_path, capsys):
         # one NaN in the last stored value reached 44 of the 2401 pixels of

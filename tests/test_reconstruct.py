@@ -18,8 +18,6 @@ from dynact.reconstruct import (
     backproject,
     backproject_static,
     filter_sinogram,
-    reconstruct,
-    static_fbp,
 )
 
 GEO_SMALL = ScanGeometry(num_angles=60, num_detectors=101)
@@ -130,15 +128,15 @@ class TestReconstruct:
 
     def test_zero_sinogram_zero_image(self):
         sino = Sinogram(GEO_SMALL, np.zeros((60, 101)))
-        img = reconstruct(sino, AnalyticDeformation(identity_motion()), small_filter(), ImageSpec(33, 33))
+        img = backproject(filter_sinogram(sino, small_filter()), sino.geometry, AnalyticDeformation(identity_motion()), ImageSpec(33, 33))
         assert np.all(img.values == 0.0)
 
     def test_identity_provider_equals_static_path(self):
         sino = self._disk_sino()
         fs = FilterSpec.for_geometry(sino.geometry)
         ispec = ImageSpec(65, 65)
-        dyn = reconstruct(sino, AnalyticDeformation(identity_motion()), fs, ispec)
-        stat = static_fbp(sino, fs, ispec)
+        dyn = backproject(filter_sinogram(sino, fs), sino.geometry, AnalyticDeformation(identity_motion()), ispec)
+        stat = backproject_static(filter_sinogram(sino, fs), sino.geometry, ispec)
         assert np.abs(dyn.values - stat.values).max() < 1e-12
 
     def test_linearity(self):
@@ -152,16 +150,16 @@ class TestReconstruct:
         fs = FilterSpec.for_geometry(g)
         ispec = ImageSpec(49, 49)
         prov = AnalyticDeformation(motion)
-        r12 = reconstruct(s12, prov, fs, ispec)
-        r1 = reconstruct(s1, prov, fs, ispec)
-        r2 = reconstruct(s2, prov, fs, ispec)
+        r12 = backproject(filter_sinogram(s12, fs), s12.geometry, prov, ispec)
+        r1 = backproject(filter_sinogram(s1, fs), s1.geometry, prov, ispec)
+        r2 = backproject(filter_sinogram(s2, fs), s2.geometry, prov, ispec)
         assert np.abs(r12.values - (r1.values + r2.values)).max() < 1e-10
 
     def test_static_disk_interior_mean(self):
         sino = self._disk_sino(ScanGeometry())
         fs = FilterSpec.for_geometry(sino.geometry)
         ispec = ImageSpec(129, 129)
-        img = static_fbp(sino, fs, ispec)
+        img = backproject_static(filter_sinogram(sino, fs), sino.geometry, ispec)
         pts = ispec.pixel_points()
         r = np.hypot(pts[..., 0], pts[..., 1])
         interior = r <= 0.6 - 3 * (2.0 / 128)
@@ -172,7 +170,7 @@ class TestReconstruct:
         sino = self._disk_sino(ScanGeometry())
         fs = FilterSpec.for_geometry(sino.geometry)
         ispec = ImageSpec(257, 257)
-        img = static_fbp(sino, fs, ispec)
+        img = backproject_static(filter_sinogram(sino, fs), sino.geometry, ispec)
         x = ispec.x
         profile = img.values[:, 128]  # y = 0 row through the center
         above = np.nonzero(profile > 0.5)[0]
@@ -185,8 +183,8 @@ class TestReconstruct:
         fs = FilterSpec.for_geometry(sino.geometry)
         ispec = ImageSpec(65, 65)
         prov = AnalyticDeformation(AffineMotion())
-        a = reconstruct(sino, prov, fs, ispec)
-        b = reconstruct(sino, prov, fs, ispec)
+        a = backproject(filter_sinogram(sino, fs), sino.geometry, prov, ispec)
+        b = backproject(filter_sinogram(sino, fs), sino.geometry, prov, ispec)
         assert np.array_equal(a.values, b.values)
 
 
