@@ -7,10 +7,15 @@ times a solver needs (`BoundaryData.at_times`). Noise and
 sparsification act on each sample time alone, so only the samples that
 the blend reads (`samples_read`: at most two per time) are sampled,
 perturbed or sparsified; a sample's noise is the one it gets when the
-whole schedule is perturbed. The time blend (`time_bracket`: which
-samples a time reads, with what weight) and the periodic arc-length
-interpolation along the boundary (`arclength_weights`) live here once;
-the field provider in `deformation` uses both.
+whole schedule is perturbed. Noisy samples are then low-passed in the
+boundary angle (`low_pass`), with a mode count that the discrepancy
+principle takes from the noise level, before they are blended: noise
+about the size of the motion would otherwise fold the solved field, and
+the low-passed data spans a few boundary directions instead of one per
+snapshot. The time blend (`time_bracket`: which samples a time reads,
+with what weight) and the periodic arc-length interpolation along the
+boundary (`arclength_weights`) live here once; the field provider in
+`deformation` uses both.
 """
 
 from __future__ import annotations
@@ -136,13 +141,57 @@ def perturb(bd: BoundaryData, spec: BoundarySpec, taken=None) -> BoundaryData:
     return BoundaryData(times=bd.times.copy(), values=bd.values + noise)
 
 
+def boundary_angles(grid: Grid2D) -> np.ndarray:
+    """Parametric angle of each boundary node (grid.boundary_ij order) on
+    the grid's elliptic domain."""
+    domain = grid.domain
+    if not isinstance(domain, Ellipse):
+        raise ConfigError("boundary angles and arc lengths require an elliptic domain")
+    return domain.param_angle(grid.boundary_positions())
+
+
 def boundary_arclengths(grid: Grid2D) -> np.ndarray:
     """Arc length of each boundary node (grid.boundary_ij order) on the
     grid's elliptic domain."""
-    domain = grid.domain
-    if not isinstance(domain, Ellipse):
-        raise ConfigError("boundary arc-length ordering requires an elliptic domain")
-    return domain.arclength_of_angle(domain.param_angle(grid.boundary_positions()))
+    return grid.domain.arclength_of_angle(boundary_angles(grid))
+
+
+def low_pass(bd: BoundaryData, grid: Grid2D, noise_std: float) -> BoundaryData:
+    """Each sample's displacements, per component, projected onto the
+    Fourier modes 0..M of the boundary nodes' parametric angle.
+
+    M is the smallest mode count whose residual, pooled over every sample
+    and both components, is at most N noise_std^2 for the N entries of
+    ``bd``: Morozov's discrepancy principle (Soviet Math. Dokl. 7, 1966),
+    with the noise level the data was perturbed with. M is at most
+    (B - 1) / 2 for B nodes. noise_std 0 returns ``bd`` itself.
+
+    The Fourier columns are orthonormalised by Gram-Schmidt, twice, and the
+    data is projected by einsum, so the result does not depend on the BLAS
+    threads. Apply it to the perturbed samples before `at_times` blends
+    them: a blend shrinks the noise, and the bound would then over-smooth.
+    """
+    if noise_std == 0.0:
+        return bd
+    theta = boundary_angles(grid)
+    if len(theta) != bd.num_nodes:
+        raise ConfigError("boundary data does not match the grid boundary nodes")
+    y = bd.values
+    budget = y.size * noise_std**2
+    residual = np.einsum("kbc,kbc->", y, y)
+    Q = np.empty((0, len(theta)))  # orthonormal rows
+    C = np.empty((0, len(y), 2))  # the data's coefficients on them
+    for m in range((len(theta) - 1) // 2 + 1):
+        for col in [np.ones_like(theta)] if m == 0 else [np.cos(m * theta), np.sin(m * theta)]:
+            for _ in range(2):
+                col = col - np.einsum("i,ib->b", np.einsum("ib,b->i", Q, col), Q)
+            q = col / np.sqrt(np.einsum("b,b->", col, col))
+            c = np.einsum("b,kbc->kc", q, y)
+            residual -= np.einsum("kc,kc->", c, c)
+            Q, C = np.vstack([Q, q]), np.concatenate([C, c[None]])
+        if residual <= budget:
+            break
+    return BoundaryData(times=bd.times.copy(), values=np.einsum("ib,ikc->kbc", Q, C))
 
 
 def arclength_weights(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import formats
 from . import reconstruct as recon  # called through the module, where perfbench/tracing.py times it
-from .boundary import BoundaryData, perturb, sample_boundary, samples_read, sparsify
+from .boundary import BoundaryData, low_pass, perturb, sample_boundary, samples_read, sparsify
 from .config import PipelineConfig
 from .deformation import AnalyticDeformation, FieldDeformation, NodeMap
 from .elastic import MaterialParams, QuasiStaticSolver
@@ -75,14 +75,15 @@ def check_prior_region(cfg: PipelineConfig) -> None:
 def boundary_data_for_mode(cfg: PipelineConfig, grid: Grid2D, mode: str) -> BoundaryData:
     """The boundary data of ``mode`` at the snapshot times, blended from the
     config's sample times. Only the samples the blend reads, at most two
-    per snapshot, are sampled and then perturbed or sparsified."""
+    per snapshot, are sampled and then perturbed and low-passed, or
+    sparsified."""
     samples = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
     times = snapshot_times(cfg)
     read = samples_read(samples, times)
     bd = sample_boundary(cfg.motion, grid, samples[read])
     spec = replace(cfg.boundary.spec, mode=mode)
     if mode == "noisy":
-        bd = perturb(bd, spec, taken=read)
+        bd = low_pass(perturb(bd, spec, taken=read), grid, spec.noise_std)
     elif mode == "sparse":
         bd = sparsify(bd, spec, grid)
     elif mode != "exact":

@@ -275,8 +275,9 @@ def test_criterion_09_robustness(acc):
     static reconstruction's interior RMSE.
 
     The fields come from solve-motion's quasi-static solve, which solves
-    the equilibrium Navier-Cauchy equation at each snapshot.
-    Measured: noisy-0.1 0.0898, noisy-0.25 0.1406, sparse-32 0.0408,
+    the equilibrium Navier-Cauchy equation at each snapshot, from noisy
+    data low-passed in the boundary angle (`boundary.low_pass`).
+    Measured: noisy-0.1 0.0665, noisy-0.25 0.1027, sparse-32 0.0408,
     sparse-16 0.0410 against a static 0.1675.
 
     The explicit elastodynamic scheme fails the noisy half (0.3205 and
@@ -314,7 +315,7 @@ def test_criterion_09_robustness(acc):
     for tag, v in results.items():
         assert v < acc.static_interior, (
             f"{tag}: interior RMSE {v:.4f} >= static {acc.static_interior:.4f}; "
-            "the quasi-static solve measured 0.0898/0.1406/0.0408/0.0410. An "
+            "the quasi-static solve measured 0.0665/0.1027/0.0408/0.0410. An "
             "elastodynamic solve carries boundary noise inward as undamped waves "
             "and diverges on snapped boundaries (see test docstring)"
         )

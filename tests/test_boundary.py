@@ -8,6 +8,8 @@ from dynact.boundary import (
     BoundaryData,
     BoundarySpec,
     arclength_weights,
+    boundary_angles,
+    low_pass,
     perturb,
     sample_boundary,
     samples_read,
@@ -208,7 +210,10 @@ class TestBoundaryDataForMode:
         bd = sample_boundary(cfg.motion, grid, samples)
         spec = replace(cfg.boundary.spec, mode=mode)
         if mode == "noisy":
-            bd = perturb(bd, spec)
+            # the low-pass pools its mode count over the samples read
+            read = samples_read(samples, pipeline.snapshot_times(cfg))
+            noisy = perturb(bd, spec).values[read]
+            bd = low_pass(BoundaryData(times=samples[read], values=noisy), grid, spec.noise_std)
         elif mode == "sparse":
             bd = sparsify(bd, spec, grid)
         return bd.at_times(pipeline.snapshot_times(cfg)).values
@@ -228,6 +233,55 @@ class TestBoundaryDataForMode:
         assert len(sampled) == 1 and sampled[0] <= min(2 * k, num_samples)
         if num_samples == 661:
             assert sampled == [k]
+
+
+class TestLowPass:
+    def test_zero_std_noisy_data_is_the_exact_data(self):
+        cfg = default_config()
+        cfg.solver.grid_nx = cfg.solver.grid_ny = 33
+        cfg.boundary.spec.noise_std = 0.0
+        grid = pipeline.solver_grid(cfg)
+        noisy = pipeline.boundary_data_for_mode(cfg, grid, "noisy")
+        assert noisy.values.tobytes() == pipeline.boundary_data_for_mode(cfg, grid, "exact").values.tobytes()
+
+    def test_exact_data_passes_through(self, ellipse_grid_65):
+        # affine motion moves an ellipse's boundary in its angle modes <= 1:
+        # a noise level far below the data keeps those modes, and nothing
+        # else is there to remove
+        bd = sample_boundary(AffineMotion(), ellipse_grid_65, np.linspace(0, 50, 7))
+        out = low_pass(bd, ellipse_grid_65, 1e-9)
+        assert np.array_equal(out.times, bd.times)
+        assert np.abs(out.values - bd.values).max() <= 1e-12
+        theta = boundary_angles(ellipse_grid_65)
+        modes = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=1)
+        y = np.transpose(bd.values, (1, 0, 2)).reshape(len(theta), -1)
+        assert np.abs(modes @ np.linalg.lstsq(modes, y, rcond=None)[0] - y).max() <= 1e-12
+
+    def test_residual_meets_the_noise_level(self, ellipse_grid_65):
+        # the discrepancy principle: the residual is at most N noise_std^2,
+        # and the data keeps only low angle modes, far fewer than the nodes
+        bd = sample_boundary(AffineMotion(), ellipse_grid_65, np.linspace(0, 50, 40))
+        spec = BoundarySpec(mode="noisy", noise_std=0.1, rng_seed=5)
+        noisy = perturb(bd, spec)
+        out = low_pass(noisy, ellipse_grid_65, spec.noise_std)
+        assert ((noisy.values - out.values) ** 2).sum() <= noisy.values.size * spec.noise_std**2
+        assert np.abs(out.values - bd.values).max() < 0.1
+
+    def test_mode_count_is_the_smallest_that_meets_the_noise_level(self, ellipse_grid_65):
+        # data a cos(3 theta) has about N a^2 / 2 outside modes <= 2: noise
+        # below a / sqrt(2) keeps mode 3, and so the data; noise above it
+        # keeps mode 0 alone, the data's mean
+        theta = boundary_angles(ellipse_grid_65)
+        values = np.broadcast_to((0.1 * np.cos(3 * theta))[None, :, None], (4, len(theta), 2))
+        bd = BoundaryData(times=np.arange(4.0), values=values)
+        assert np.abs(low_pass(bd, ellipse_grid_65, 0.05).values - values).max() <= 1e-12
+        mean = values.mean(axis=1, keepdims=True)
+        assert np.abs(low_pass(bd, ellipse_grid_65, 0.09).values - mean).max() <= 1e-12
+
+    def test_requires_an_elliptic_domain(self, unit_square_grid):
+        bd = sample_boundary(AffineMotion(), unit_square_grid, [0.0, 1.0])
+        with pytest.raises(ConfigError):
+            low_pass(bd, unit_square_grid, 0.1)
 
 
 class TestPerturb:

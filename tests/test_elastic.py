@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynact import elastic
-from dynact.boundary import sample_boundary
+from dynact.boundary import BoundaryData, boundary_angles, perturb, sample_boundary
 from dynact.config import default_config
 from dynact.domain import RectangleDomain
 from dynact.elastic import (
@@ -301,6 +302,26 @@ def _count_solves(monkeypatch) -> tuple[list[int], list[int]]:
     return steps, applies
 
 
+def _raw_noisy_data(cfg, grid) -> BoundaryData:
+    """Noisy mode's perturbed samples, blended to the snapshot times as
+    they are, without the low-pass: full rank in time."""
+    samples = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
+    bd = perturb(sample_boundary(cfg.motion, grid, samples), replace(cfg.boundary.spec, mode="noisy"))
+    return bd.at_times(np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots))
+
+
+def _angle_modes(values, theta) -> int:
+    """The smallest M for which Fourier modes 0..M of the angles ``theta``
+    fit every (K, B, 2) boundary snapshot to round-off."""
+    y = np.transpose(values, (1, 0, 2)).reshape(len(theta), -1)
+    for m in range(len(theta) // 2):
+        basis = np.stack([np.ones_like(theta)] + [f(k * theta) for k in range(1, m + 1) for f in (np.cos, np.sin)], axis=1)
+        fit = basis @ np.linalg.lstsq(basis, y, rcond=None)[0]
+        if np.abs(fit - y).max() <= 1e-12 * np.abs(y).max():
+            return m
+    raise AssertionError("no low mode count fits the data")
+
+
 def _relative_residuals(cfg, hist) -> np.ndarray:
     """|L u(t_k)| / |L_b psi(t_k)| per snapshot with a non-zero right-hand side."""
     op = NavierOperator(hist.grid, cfg.material.lame_lambda, cfg.material.lame_mu)
@@ -576,11 +597,51 @@ class TestQuasiStatic:
         # nodes span all 2 x 60 directions: 120 pivots are solved, and the
         # other 13 snapshots, combinations of them, meet the tolerance too
         cfg = _thorax(33)
+        solver = QuasiStaticSolver(solver_grid(cfg), MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu))
+        bd = _raw_noisy_data(cfg, solver.grid)
         steps, applies = _count_solves(monkeypatch)
-        hist = solve_motion(cfg, "noisy")
+        hist = solver.solve(bd.values, bd.times)
         assert len(applies) - sum(steps) == 2 * len(hist.grid.boundary_ij) == 120
         assert len(hist.times) - 120 == 13
         assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
+
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_low_passed_noisy_data_solves_on_few_pivots(self, n, monkeypatch):
+        # noise 0.1 keeps the angle modes 0..M, M >= 1, of the data, so its
+        # snapshots span at most 2 (2M + 1) boundary directions: as many
+        # inverse applies, not one per snapshot (133)
+        cfg = _thorax(n)
+        g = solver_grid(cfg)
+        m = _angle_modes(boundary_data_for_mode(cfg, g, "noisy").values, boundary_angles(g))
+        steps, applies = _count_solves(monkeypatch)
+        hist = solve_motion(cfg, "noisy")
+        assert m >= 1
+        assert len(applies) - sum(steps) <= 2 * (2 * m + 1)
+        assert _relative_residuals(cfg, hist).max() <= RELATIVE_TOLERANCE
+
+    @pytest.mark.parametrize("std, time_constant", [(0.1, False), (0.25, False), (0.1, True)])
+    def test_noisy_field_does_not_fold(self, std, time_constant):
+        # x + u keeps a positive Jacobian determinant in every cell at every
+        # snapshot (the raw noisy data folded 14,000-31,000 cell snapshots
+        # at 65^2); the bilinear map's determinant is linear along each
+        # edge, so it is checked at the four corners of every cell
+        cfg = _thorax(65)
+        cfg.boundary.spec.noise_std = std
+        cfg.boundary.spec.time_constant_noise = time_constant
+        hist = solve_motion(cfg, "noisy")
+        g = hist.grid
+        stored = stored_nodes(g.kind)
+        x = np.full((len(hist.times),) + g.shape + (2,), np.nan)
+        x.reshape(len(hist.times), -1, 2)[:, stored] = g.pos.reshape(-1, 2)[stored] + hist.fields
+        x00, x10, x01, x11 = x[:, :-1, :-1], x[:, 1:, :-1], x[:, :-1, 1:], x[:, 1:, 1:]
+
+        def cross(a, b):
+            return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+        det = np.stack([cross(x10 - x00, x01 - x00), cross(x10 - x00, x11 - x10), cross(x11 - x01, x01 - x00), cross(x11 - x01, x11 - x10)])
+        cells = np.isfinite(det).all(axis=(0, 1))
+        assert cells.sum() > 1000
+        assert det[:, :, cells].min() > 0.0
 
     def test_per_snapshot_pass_corrects_a_short_basis(self, monkeypatch):
         # a rank tolerance that keeps one of the two exact-data directions,
@@ -649,22 +710,21 @@ class TestQuasiStatic:
 
     def test_solve_peak_below_one_lattice_history(self):
         # the solve writes stored-node rows, a third of the lattice on the
-        # thorax grid: its peak allocation (noisy data, the full-rank case,
-        # measured 4.0 MB with the in-memory history) stays below one
+        # thorax grid: its peak allocation (raw noisy data, the full-rank
+        # case, measured 4.0 MB with the in-memory history) stays below one
         # (K, nx, ny, 2) history (9.0 MB), which the lattice form allocated
         # on top of the rest
         cfg = _thorax(65)
         solver = QuasiStaticSolver(solver_grid(cfg), MaterialParams(cfg.material.lame_lambda, cfg.material.lame_mu))
-        times = np.linspace(0.0, cfg.scan.t_end, cfg.solver.num_snapshots)
-        bd = boundary_data_for_mode(cfg, solver.grid, "noisy")
+        bd = _raw_noisy_data(cfg, solver.grid)
         tracemalloc.start()
         try:
-            hist = solver.solve(bd.values, times)
+            hist = solver.solve(bd.values, bd.times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(hist.times) == 133
-        assert peak < len(times) * solver.grid.nx * solver.grid.ny * 16
+        assert peak < len(bd.times) * solver.grid.nx * solver.grid.ny * 16
 
 
 @pytest.mark.slow
