@@ -180,7 +180,6 @@ def low_pass(bd: BoundaryData, grid: Grid2D, noise_std: float) -> BoundaryData:
     budget = y.size * noise_std**2
     residual = np.einsum("kbc,kbc->", y, y)
     Q = np.empty((0, len(theta)))  # orthonormal rows
-    C = np.empty((0, len(y), 2))  # the data's coefficients on them
     for m in range((len(theta) - 1) // 2 + 1):
         for col in [np.ones_like(theta)] if m == 0 else [np.cos(m * theta), np.sin(m * theta)]:
             for _ in range(2):
@@ -188,10 +187,11 @@ def low_pass(bd: BoundaryData, grid: Grid2D, noise_std: float) -> BoundaryData:
             q = col / np.sqrt(np.einsum("b,b->", col, col))
             c = np.einsum("b,kbc->kc", q, y)
             residual -= np.einsum("kc,kc->", c, c)
-            Q, C = np.vstack([Q, q]), np.concatenate([C, c[None]])
+            Q = np.vstack([Q, q])
         if residual <= budget:
             break
-    return BoundaryData(times=bd.times.copy(), values=np.einsum("ib,ikc->kbc", Q, C))
+    values = np.einsum("ib,ikc->kbc", Q, np.einsum("ib,kbc->ikc", Q, y))
+    return BoundaryData(times=bd.times.copy(), values=values)
 
 
 def arclength_weights(
