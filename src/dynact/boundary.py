@@ -174,8 +174,6 @@ def low_pass(bd: BoundaryData, grid: Grid2D, noise_std: float) -> BoundaryData:
     if noise_std == 0.0:
         return bd
     theta = boundary_angles(grid)
-    if len(theta) != bd.num_nodes:
-        raise ConfigError("boundary data does not match the grid boundary nodes")
     y = bd.values
     budget = y.size * noise_std**2
     residual = np.einsum("kbc,kbc->", y, y)
