@@ -6,16 +6,17 @@ snapped boundary nodes of a grid, and blended linearly in time to the
 times a solver needs (`BoundaryData.at_times`). Noise and
 sparsification act on each sample time alone, so only the samples that
 the blend reads (`samples_read`: at most two per time) are sampled,
-perturbed or sparsified; a sample's noise is the one it gets when the
-whole schedule is perturbed. Noisy samples are then low-passed in the
-boundary angle (`low_pass`), with a mode count that the discrepancy
-principle takes from the noise level, before they are blended: noise
-about the size of the motion would otherwise fold the solved field, and
-the low-passed data spans a few boundary directions instead of one per
-snapshot. The time blend (`time_bracket`: which samples a time reads,
+perturbed or sparsified (the caller picks the mode; neither reads the
+spec's). A sample's noise is the one it gets when the whole schedule is
+perturbed: `rng.normals` is a pure function of seed and counters. Noisy
+samples are then low-passed in the boundary angle (`low_pass`), with a
+mode count that the discrepancy principle takes from the noise level,
+before they are blended: noise about the size of the motion would
+otherwise fold the solved field, and the low-passed data spans a few
+boundary directions instead of one per snapshot. The time blend (`time_bracket`: which samples a time reads,
 with what weight) and the periodic arc-length interpolation along the
 boundary (`arclength_weights`) live here once; the field provider in
-`deformation` uses both.
+`deformation` uses both, and `sparsify` the latter's bracket search.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid2D
 from .phantom import Ellipse
-from .rng import StableRng
+from .rng import normals
 
 
 @dataclass
@@ -67,10 +68,6 @@ class BoundaryData:
             raise ConfigError("boundary values must have shape (num_times, num_nodes, 2)")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("boundary sample times must be strictly ascending")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.values.shape[1]
 
     def at_times(self, times) -> "BoundaryData":
         """The data blended to each of ``times`` (ascending) as `time_bracket` says."""
@@ -122,21 +119,18 @@ def perturb(bd: BoundaryData, spec: BoundarySpec, taken=None) -> BoundaryData:
     """Add i.i.d. N(0, noise_std^2) to every (time, node, component) entry.
 
     With time_constant_noise one draw per (node, component) is reused for
-    all times. Seeded and reproducible: same spec gives identical bytes.
-    ``taken``, a mask over a schedule of sample times, marks the ones ``bd``
-    holds: each gets the noise it gets when the whole schedule is perturbed.
+    all times. The noise is `rng.normals` of the spec's seed, so the same
+    spec gives identical bytes. ``taken``, a mask over a schedule of sample
+    times (all of ``bd``'s when None), marks the ones ``bd`` holds: each
+    gets the noise it gets when the whole schedule is perturbed.
     """
     spec.validate()
-    if spec.mode != "noisy":
-        raise ConfigError("perturb requires boundary mode 'noisy'")
-    rng = StableRng(spec.rng_seed)
     shape = bd.values.shape
     if spec.time_constant_noise:
-        noise = rng.normals(shape[1:])  # broadcast over the times
-    elif taken is None:
-        noise = rng.normals(shape)
+        noise = normals(spec.rng_seed, shape[1:])  # broadcast over the times
     else:
-        noise = rng.normals((len(taken),) + shape[1:], rows=np.flatnonzero(taken))
+        taken = np.ones(shape[0], dtype=bool) if taken is None else taken
+        noise = normals(spec.rng_seed, (len(taken),) + shape[1:], rows=np.flatnonzero(taken))
     noise *= spec.noise_std
     return BoundaryData(times=bd.times.copy(), values=bd.values + noise)
 
@@ -214,15 +208,14 @@ def arclength_weights(
 def sparsify(bd: BoundaryData, spec: BoundarySpec, grid: Grid2D) -> BoundaryData:
     """Keep num_nodes boundary nodes, linearly interpolate the rest.
 
-    Retained nodes are the boundary nodes nearest to equally spaced
-    arc-length targets; every other node receives, at each time, the
-    linear interpolation (in arc-length, periodic) between its two
-    enclosing retained nodes.
+    Retained nodes are the boundary nodes nearest, in periodic arc length,
+    to equally spaced arc-length targets: of the two nodes that
+    `arclength_weights` brackets a target with, the one it weighs more.
+    Every other node receives, at each time, the linear interpolation (in
+    arc length, periodic) between its two enclosing retained nodes.
     """
     spec.validate()
-    if spec.mode != "sparse":
-        raise ConfigError("sparsify requires boundary mode 'sparse'")
-    n_b = bd.num_nodes
+    n_b = bd.values.shape[1]
     if spec.num_nodes > n_b:
         raise ConfigError(f"num_nodes {spec.num_nodes} exceeds boundary node count {n_b}")
     if spec.num_nodes == n_b:
@@ -232,22 +225,14 @@ def sparsify(bd: BoundaryData, spec: BoundarySpec, grid: Grid2D) -> BoundaryData
     if len(s) != n_b:
         raise ConfigError("boundary data does not match the grid boundary nodes")
     perimeter = grid.domain.perimeter()
-    targets = perimeter * np.arange(spec.num_nodes) / spec.num_nodes
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    # circular nearest boundary node per target
-    pick = np.searchsorted(s_sorted, targets) % len(s_sorted)
-    prev = (pick - 1) % len(s_sorted)
-    d_pick = np.minimum(np.abs(s_sorted[pick] - targets), perimeter - np.abs(s_sorted[pick] - targets))
-    d_prev = np.minimum(np.abs(s_sorted[prev] - targets), perimeter - np.abs(s_sorted[prev] - targets))
-    chosen = np.sort(np.where(d_prev < d_pick, prev, pick))
+    lo, hi, w = arclength_weights(s, perimeter * np.arange(spec.num_nodes) / spec.num_nodes, perimeter)
+    chosen = np.sort(np.where(w < 0.5, lo, hi))
     # distinct by sort: np.unique keeps about 600 KB allocated after its first call
-    retained_sorted = chosen[np.concatenate([[True], np.diff(chosen) > 0])]
-    if len(retained_sorted) < 3:
+    retained = chosen[np.concatenate([[True], np.diff(chosen) > 0])]
+    if len(retained) < 3:
         raise ConfigError("fewer than 3 distinct retained boundary nodes")
-    retained = order[retained_sorted]
 
-    lo, hi, w = arclength_weights(s_sorted[retained_sorted], s, perimeter)
+    lo, hi, w = arclength_weights(s[retained], s, perimeter)
     vals_ret = bd.values[:, retained, :]  # (K, R, 2)
     new_vals = (1.0 - w)[None, :, None] * vals_ret[:, lo, :] + w[None, :, None] * vals_ret[:, hi, :]
     new_vals[:, retained, :] = bd.values[:, retained, :]

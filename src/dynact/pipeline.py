@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -81,7 +80,7 @@ def boundary_data_for_mode(cfg: PipelineConfig, grid: Grid2D, mode: str) -> Boun
     times = snapshot_times(cfg)
     read = samples_read(samples, times)
     bd = sample_boundary(cfg.motion, grid, samples[read])
-    spec = replace(cfg.boundary.spec, mode=mode)
+    spec = cfg.boundary.spec
     if mode == "noisy":
         bd = low_pass(perturb(bd, spec, taken=read), grid, spec.noise_std)
     elif mode == "sparse":

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from dynact.boundary import (
     BoundarySpec,
     arclength_weights,
     boundary_angles,
+    boundary_arclengths,
     low_pass,
     perturb,
     sample_boundary,
@@ -19,70 +18,56 @@ from dynact.boundary import (
 from dynact.config import default_config
 from dynact.errors import ConfigError
 from dynact.motion import AffineMotion, identity_motion
-from dynact.rng import StableRng
+from dynact.rng import _uniforms, normals
 
 
 class TestStableRng:
+    """`rng.normals`: a pure function of the seed and the counters of the
+    draw, C-order over shapes whose rows hold an even number of draws."""
+
     def test_reproducible(self):
-        a = StableRng(42).normals(1000)
-        b = StableRng(42).normals(1000)
-        assert np.array_equal(a, b)
+        assert np.array_equal(normals(42, (500, 2)), normals(42, (500, 2)))
 
     def test_seed_sensitivity(self):
-        assert not np.array_equal(StableRng(1).normals(100), StableRng(2).normals(100))
+        assert not np.array_equal(normals(1, (50, 2)), normals(2, (50, 2)))
 
     def test_uniforms_in_open_interval(self):
-        u = StableRng(7).uniforms(100000)
+        u = _uniforms(7, np.arange(100000, dtype=np.uint64))
         assert u.min() > 0.0 and u.max() < 1.0
 
     def test_normal_moments(self):
-        z = StableRng(11).normals(200000)
+        z = normals(11, (100000, 2)).ravel()
         assert abs(z.mean()) < 3.0 / np.sqrt(len(z))
         assert abs(z.std() - 1.0) < 0.01
 
-    def test_chunking_independent(self):
-        r = StableRng(5)
-        a = np.concatenate([r.uniforms(10), r.uniforms(20)])
-        b = StableRng(5).uniforms(30)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("shape", [(661, 480, 2), (100001,), 7])
+    @pytest.mark.parametrize("shape", [(661, 480, 2), (50001, 2), (7, 2)])
     def test_blocked_normals_match_one_shot_box_muller(self, shape):
-        # normals draws in blocks of pairs; the bits and the counter after
-        # it are those of the whole draw at once: u1 and u2 from two
-        # consecutive uniforms(pairs) calls
-        n = int(np.prod(shape))
-        pairs = (n + 1) // 2
-        ref = StableRng(3)
-        ref.uniforms(5)
-        u1, u2 = ref.uniforms(pairs), ref.uniforms(pairs)
+        # normals draws in blocks of pairs; the bits are those of the whole
+        # draw at once: pair j reads u1 at counter j and u2 at pairs + j
+        pairs = int(np.prod(shape)) // 2
+        u1 = _uniforms(3, np.arange(pairs, dtype=np.uint64))
+        u2 = _uniforms(3, np.arange(pairs, 2 * pairs, dtype=np.uint64))
         expected = np.empty(2 * pairs)
         expected[0::2] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         expected[1::2] = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
-        rng = StableRng(3)
-        rng.uniforms(5)
-        z = rng.normals(shape)
-        assert z.shape == np.empty(shape).shape
-        assert np.array_equal(z.reshape(-1).view(np.uint64), expected[:n].view(np.uint64))
-        assert np.array_equal(rng.uniforms(3), ref.uniforms(3))
+        z = normals(3, shape)
+        assert z.shape == shape
+        assert np.array_equal(z.reshape(-1).view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("rows", [np.arange(0, 661, 5), np.array([660, 3, 3, 0]), np.array([], dtype=int)])
     def test_row_draws_equal_rows_of_the_whole_draw(self, rows):
         # rows of a (661, 240, 2) draw, each computed at its own counters,
-        # have the bits of those rows of the whole draw, and the counter
-        # ends past the whole draw
-        full = StableRng(9)
-        whole = full.normals((661, 240, 2))
-        part = StableRng(9)
-        z = part.normals((661, 240, 2), rows=rows)
+        # have the bits of those rows of the whole draw
+        whole = normals(9, (661, 240, 2))
+        z = normals(9, (661, 240, 2), rows=rows)
         assert z.shape == (len(rows), 240, 2)
         assert np.array_equal(z.view(np.uint64), whole[rows].view(np.uint64))
-        assert np.array_equal(part.uniforms(3), full.uniforms(3))
 
     def test_rows_of_an_odd_count_rejected(self):
-        # a normal pair would straddle two rows of 3 draws
-        with pytest.raises(ValueError, match="odd"):
-            StableRng(1).normals((4, 3), rows=[1])
+        # a normal pair would straddle two rows of 3 draws, or of 1
+        for shape, rows in (((4, 3), [1]), ((4, 3), None), ((7,), None)):
+            with pytest.raises(ValueError, match="odd"):
+                normals(1, shape, rows=rows)
 
 
 class TestSampleBoundary:
@@ -208,7 +193,7 @@ class TestBoundaryDataForMode:
     def _reference(cfg, grid, mode: str) -> np.ndarray:
         samples = np.linspace(0.0, cfg.scan.t_end, cfg.boundary.num_sample_times)
         bd = sample_boundary(cfg.motion, grid, samples)
-        spec = replace(cfg.boundary.spec, mode=mode)
+        spec = cfg.boundary.spec
         if mode == "noisy":
             # the low-pass pools its mode count over the samples read
             read = samples_read(samples, pipeline.snapshot_times(cfg))
@@ -316,11 +301,6 @@ class TestPerturb:
             # recovered draws differ only by the add/subtract round trip
             np.testing.assert_allclose(added[k], added[0], rtol=0, atol=1e-15)
 
-    def test_requires_noisy_mode(self, ellipse_grid_65):
-        bd = self._bd(ellipse_grid_65)
-        with pytest.raises(ConfigError):
-            perturb(bd, BoundarySpec(mode="exact"))
-
 
 class TestSparsify:
     def _bd(self, grid):
@@ -328,16 +308,31 @@ class TestSparsify:
 
     def test_all_nodes_unchanged(self, ellipse_grid_65):
         bd = self._bd(ellipse_grid_65)
-        spec = BoundarySpec(mode="sparse", num_nodes=bd.num_nodes)
+        spec = BoundarySpec(mode="sparse", num_nodes=bd.values.shape[1])
         out = sparsify(bd, spec, ellipse_grid_65)
         assert np.array_equal(out.values, bd.values)
 
-    def test_retained_nodes_exact(self, ellipse_grid_65):
-        bd = self._bd(ellipse_grid_65)
-        out = sparsify(bd, BoundarySpec(mode="sparse", num_nodes=32), ellipse_grid_65)
-        # nodes whose values were kept exactly are the retained set
-        same = np.all(out.values == bd.values, axis=(0, 2))
-        assert same.sum() >= 32
+    @pytest.mark.parametrize("num_nodes", [3, 16, 32, 64])
+    @pytest.mark.parametrize("grid_name", ["ellipse_65", "thorax_33", "thorax_81", "thorax_129"])
+    def test_retained_nodes_exact(self, request, grid_name, num_nodes):
+        # the retained set is, per equally spaced arc-length target, the
+        # boundary node nearest to it in circular arc length; with distinct
+        # values per node, the nodes whose values were kept exactly are it
+        if grid_name == "ellipse_65":
+            grid = request.getfixturevalue("ellipse_grid_65")
+        else:
+            cfg = default_config()
+            cfg.solver.grid_nx = cfg.solver.grid_ny = int(grid_name.split("_")[1])
+            grid = pipeline.solver_grid(cfg)
+        s = boundary_arclengths(grid)
+        num_nodes = min(num_nodes, len(s) - 1)  # 60 boundary nodes at 33^2; all of them are kept as they are
+        values = np.random.default_rng(num_nodes).standard_normal((3, len(s), 2))
+        out = sparsify(BoundaryData(np.arange(3.0), values), BoundarySpec(mode="sparse", num_nodes=num_nodes), grid)
+        kept = np.flatnonzero(np.all(out.values == values, axis=(0, 2)))
+        perimeter = grid.domain.perimeter()
+        d = np.abs(s[None, :] - (perimeter * np.arange(num_nodes) / num_nodes)[:, None])
+        nearest = np.argmin(np.minimum(d, perimeter - d), axis=1)
+        assert kept.tolist() == sorted(set(nearest.tolist()))
 
     def test_affine_in_arclength_reproduced(self, ellipse_grid_65):
         # values linear in arc-length between retained nodes are exact at
@@ -360,8 +355,3 @@ class TestSparsify:
         bd = self._bd(ellipse_grid_65)
         with pytest.raises(ConfigError):
             sparsify(bd, BoundarySpec(mode="sparse", num_nodes=2), ellipse_grid_65)
-
-    def test_requires_sparse_mode(self, ellipse_grid_65):
-        bd = self._bd(ellipse_grid_65)
-        with pytest.raises(ConfigError):
-            sparsify(bd, BoundarySpec(mode="noisy"), ellipse_grid_65)
