@@ -116,19 +116,26 @@ def solve_motion(cfg: PipelineConfig, mode: str, solver: QuasiStaticSolver | Non
 
 
 def stage_simulate(cfg: PipelineConfig) -> list[str]:
+    """The sinogram and ground truth; an earlier run's are deleted first,
+    so a run that fails leaves none of them."""
+    written = ["sinogram.sino", "ground_truth.img", "ground_truth.pgm"]
     _make_output_dir(cfg)
+    _remove_outputs(cfg, written)
     sino = simulate_scan(cfg.phantom, cfg.motion, cfg.scan)
     formats.write_sinogram(_out(cfg, "sinogram.sino"), sino)
     gt = Image(cfg.image, rasterize_f0(cfg.phantom, cfg.image.nx, cfg.image.ny))
     formats.write_image(_out(cfg, "ground_truth.img"), gt)
     formats.write_pgm(_out(cfg, "ground_truth.pgm"), gt)
-    return ["sinogram.sino", "ground_truth.img", "ground_truth.pgm"]
+    return written
 
 
 def stage_solve_motion(cfg: PipelineConfig, modes: tuple[str, ...] | None = None) -> list[str]:
+    """The field of each of ``modes`` (the config's when omitted); an earlier
+    run's are deleted first, so a run that fails leaves none of them."""
     _make_output_dir(cfg)
     if modes is None:
         modes = (cfg.boundary.spec.mode,)
+    _remove_outputs(cfg, [f"field_{mode}.field" for mode in modes])
     solver = motion_solver(cfg)
     written = []
     for mode in modes:

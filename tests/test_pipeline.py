@@ -100,19 +100,17 @@ def test_package_binds_each_module_it_loads_under_its_name():
     assert rebound == ""
 
 
-def test_solve_leaves_numpy_ma_unimported():
-    # the solve path finds distinct values by mask and sort: np.setdiff1d
-    # and np.unique without indices import numpy.ma on first use, which
-    # leaves about 1.2 MiB more resident
+def test_solve_leaves_numpy_ma_unimported(tmp_path):
+    # every stage of `all`, the solve path's included, finds distinct values
+    # by mask and sort: np.setdiff1d and np.unique without indices import
+    # numpy.ma on first use, which leaves about 1.2 MiB more resident
+    cfg_path = str(tmp_path / "cfg.json")
+    dump_config(tiny_config(str(tmp_path / "out")), cfg_path)
     code = (
         "import sys\n"
         "from dynact import pipeline\n"
-        "from dynact.config import default_config\n"
-        "cfg = default_config()\n"
-        "cfg.solver.grid_nx = cfg.solver.grid_ny = 33\n"
-        "solver = pipeline.motion_solver(cfg)\n"
-        "for mode in pipeline.PDE_MODES:\n"
-        "    pipeline.solve_motion(cfg, mode, solver=solver)\n"
+        "from dynact.config import load_config\n"
+        f"pipeline.run('all', load_config({cfg_path!r}))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _run_fresh(code).split() == ["False"]
@@ -200,6 +198,30 @@ def test_failed_solve_deletes_its_field_file(tmp_path, monkeypatch):
     valid_field_then_failing_solves()
     assert cli_main(["solve-motion", "--config", cfg_path]) == 4
     assert len(calls) == 5 and not os.path.exists(path)
+
+
+def test_failed_all_leaves_no_field_of_an_earlier_run(tmp_path, monkeypatch):
+    # a second `all` with another material that fails in noisy mode left
+    # the first run's sparse field, and `reconstruct` then imaged it
+    cfg = tiny_config(str(tmp_path / "out"))
+    run("all", cfg)
+    out = Path(cfg.output_dir)
+    first_exact = (out / "field_exact.field").read_bytes()
+    cfg.material.lame_mu *= 2.0
+    for_mode = pipeline.boundary_data_for_mode
+
+    def noisy_fails(cfg, grid, mode):
+        if mode == "noisy":
+            raise InstabilityError("diverged")
+        return for_mode(cfg, grid, mode)
+
+    monkeypatch.setattr(pipeline, "boundary_data_for_mode", noisy_fails)
+    with pytest.raises(InstabilityError):
+        run("all", cfg)
+    assert (out / "field_exact.field").read_bytes() != first_exact
+    assert not (out / "field_noisy.field").exists() and not (out / "field_sparse.field").exists()
+    assert run("reconstruct", cfg) == [name + ext for name in ("recon_static", "recon_exact_motion", "recon_pde_exact") for ext in (".img", ".pgm")]
+    assert not (out / "recon_pde_sparse.img").exists()
 
 
 def test_non_finite_pivot_raises_and_leaves_no_field(tmp_path, monkeypatch):
