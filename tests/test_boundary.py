@@ -325,7 +325,7 @@ class TestSparsify:
             cfg.solver.grid_nx = cfg.solver.grid_ny = int(grid_name.split("_")[1])
             grid = pipeline.solver_grid(cfg)
         s = boundary_arclengths(grid)
-        num_nodes = min(num_nodes, len(s) - 1)  # 60 boundary nodes at 33^2; all of them are kept as they are
+        num_nodes = min(num_nodes, len(s) - 1)  # 33^2 has 60 boundary nodes, and 60 keeps them all
         values = np.random.default_rng(num_nodes).standard_normal((3, len(s), 2))
         out = sparsify(BoundaryData(np.arange(3.0), values), BoundarySpec(mode="sparse", num_nodes=num_nodes), grid)
         kept = np.flatnonzero(np.all(out.values == values, axis=(0, 2)))
