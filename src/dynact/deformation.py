@@ -38,9 +38,10 @@ nodes, up to 4 elsewhere on the grids and rasters measured. The node
 map keeps the last point set's map, so every field on the grid, and
 every evaluator bound to the same points, shares one map of a pixel
 raster. A field evaluator maps a snapshot k to the bound points when a
-call first needs it, one gather of both components per column of the
-map, and keeps x + u_k of the two snapshots it read last as the four
-rows of its basis; g blends them in time by `boundary.time_bracket`.
+call first needs it, one component at a time and one gather per column
+of the map, weighted by the map's one weight per entry, and keeps
+x + u_k of the two snapshots it read last as the four rows of its basis;
+g blends them in time by `boundary.time_bracket`.
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ class _FieldAtPoints:
     and 2 s + 1), with g blending the two that `boundary.time_bracket` names
     for t (clamped to the first and last snapshot). Snapshot k at point p is
     u_k(p) = sum_j wts[j, p] * u_k[rows[j, p]]: u_k, the rows of snapshot k,
-    is read by ``source.read`` into this object's own buffer and gathered
-    through its complex view into ``gather``, so one take reads both
-    components of a row; ``wts`` (W, P, 2) holds each weight once per
-    component, so a column multiplies the gathered (P, 2) values
-    elementwise. The slots hold the two snapshots most recently read,
-    which are the ones bracketing the last requested time. A call returns
-    the evaluator's own basis, overwritten when a later call maps another
-    snapshot.
+    is read by ``source.read`` into this object's own ``snapshot`` buffer
+    and copied one component to a row into ``components`` (2, n_stored).
+    Each component is then mapped a column of the map at a time: a take
+    into ``gather`` (P,), multiplied in place by the column's weights
+    ``wts[j]`` (W, P) and added into the component's basis row. The slots
+    hold the two snapshots most recently read, which are the ones
+    bracketing the last requested time. A call returns the evaluator's own
+    basis, overwritten when a later call maps another snapshot.
     """
 
     def __init__(self, times: np.ndarray, source, xy: np.ndarray, rows: np.ndarray, wts: np.ndarray, n_stored: int):
@@ -118,7 +119,8 @@ class _FieldAtPoints:
         self.rows = rows
         self.wts = wts
         self.snapshot = np.empty((n_stored, 2))
-        self.gather = np.empty((rows.shape[1], 2))
+        self.components = np.empty((2, n_stored))
+        self.gather = np.empty(rows.shape[1])
         self.basis = np.zeros((4, rows.shape[1]))
         self.held = [-1, -1]  # the snapshot in each slot
         self.older = 0  # the slot read less recently, which the next new snapshot takes
@@ -131,12 +133,13 @@ class _FieldAtPoints:
             s = self.older
             self.held[s] = k
             dst, gather = self.basis[2 * s : 2 * s + 2], self.gather
-            values = self.source.read(k, self.snapshot).view(complex)[:, 0]
+            np.copyto(self.components, self.source.read(k, self.snapshot).T)
             dst[...] = 0.0
-            for r, w in zip(self.rows, self.wts):
-                # mode="clip" writes straight into out; "raise" buffers it
-                np.take(values, r, out=gather.view(complex)[:, 0], mode="clip")
-                dst += np.multiply(gather, w, out=gather).T
+            for values, row in zip(self.components, dst):
+                for r, w in zip(self.rows, self.wts):
+                    # mode="clip" writes straight into out; "raise" buffers it
+                    np.take(values, r, out=gather, mode="clip")
+                    row += np.multiply(gather, w, out=gather)
             dst += self.xy  # after u_k is summed, as the whole-lattice formula adds it
         self.older = 1 - s
         return s
@@ -179,15 +182,15 @@ class NodeMap:
     def at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The point map of ``points`` (..., 2), read-only: their coordinates
         as rows xy (2, P), and each point's stored rows (W, P) and weights
-        (W, P, 2, one per component), from the four bilinear cell corners,
-        clamped at the lattice edges, each read through this map. A row
-        reached twice has its weights summed and a zero weight is dropped,
-        so a NaN in a row that a point reads only with weight 0 does not
-        reach it. W is the widest point's count (at most 2 where the points
-        are lattice nodes); a shorter point repeats its first row with
-        weight 0. The map of the last point set is kept and returned again
-        for equal points, so the fields on this grid map a pixel raster
-        once."""
+        (W, P, one per entry for both components), from the four bilinear
+        cell corners, clamped at the lattice edges, each read through this
+        map. A row reached twice has its weights summed and a zero weight is
+        dropped, so a NaN in a row that a point reads only with weight 0
+        does not reach it. W is the widest point's count (at most 2 where
+        the points are lattice nodes); a shorter point repeats its first row
+        with weight 0. The map of the last point set is kept and returned
+        again for equal points, so the fields on this grid map a pixel
+        raster once."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if self.last is not None and np.array_equal(self.last[0], pts.T):
             return self.last
@@ -213,7 +216,7 @@ class NodeMap:
                     wts.append(np.where(new, w, 0.0))
         for col_r in rows[1:]:
             np.copyto(col_r, rows[0], where=col_r < 0)
-        self.last = (np.ascontiguousarray(pts.T), np.array(rows), np.repeat(np.array(wts)[..., None], 2, axis=2))
+        self.last = (np.ascontiguousarray(pts.T), np.array(rows), np.array(wts))
         for a in self.last:
             a.flags.writeable = False
         return self.last

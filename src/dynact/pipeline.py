@@ -184,15 +184,17 @@ def stage_reconstruct(cfg: PipelineConfig) -> list[str]:
     try:
         sino = _load_sinogram_checked(cfg)
         filtered = recon.filter_sinogram(sino, cfg.filter)
-        emit("recon_static", recon.backproject_static(filtered, sino.geometry, cfg.image))
-        emit("recon_exact_motion", recon.backproject(filtered, sino.geometry, AnalyticDeformation(cfg.motion), cfg.image))
+        geometry = sino.geometry
+        del sino  # the raw values are not read again: a V x D array less next to the fields
+        emit("recon_static", recon.backproject_static(filtered, geometry, cfg.image))
+        emit("recon_exact_motion", recon.backproject(filtered, geometry, AnalyticDeformation(cfg.motion), cfg.image))
         node_map = None  # one grid, node map and pixel point map (NodeMap.at) for all fields, built for the first
         for mode in PDE_MODES:
             path = _out(cfg, f"field_{mode}.field")
             if os.path.isfile(path):
                 node_map = node_map or NodeMap(solver_grid(cfg))
                 with load_field_provider(cfg, path, node_map) as provider:
-                    emit(f"recon_pde_{mode}", recon.backproject(filtered, sino.geometry, provider, cfg.image))
+                    emit(f"recon_pde_{mode}", recon.backproject(filtered, geometry, provider, cfg.image))
     except BaseException:
         _remove_outputs(cfg, written)
         raise

@@ -122,7 +122,8 @@ def filter_sinogram(sino: Sinogram, filter_spec: FilterSpec) -> np.ndarray:
     multiplier = sigma * np.exp(-0.5 * (filter_spec.gamma * sigma) ** 2)  # sigma >= 0 here
     rows = np.empty(sino.values.shape)
     for i in range(0, len(rows), FILTER_ROWS):
-        padded = np.fft.rfft(sino.values[i : i + FILTER_ROWS], n=n, axis=1) * multiplier
+        padded = np.fft.rfft(sino.values[i : i + FILTER_ROWS], n=n, axis=1)
+        padded *= multiplier
         rows[i : i + FILTER_ROWS] = np.fft.irfft(padded, n=n, axis=1)[:, : geo.num_detectors]
     return rows
 
@@ -198,20 +199,23 @@ def backproject(filtered: np.ndarray, geometry: ScanGeometry, provider, image_sp
     weights = _angle_weights(angles)
     pts = image_spec.pixel_points().reshape(-1, 2)
     movers = [provider.bind(pts) for _ in range(BLOCKS)]
+    num_points = len(pts)
+    del pts  # every evaluator holds what it reads of the points
     own = type(provider) in (AnalyticDeformation, FieldDeformation)
     turn = contextlib.nullcontext() if own else threading.Lock()
 
     cos, sin = np.cos(angles), np.sin(angles)
 
     def run_block(b: int, views: range, acc: np.ndarray) -> None:
-        p = np.empty(len(pts))
+        p = np.empty(num_points)
         for n in views:
             with turn:
                 g, basis = provider.eval(times[n], movers[b])
             np.einsum("j,jp->p", g[:, 0] * cos[n] + g[:, 1] * sin[n], basis, out=p)
-            acc += weights[n] * np.interp(p, dets, filtered[n], left=0.0, right=0.0)
+            q = np.interp(p, dets, filtered[n], left=0.0, right=0.0)
+            acc += np.multiply(weights[n], q, out=q)
 
-    acc = _sum_view_blocks(geometry.num_angles, len(pts), run_block)
+    acc = _sum_view_blocks(geometry.num_angles, num_points, run_block)
     return Image(image_spec, (C_NORM * acc).reshape(image_spec.nx, image_spec.ny))
 
 
@@ -220,14 +224,14 @@ def backproject_static(filtered: np.ndarray, geometry: ScanGeometry, image_spec:
     angles = geometry.angles
     dets = geometry.detectors
     weights = _angle_weights(angles)
-    pts = image_spec.pixel_points().reshape(-1, 2)
-    px, py = np.ascontiguousarray(pts.T)  # contiguous coordinate rows
+    px, py = np.ascontiguousarray(image_spec.pixel_points().reshape(-1, 2).T)  # contiguous coordinate rows
 
     def run_block(b: int, views: range, acc: np.ndarray) -> None:
         for n in views:
             p = px * np.cos(angles[n]) + py * np.sin(angles[n])
-            acc += weights[n] * np.interp(p, dets, filtered[n], left=0.0, right=0.0)
+            q = np.interp(p, dets, filtered[n], left=0.0, right=0.0)
+            acc += np.multiply(weights[n], q, out=q)
 
-    acc = _sum_view_blocks(geometry.num_angles, len(pts), run_block)
+    acc = _sum_view_blocks(geometry.num_angles, len(px), run_block)
     return Image(image_spec, (C_NORM * acc).reshape(image_spec.nx, image_spec.ny))
 

@@ -241,7 +241,7 @@ class TestAgainstWholeLatticeReference:
         prov = FieldDeformation(hist)
         move, twin = prov.bind(pts), prov.bind(pts.copy())
         assert twin.rows is move.rows and twin.wts is move.wts and twin.xy is move.xy
-        for buffer in ("basis", "gather", "snapshot"):
+        for buffer in ("basis", "gather", "components", "snapshot"):
             assert not np.shares_memory(getattr(twin, buffer), getattr(move, buffer))
         for t0, t1 in ((0.2, 3.5), (0.9, 3.7), (1.6, 4.2)):
             a, b = moved(move(t0)), moved(twin(t1))
@@ -300,9 +300,8 @@ class TestCompactPointMap:
         prov = FieldDeformation(hist)
         move = prov.bind(pts)
         rows, wts = move.rows, move.wts
-        assert rows.shape == wts.shape[:2] == (4, len(pts))
-        assert np.array_equal(wts[..., 0], wts[..., 1])
-        wts = wts[..., 0]
+        # one weight per entry, for both components
+        assert rows.shape == wts.shape == (4, len(pts))
         # no point lists a row twice among the rows it weighs, and a padded
         # entry repeats the point's first row
         for i in range(len(rows)):
@@ -359,7 +358,7 @@ class TestFileBackedProvider:
         with formats.FieldFile(path, g) as field:
             prov = FieldDeformation(field)
             movers = [prov.bind(pts) for _ in range(4)]
-            for name in ("xy", "rows", "wts", "snapshot", "gather", "basis"):
+            for name in ("xy", "rows", "wts", "snapshot", "components", "gather", "basis"):
                 shared = [np.shares_memory(getattr(m, name), getattr(movers[0], name)) for m in movers[1:]]
                 assert shared == [name in ("xy", "rows", "wts")] * 3
             blocks = np.array_split(np.arange(len(view_times)), len(movers))
