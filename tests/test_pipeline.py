@@ -305,9 +305,10 @@ def test_reconstruct_stage_peak_is_its_own_arrays(tmp_path):
     cfg = tiny_config(str(tmp_path))
     stage_simulate(cfg)
     stage_solve_motion(cfg, modes=PDE_MODES)
+    grid = solver_grid(cfg)
     num_points = cfg.image.nx * cfg.image.ny
-    width = deformation.NodeMap(solver_grid(cfg)).at(cfg.image.pixel_points())[1].shape[0]
-    n_stored = len(stored_nodes(solver_grid(cfg).kind))
+    width = deformation.NodeMap(grid).at(cfg.image.pixel_points())[1].shape[0]
+    n_stored = len(stored_nodes(grid.kind))
     filtered = cfg.scan.num_angles * cfg.scan.num_detectors
     point_map = (2 + 2 * width) * num_points  # xy, rows and one weight per entry
     evaluator = 4 * n_stored + 5 * num_points  # snapshot, its components, gather and basis
