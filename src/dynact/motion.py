@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MotionError
-from .phantom import PhantomSpec, eval_f0
-
-_DET_TINY = 1e-14
 
 
 @dataclass
@@ -66,17 +63,3 @@ class AffineMotion:
         return np.stack(
             [s * pts[..., 0] + self.drift_coeff * (s - 1.0), pts[..., 1] / s], axis=-1
         )
-
-
-def identity_motion() -> AffineMotion:
-    """The static object as a degenerate breathing motion (s == 1 exactly)."""
-    return AffineMotion(amplitude=0.0, frequency=0.0, offset=1.0, drift_coeff=0.0)
-
-
-def eval_ft(spec: PhantomSpec, motion, t: float, points: np.ndarray) -> np.ndarray:
-    """Mass-preserving object state: f0(phi_inverse(t, x)) * |det D phi_inverse|."""
-    ref = motion.phi_inverse(t, points)
-    det = motion.det(t)
-    if abs(det) < _DET_TINY:
-        raise MotionError(f"motion matrix is singular at t={t}")
-    return eval_f0(spec, ref) / abs(det)

@@ -1,4 +1,4 @@
-"""Analytic dynamic Radon data of a moving phantom plus a quadrature oracle.
+"""Analytic dynamic Radon data of a moving phantom.
 
 Each view n probes the object state at its acquisition time t_n along the
 lines {x : x . theta(t_n) = y_m}. For an affine deformation the dynamic
@@ -131,23 +131,3 @@ def simulate_scan(spec: PhantomSpec, motion, geometry: ScanGeometry) -> Sinogram
             row += scale * radon_ellipse(e, omega_ang, s)
         values[n] = row
     return Sinogram(geometry, values)
-
-
-def radon_numeric_oracle(f, theta: float, s: float, step: float = 1e-4) -> float:
-    """Composite midpoint quadrature of f along the unit-disk chord of a line.
-
-    f maps an (m, 2) array of points to m values. Independent of the
-    closed-form path; used to verify it.
-    """
-    if step <= 0:
-        raise ConfigError("oracle step must be positive")
-    if abs(s) >= 1.0:
-        return 0.0
-    half = float(np.sqrt(1.0 - s * s))
-    m = max(1, int(np.ceil(2.0 * half / step)))
-    h = 2.0 * half / m
-    tau = -half + (np.arange(m) + 0.5) * h
-    th = np.array([np.cos(theta), np.sin(theta)])
-    perp = np.array([-th[1], th[0]])
-    pts = s * th[None, :] + tau[:, None] * perp[None, :]
-    return float(np.sum(f(pts)) * h)

@@ -67,16 +67,6 @@ class FilterSpec:
         if n & (n - 1):
             raise ConfigError(f"dft_size {n} must be a power of two")
 
-    @classmethod
-    def for_geometry(cls, geometry: ScanGeometry, gamma: float | None = None, dft_size: int | None = None) -> "FilterSpec":
-        spacing = (geometry.detector_max - geometry.detector_min) / (geometry.num_detectors - 1)
-        if dft_size is None:
-            # 8x padding keeps the ramp's DC-cell deficit below 0.3%
-            dft_size = 1 << int(np.ceil(np.log2(8 * geometry.num_detectors)))
-        spec = cls(gamma=spacing if gamma is None else gamma, dft_size=dft_size)
-        spec.validate(geometry.num_detectors)
-        return spec
-
 
 @dataclass
 class ImageSpec:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from dynact.config import default_config
-from dynact.domain import RectangleDomain
 from dynact.grid import make_grid
 from dynact.phantom import Ellipse
+
+from oracles import RectangleDomain
 
 
 def pytest_configure(config):

@@ -19,15 +19,14 @@ import pytest
 
 from dynact.config import default_config, dump_config
 from dynact.deformation import AnalyticDeformation, FieldDeformation
-from dynact.domain import RectangleDomain
 from dynact.elastic import MaterialParams, cfl_dt
 from dynact.grid import fill_ghost, make_grid
-from dynact.motion import eval_ft, identity_motion
 from dynact.phantom import Ellipse, PhantomSpec, rasterize_f0
 from dynact.pipeline import solve_motion
-from dynact.projection import ScanGeometry, radon_numeric_oracle, simulate_scan
-from dynact.reconstruct import FilterSpec, Image, ImageSpec, backproject, backproject_static, filter_sinogram
+from dynact.projection import ScanGeometry, simulate_scan
+from dynact.reconstruct import Image, ImageSpec, backproject, backproject_static, filter_sinogram
 
+from oracles import RectangleDomain, eval_ft, filter_for_geometry, identity_motion, radon_numeric_oracle
 from test_elastic import _mms_rectangle_error
 from test_pipeline import tiny_config
 
@@ -108,7 +107,7 @@ def test_criterion_02_static_fbp_calibration():
     geo = ScanGeometry()
     sino = simulate_scan(disk, identity_motion(), geo)
     ispec = ImageSpec(257, 257)
-    img = backproject_static(filter_sinogram(sino, FilterSpec.for_geometry(geo)), sino.geometry, ispec)
+    img = backproject_static(filter_sinogram(sino, filter_for_geometry(geo)), sino.geometry, ispec)
     pts = ispec.pixel_points()
     r = np.hypot(pts[..., 0], pts[..., 1])
     interior = r <= 1.0 - 3 * (2.0 / 256)

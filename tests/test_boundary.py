@@ -17,8 +17,10 @@ from dynact.boundary import (
 )
 from dynact.config import default_config
 from dynact.errors import ConfigError
-from dynact.motion import AffineMotion, identity_motion
+from dynact.motion import AffineMotion
 from dynact.rng import _uniforms, normals
+
+from oracles import identity_motion
 
 
 class TestStableRng:

@@ -9,7 +9,9 @@ from dynact.boundary import arclength_weights, boundary_arclengths, sample_bound
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.elastic import DisplacementHistory
 from dynact.grid import NodeKind, stored_nodes
-from dynact.motion import AffineMotion, identity_motion
+from dynact.motion import AffineMotion
+
+from oracles import identity_motion
 
 
 def moved(form):

@@ -7,7 +7,6 @@ import pytest
 from dynact import elastic
 from dynact.boundary import BoundaryData, boundary_angles, perturb, sample_boundary
 from dynact.config import default_config
-from dynact.domain import RectangleDomain
 from dynact.elastic import (
     RELATIVE_TOLERANCE,
     InitialData,
@@ -21,6 +20,8 @@ from dynact.errors import ConfigError, InstabilityError
 from dynact.grid import NodeKind, fill_ghost, make_grid, stored_nodes
 from dynact.phantom import Ellipse
 from dynact.pipeline import boundary_data_for_mode, solve_motion, solver_grid
+
+from oracles import RectangleDomain
 
 
 def unit_params(grid, lam=1.0, mu=1.0, rho=1.0, forcing=None):

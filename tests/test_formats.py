@@ -10,10 +10,11 @@ from dynact import formats
 from dynact.elastic import DisplacementHistory
 from dynact.errors import MismatchError, MissingInputError
 from dynact.grid import NodeKind, stored_nodes
-from dynact.motion import identity_motion
 from dynact.phantom import Ellipse, PhantomSpec
 from dynact.projection import ScanGeometry, simulate_scan
 from dynact.reconstruct import Image, ImageSpec
+
+from oracles import identity_motion
 
 
 @pytest.fixture

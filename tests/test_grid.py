@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dynact.domain import RectangleDomain
 from dynact.errors import GridError
 from dynact.grid import NodeKind, fill_ghost, make_grid
 from dynact.phantom import Ellipse
+
+from oracles import RectangleDomain
 
 
 def kinds_count(grid):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dynact.errors import MotionError
-from dynact.motion import AffineMotion, identity_motion
+from dynact.motion import AffineMotion
+
+from oracles import identity_motion
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynact.errors import ConfigError
-from dynact.motion import AffineMotion, eval_ft, identity_motion
+from dynact.motion import AffineMotion
 from dynact.phantom import (
     Ellipse,
     PhantomSpec,
@@ -10,6 +10,8 @@ from dynact.phantom import (
     eval_f0,
     rasterize_f0,
 )
+
+from oracles import eval_ft, identity_motion
 
 
 def test_ellipse_rejects_bad_axes():

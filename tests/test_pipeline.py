@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynact import deformation, elastic, formats, pipeline, reconstruct
+from dynact import deformation, elastic, formats, motion, pipeline, projection, reconstruct
 from dynact.cli import main as cli_main
 from dynact.config import config_from_dict, config_to_dict, default_config, dump_config
 from dynact.errors import ConfigError, InstabilityError, MismatchError, MissingInputError
@@ -87,7 +87,9 @@ def test_numpy_is_the_only_third_party_import():
 
 def test_package_binds_each_module_it_loads_under_its_name():
     # `import dynact` loads the package's modules and rebinds none of their
-    # names: dynact.reconstruct is the module, not its one-call function
+    # names: dynact.reconstruct is the module, not its one-call function.
+    # The tests' reference implementations live in tests/oracles.py, not in
+    # the package: no rectangle domain module, and none of the moved names
     code = (
         "import sys\n"
         "import dynact\n"
@@ -97,7 +99,14 @@ def test_package_binds_each_module_it_loads_under_its_name():
     )
     loaded, rebound = _run_fresh(code).split("\n")[:2]
     assert "reconstruct" in loaded.split()
+    assert "domain" not in loaded.split()
     assert rebound == ""
+    moved = {
+        projection: ("radon_numeric_oracle",),
+        motion: ("identity_motion", "eval_ft", "_DET_TINY"),
+        reconstruct.FilterSpec: ("for_geometry",),
+    }
+    assert [(owner.__name__, n) for owner, names in moved.items() for n in names if hasattr(owner, n)] == []
 
 
 def test_solve_leaves_numpy_ma_unimported(tmp_path):

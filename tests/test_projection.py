@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from dynact.errors import ConfigError, MotionError
-from dynact.motion import AffineMotion, eval_ft, identity_motion
+from dynact.motion import AffineMotion
 from dynact.phantom import Ellipse, PhantomSpec, eval_f0
 from dynact.projection import (
     ScanGeometry,
     radon_ellipse,
-    radon_numeric_oracle,
     simulate_scan,
     transform_line,
 )
+
+from oracles import eval_ft, identity_motion, radon_numeric_oracle
 
 UNIT_DISK = Ellipse(center=(0, 0), semi_axes=(1, 1), density=1.0)
 

@@ -9,7 +9,7 @@ from dynact import reconstruct as recon_module
 from dynact.deformation import AnalyticDeformation, FieldDeformation
 from dynact.elastic import DisplacementHistory
 from dynact.errors import ConfigError, MotionError
-from dynact.motion import AffineMotion, identity_motion
+from dynact.motion import AffineMotion
 from dynact.phantom import Ellipse, PhantomSpec
 from dynact.projection import ScanGeometry, Sinogram, simulate_scan
 from dynact.reconstruct import (
@@ -20,11 +20,13 @@ from dynact.reconstruct import (
     filter_sinogram,
 )
 
+from oracles import filter_for_geometry, identity_motion
+
 GEO_SMALL = ScanGeometry(num_angles=60, num_detectors=101)
 
 
 def small_filter(geometry=GEO_SMALL, **kw):
-    return FilterSpec.for_geometry(geometry, **kw)
+    return filter_for_geometry(geometry, **kw)
 
 
 def filter_one_view(row, geometry, filter_spec):
@@ -133,7 +135,7 @@ class TestReconstruct:
 
     def test_identity_provider_equals_static_path(self):
         sino = self._disk_sino()
-        fs = FilterSpec.for_geometry(sino.geometry)
+        fs = filter_for_geometry(sino.geometry)
         ispec = ImageSpec(65, 65)
         dyn = backproject(filter_sinogram(sino, fs), sino.geometry, AnalyticDeformation(identity_motion()), ispec)
         stat = backproject_static(filter_sinogram(sino, fs), sino.geometry, ispec)
@@ -147,7 +149,7 @@ class TestReconstruct:
         s1 = simulate_scan(e1, motion, g)
         s2 = simulate_scan(e2, motion, g)
         s12 = Sinogram(g, s1.values + s2.values)
-        fs = FilterSpec.for_geometry(g)
+        fs = filter_for_geometry(g)
         ispec = ImageSpec(49, 49)
         prov = AnalyticDeformation(motion)
         r12 = backproject(filter_sinogram(s12, fs), s12.geometry, prov, ispec)
@@ -157,7 +159,7 @@ class TestReconstruct:
 
     def test_static_disk_interior_mean(self):
         sino = self._disk_sino(ScanGeometry())
-        fs = FilterSpec.for_geometry(sino.geometry)
+        fs = filter_for_geometry(sino.geometry)
         ispec = ImageSpec(129, 129)
         img = backproject_static(filter_sinogram(sino, fs), sino.geometry, ispec)
         pts = ispec.pixel_points()
@@ -168,7 +170,7 @@ class TestReconstruct:
     def test_static_phantom_edge_position(self):
         # reconstructed disk boundary sits within one pixel of the true edge
         sino = self._disk_sino(ScanGeometry())
-        fs = FilterSpec.for_geometry(sino.geometry)
+        fs = filter_for_geometry(sino.geometry)
         ispec = ImageSpec(257, 257)
         img = backproject_static(filter_sinogram(sino, fs), sino.geometry, ispec)
         x = ispec.x
@@ -180,7 +182,7 @@ class TestReconstruct:
 
     def test_determinism(self):
         sino = self._disk_sino()
-        fs = FilterSpec.for_geometry(sino.geometry)
+        fs = filter_for_geometry(sino.geometry)
         ispec = ImageSpec(65, 65)
         prov = AnalyticDeformation(AffineMotion())
         a = backproject(filter_sinogram(sino, fs), sino.geometry, prov, ispec)
